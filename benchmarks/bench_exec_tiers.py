@@ -1,12 +1,10 @@
 """Execution-tier benchmark: compiled numpy closures vs the µop interpreter.
 
 Measures wall time of the forward engine on Table-1 ResNet-50 layers under
-the ``interpret``, ``compiled`` and ``stream_compiled`` execution tiers
-(same streams, same µop programs), asserts the outputs are *bitwise*
-identical, and records the per-layer and geometric-mean speedups to a JSON
-report.  ``speedup`` is interpret/compiled; ``stream_speedup`` is
-compiled/stream_compiled (how much whole-segment closure replay saves on
-top of per-call compiled dispatch).
+the ``interpret`` and ``compiled`` execution tiers (same streams, same µop
+programs), asserts the outputs are *bitwise* identical, and records the
+per-layer and geometric-mean speedups (interpret/compiled) to a JSON
+report.
 
 Run as a plain script (not pytest -- the timing loop is its own harness)::
 
@@ -53,7 +51,7 @@ def bench_f32_layer(layer_id: int, p: ConvParams, repeats: int) -> dict:
     w = rng.standard_normal((p.K, p.C, p.R, p.S)).astype(np.float32)
     results = {"layer": layer_id, "dtype": "f32", "params": p.describe()}
     outs = {}
-    for tier in ("compiled", "stream_compiled", "interpret"):
+    for tier in ("compiled", "interpret"):
         eng = DirectConvForward(p, machine=SKX, execution_tier=tier)
         bx = block_activations(
             x, eng.plan.vlen, pad_h=p.pad_h, pad_w=p.pad_w
@@ -68,7 +66,7 @@ def bench_f32_layer(layer_id: int, p: ConvParams, repeats: int) -> dict:
             eng(bx, bw, out)
 
         if tier != "interpret":
-            run()  # amortize plan building / stream lowering up front
+            run()  # amortize plan building up front
         results[f"{tier}_s"] = _time_call(run, repeats)
         outs[tier] = out.data.copy()
     results["exact"] = bool(
@@ -76,15 +74,8 @@ def bench_f32_layer(layer_id: int, p: ConvParams, repeats: int) -> dict:
             outs["compiled"].view(np.uint32),
             outs["interpret"].view(np.uint32),
         )
-        and np.array_equal(
-            outs["stream_compiled"].view(np.uint32),
-            outs["interpret"].view(np.uint32),
-        )
     )
     results["speedup"] = results["interpret_s"] / results["compiled_s"]
-    results["stream_speedup"] = (
-        results["compiled_s"] / results["stream_compiled_s"]
-    )
     return results
 
 
@@ -95,7 +86,7 @@ def bench_q16_layer(layer_id: int, p: ConvParams, repeats: int) -> dict:
     qx, qw = quantize(x), quantize(w)
     results = {"layer": layer_id, "dtype": "qi16f32", "params": p.describe()}
     outs = {}
-    for tier in ("compiled", "stream_compiled", "interpret"):
+    for tier in ("compiled", "interpret"):
         eng = QuantConvForward(p, machine=KNM, execution_tier=tier)
 
         def run(eng=eng, tier=tier):
@@ -109,15 +100,8 @@ def bench_q16_layer(layer_id: int, p: ConvParams, repeats: int) -> dict:
             outs["compiled"].view(np.uint32),
             outs["interpret"].view(np.uint32),
         )
-        and np.array_equal(
-            outs["stream_compiled"].view(np.uint32),
-            outs["interpret"].view(np.uint32),
-        )
     )
     results["speedup"] = results["interpret_s"] / results["compiled_s"]
-    results["stream_speedup"] = (
-        results["compiled_s"] / results["stream_compiled_s"]
-    )
     return results
 
 
@@ -137,9 +121,6 @@ def main(argv=None) -> int:
     ap.add_argument("--out", default="BENCH_exec_tiers.json")
     ap.add_argument("--min-speedup", type=float, default=0.0,
                     help="fail if the geomean speedup is below this")
-    ap.add_argument("--min-stream-speedup", type=float, default=0.0,
-                    help="fail if the geomean stream_compiled-vs-compiled "
-                         "speedup is below this (CI regression gate)")
     args = ap.parse_args(argv)
 
     if args.quick:
@@ -161,9 +142,7 @@ def main(argv=None) -> int:
         print(
             f"layer {lid:>2} f32   interpret {row['interpret_s']:8.3f}s  "
             f"compiled {row['compiled_s']:8.3f}s  "
-            f"stream {row['stream_compiled_s']:8.3f}s  "
-            f"speedup {row['speedup']:7.1f}x  "
-            f"stream {row['stream_speedup']:5.2f}x  exact={row['exact']}"
+            f"speedup {row['speedup']:7.1f}x  exact={row['exact']}"
         )
     for lid in quant_layers:
         p = resnet50_layer(lid, minibatch=args.minibatch)
@@ -172,16 +151,11 @@ def main(argv=None) -> int:
         print(
             f"layer {lid:>2} q16   interpret {row['interpret_s']:8.3f}s  "
             f"compiled {row['compiled_s']:8.3f}s  "
-            f"stream {row['stream_compiled_s']:8.3f}s  "
-            f"speedup {row['speedup']:7.1f}x  "
-            f"stream {row['stream_speedup']:5.2f}x  exact={row['exact']}"
+            f"speedup {row['speedup']:7.1f}x  exact={row['exact']}"
         )
 
     geomean = math.exp(
         sum(math.log(r["speedup"]) for r in rows) / len(rows)
-    )
-    geomean_stream = math.exp(
-        sum(math.log(r["stream_speedup"]) for r in rows) / len(rows)
     )
     all_exact = all(r["exact"] for r in rows)
     try:
@@ -199,30 +173,21 @@ def main(argv=None) -> int:
         "repeats": args.repeats,
         "layers": rows,
         "geomean_speedup": geomean,
-        "geomean_stream_speedup": geomean_stream,
         "all_exact": all_exact,
     }
     with open(args.out, "w") as f:
         json.dump(report, f, indent=2)
         f.write("\n")
-    print(f"geomean speedup {geomean:.1f}x (stream_compiled/compiled "
-          f"{geomean_stream:.2f}x) over {len(rows)} measurements "
+    print(f"geomean speedup {geomean:.1f}x over {len(rows)} measurements "
           f"-> {args.out}")
 
     if not all_exact:
-        print("FAIL: a tier is not bitwise-identical to the interpreter",
+        print("FAIL: compiled is not bitwise-identical to the interpreter",
               file=sys.stderr)
         return 1
     if geomean < args.min_speedup:
         print(
             f"FAIL: geomean {geomean:.2f}x < required {args.min_speedup}x",
-            file=sys.stderr,
-        )
-        return 1
-    if geomean_stream < args.min_stream_speedup:
-        print(
-            f"FAIL: stream_compiled geomean {geomean_stream:.2f}x < "
-            f"required {args.min_stream_speedup}x vs compiled",
             file=sys.stderr,
         )
         return 1

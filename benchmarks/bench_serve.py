@@ -1,6 +1,6 @@
 """Serving benchmark: dynamic batching vs batch-1, cold vs warm boot.
 
-Three measurements, one JSON report:
+Six measurements, one JSON report:
 
 1. **Batching throughput** -- identical closed-loop load against two
    servers: one with dynamic batching disabled (``buckets=(1,)``, every
@@ -14,10 +14,7 @@ Three measurements, one JSON report:
    stream) vs warm boot from a saved stream artifact (dryrun skipped).
    Both boots run in the same process *after* a throwaway boot, so the
    JIT kernel cache is hot and the delta isolates the dryrun itself.
-4. **Execution tiers** -- per-bucket blocked-engine predict latency,
-   ``compiled`` vs ``stream_compiled`` (whole-segment closure replay),
-   with bitwise-identical outputs required.
-5. **Fleet sweep** -- the same closed-loop load against an
+4. **Fleet sweep** -- the same closed-loop load against an
    ``InferenceFleet`` at 1/2/4/8 replica processes vs the 1-process
    server baseline.  Every sweep row re-checks bitwise identity vs
    direct predict and asserts the shared-memory hot path never copied
@@ -25,11 +22,11 @@ Three measurements, one JSON report:
    available cores -- the report records ``host.cpus`` so a 1-core
    container's flat curve is not mistaken for a fleet regression; the
    ``--min-fleet-scaling`` gate is meant for multi-core runners.
-6. **Fleet warm boot** -- blocked-engine fleet boot from one shared
+5. **Fleet warm boot** -- blocked-engine fleet boot from one shared
    verified stream bundle at 1/2/4/8 replicas: per-replica
    ``serve.boot.warm_ms`` must stay flat as the fleet grows (the
    bundle is loaded and verified once, not once per replica).
-7. **Flight-recorder overhead** -- identical closed-loop load with the
+6. **Flight-recorder overhead** -- identical closed-loop load with the
    :mod:`repro.forensics` recorder disabled vs enabled (admission +
    batch events per request).  The record path is one GIL-atomic deque
    append, so the p50 delta must stay inside noise;
@@ -174,48 +171,6 @@ def bench_boot(cfg: ServeConfig) -> dict:
         "warm_boot_s": warm_s,
         "speedup": cold_s / warm_s if warm_s > 0 else float("inf"),
     }
-
-
-def bench_tiers(cfg: ServeConfig, buckets, repeats: int) -> dict:
-    """Per-bucket predict latency: compiled vs stream_compiled replay on
-    the same blocked engine (same streams, same JIT'ed variants)."""
-    rng = np.random.default_rng(5)
-    rows = []
-    for bucket in buckets:
-        x = rng.standard_normal(
-            (bucket, *cfg.input_shape)
-        ).astype(np.float32)
-        row = {"bucket": bucket}
-        outs = {}
-        for tier in ("compiled", "stream_compiled"):
-            etg = cfg.build_etg(bucket, execution_tier=tier)
-            with InferenceSession(etg) as sess:
-                sess.predict(x)  # warm up: plan building / stream lowering
-                times = []
-                for _ in range(repeats):
-                    t0 = time.perf_counter()
-                    out = sess.predict(x)
-                    times.append(time.perf_counter() - t0)
-                outs[tier] = out.copy()
-            times.sort()
-            row[f"{tier}_p50_ms"] = times[len(times) // 2] * 1e3
-        row["exact"] = bool(
-            np.array_equal(
-                outs["compiled"].view(np.uint32),
-                outs["stream_compiled"].view(np.uint32),
-            )
-        )
-        row["speedup"] = (
-            row["compiled_p50_ms"] / row["stream_compiled_p50_ms"]
-        )
-        rows.append(row)
-        print(
-            f"  bucket {bucket:>2}: compiled p50 "
-            f"{row['compiled_p50_ms']:7.2f}ms  stream_compiled p50 "
-            f"{row['stream_compiled_p50_ms']:7.2f}ms  "
-            f"({row['speedup']:.2f}x, exact={row['exact']})"
-        )
-    return {"repeats": repeats, "buckets": rows}
 
 
 def bench_fleet(
@@ -503,11 +458,6 @@ def main(argv=None) -> int:
         f"({boot['speedup']:.1f}x, {boot['stream_entries']} stream entries)"
     )
 
-    print("execution tiers (blocked engine, per-bucket predict p50):")
-    tier_buckets = [2] if args.quick else [8, 16]
-    tiers = bench_tiers(blocked_cfg, tier_buckets,
-                        repeats=5 if args.quick else 20)
-
     print("fleet sweep (fast engine, closed loop):")
     fleet = bench_fleet(
         fast_cfg, fleet_requests, clients=client_counts[-1],
@@ -559,7 +509,6 @@ def main(argv=None) -> int:
         "batching": batching,
         "bitwise": bitwise,
         "boot": boot,
-        "tiers": tiers,
         "fleet": fleet,
         "fleet_boot": fleet_boot,
         "recorder": recorder,
@@ -572,10 +521,6 @@ def main(argv=None) -> int:
     if not bitwise["exact"]:
         print("FAIL: batched outputs are not bitwise-identical",
               file=sys.stderr)
-        return 1
-    if not all(r["exact"] for r in tiers["buckets"]):
-        print("FAIL: stream_compiled predictions are not bitwise-"
-              "identical to compiled", file=sys.stderr)
         return 1
     if batching["speedup"] < args.min_speedup:
         print(

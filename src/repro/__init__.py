@@ -43,12 +43,7 @@ from repro.gxm.profiler import TaskProfiler
 from repro.gxm.topology import TopologySpec
 from repro.gxm.trainer import SGD, Trainer
 from repro.jit.kernel_cache import KernelCache, get_default_cache
-from repro.jit.tiers import (
-    EXECUTION_TIERS,
-    ExecutionTier,
-    ReplayOptions,
-    UnknownTierError,
-)
+from repro.jit.tiers import EXECUTION_TIERS, ExecutionTier, UnknownTierError
 from repro.obs import MetricsRegistry, Tracer, get_metrics, get_tracer
 from repro.perf.model import ConvPerfModel
 from repro.quant.qconv_engine import QuantConvForward
@@ -92,7 +87,6 @@ __all__ = [
     "get_default_cache",
     "ExecutionTier",
     "EXECUTION_TIERS",
-    "ReplayOptions",
     "UnknownTierError",
     # autotuning (the full API lives in repro.tune)
     "TuningDatabase",

@@ -121,10 +121,9 @@ def build_parser() -> argparse.ArgumentParser:
     from repro.jit.tiers import EXECUTION_TIERS
 
     p.add_argument("--execution-tier", default="compiled",
-                   choices=sorted(EXECUTION_TIERS),
-                   help="kernel-stream execution tier; 'verify' runs the "
-                        "compiled and interpreter tiers and asserts "
-                        "bitwise-identical outputs")
+                   choices=EXECUTION_TIERS,
+                   help="kernel-stream execution tier: 'compiled' or the "
+                        "trace-safe 'interpret' reference")
     p.add_argument("--trace-out", default="repro_trace.json",
                    help="chrome://tracing JSON output path")
     p.add_argument("--metrics-out", default="repro_metrics.json",
@@ -136,11 +135,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--width", type=int, default=32)
         p.add_argument("--engine", default="fast",
                        choices=["fast", "blocked"])
-        # serving excludes "verify" (a debugging tier that doubles every
-        # replay); any other registered tier is fair game
         p.add_argument("--execution-tier", default=None,
-                       choices=sorted(t for t in EXECUTION_TIERS
-                                      if t != "verify"))
+                       choices=EXECUTION_TIERS)
         p.add_argument("--buckets", default="1,2,4,8,16",
                        help="comma-separated ascending micro-batch sizes")
         p.add_argument("--workers", type=int, default=1)

@@ -24,7 +24,6 @@ from typing import Sequence
 import numpy as np
 
 from repro.arch.machine import SKX, MachineConfig
-from repro.conv._compat import legacy_positionals
 from repro.conv.blocking import BlockingPlan
 from repro.conv.forward import DirectConvForward
 from repro.conv.fusion import FusedOp
@@ -59,7 +58,7 @@ class DirectConvBackward:
         self,
         params: ConvParams,
         machine: MachineConfig = SKX,
-        *legacy,
+        *,
         dtype: DType = DType.F32,
         fused_ops: Sequence[FusedOp] = (),
         threads: int = 1,
@@ -69,15 +68,6 @@ class DirectConvBackward:
         tracer: Tracer | None = None,
         execution_tier: str | None = None,
     ) -> None:
-        if legacy:
-            lv = legacy_positionals(
-                "DirectConvBackward",
-                ("dtype", "threads", "kernel_cache"),
-                legacy,
-            )
-            dtype = lv.get("dtype", dtype)
-            threads = lv.get("threads", threads)
-            kernel_cache = lv.get("kernel_cache", kernel_cache)
         self.params = params
         self.machine = machine
         self.dtype = dtype

@@ -37,7 +37,6 @@ from repro.conv.forward import DirectConvForward
 from repro.conv.params import ConvParams
 from repro.conv.upd import DirectConvUpd
 from repro.jit.kernel_cache import KernelCache, get_default_cache
-from repro.jit.tiers import ReplayOptions
 from repro.obs.tracer import Tracer
 from repro.types import DType, Pass, ReproError
 
@@ -139,10 +138,8 @@ def make_engine(
     kernel_cache: KernelCache | None = None,
     tracer: Tracer | None = None,
     strategy=None,
-    chain_limit: int | None = None,
     execution_tier: str | None = None,
     streams=None,
-    replay: ReplayOptions | None = None,
     tuned=False,
 ) -> ConvEngine:
     """Construct the engine for ``pass_`` with one uniform keyword set.
@@ -165,8 +162,8 @@ def make_engine(
         :class:`UpdBlockingPlan` (upd) overriding the heuristic choice.
     prefetch:
         Software-prefetch levels for the JIT'ed kernels
-        (``"none" | "l1" | "l2" | "both"``; ``None`` defers to
-        ``replay.prefetch``, itself defaulting to ``"both"``).
+        (``"none" | "l1" | "l2" | "both"``; ``None`` takes a tuned plan's
+        levels, else ``"both"``).
     kernel_cache:
         A :class:`KernelCache` to share between engines (defaults to the
         process-wide cache).
@@ -175,20 +172,13 @@ def make_engine(
         process-wide tracer).
     strategy:
         Update-pass only: a §II-J :class:`UpdStrategy` override.
-    chain_limit:
-        Quant only: int16 accumulation-chain length (§II-K).
     execution_tier:
         How recorded kernel streams are executed -- an
         :class:`~repro.jit.ExecutionTier` or its string spelling:
         ``"compiled"`` (default; vectorized numpy closures from
-        :mod:`repro.jit.compile` with batched stream replay),
-        ``"stream_compiled"`` (whole-stream closure chains from
-        :mod:`repro.jit.streamcompile`),
-        ``"interpret"`` (the µop interpreter, one call per record),
-        ``"einsum"`` (the legacy per-call einsum closures) or
-        ``"verify"`` (run compiled *and* interpret, assert bitwise
-        equality).  ``None`` resolves through ``replay`` and then to the
-        process-wide default
+        :mod:`repro.jit.compile` with batched stream replay) or
+        ``"interpret"`` (the µop interpreter, one call per record).
+        ``None`` resolves to the process-wide default
         (:func:`repro.jit.set_default_execution_tier`).  Unknown names
         raise :class:`~repro.jit.UnknownTierError` listing the valid
         tiers.
@@ -196,11 +186,6 @@ def make_engine(
         Forward f32 engine only: pre-recorded per-thread
         :class:`~repro.streams.stream.FrozenStream` list (e.g. from a
         serve warm cache) adopted instead of running the dryrun phase.
-    replay:
-        A :class:`~repro.jit.ReplayOptions` bundle.  The explicit
-        ``execution_tier``/``prefetch`` keywords above win over it when
-        both are given (back-compat shims); ``replay.trace=True``
-        resolves non-trace-safe tiers to the interpreter.
     tuned:
         Consult the :mod:`repro.tune` database for a validated blocking
         plan before falling back to the paper heuristics.  ``True`` uses
@@ -212,11 +197,6 @@ def make_engine(
         heuristics (``tune.db_rejected`` / ``tune.db_misses`` metrics) --
         tuning can never make engine construction fail.
     """
-    if replay is not None:
-        if execution_tier is None:
-            execution_tier = replay.resolve_tier()
-        if prefetch is None:
-            prefetch = replay.prefetch
     p, quant = _normalize_pass(pass_)
     if dtype is DType.QI16F32:
         quant = True
@@ -231,8 +211,6 @@ def make_engine(
         prefetch = "both"
     if strategy is not None and p is not Pass.UPD:
         raise ReproError("'strategy' applies only to the update pass")
-    if chain_limit is not None and not quant:
-        raise ReproError("'chain_limit' applies only to the int16 engine")
     if streams is not None and (quant or p is not Pass.FWD):
         raise ReproError(
             "'streams' warm-start applies only to the f32 forward engine"
@@ -245,11 +223,10 @@ def make_engine(
             )
         from repro.quant.qconv_engine import QuantConvForward
 
-        extra = {} if chain_limit is None else {"chain_limit": chain_limit}
         return QuantConvForward(
             params, machine, fused_ops=fused_ops, threads=threads,
             plan=plan, prefetch=prefetch, kernel_cache=kernel_cache,
-            tracer=tracer, execution_tier=execution_tier, **extra,
+            tracer=tracer, execution_tier=execution_tier,
         )
     if p is Pass.FWD:
         return DirectConvForward(

@@ -11,42 +11,36 @@
    the output block is hot (section II-G).
 
 Every microkernel invocation is realized from the *same* descriptor through
-one of the execution tiers (:mod:`repro.jit.compile`):
+one of the two execution tiers (:mod:`repro.jit.tiers`):
 
 * ``compiled`` (default) -- the µop program vectorized once into a batched
-  numpy closure, bit-identical to the interpreter;
+  numpy closure (:mod:`repro.jit.compile`), bit-identical to the
+  interpreter;
 * ``interpret`` -- the instruction-level µop interpreter (exact memory
-  traces; orders of magnitude slower);
-* ``einsum`` -- the legacy per-call numpy contraction closures built
-  straight from the descriptor;
-* ``verify`` -- run ``compiled`` and ``interpret`` back to back and assert
-  bitwise equality of the outputs;
-* ``stream_compiled`` -- the whole replay (CONV chunks *and* fused APPLY
-  records) pre-lowered once into a flat closure chain with preallocated
-  scratch (:mod:`repro.jit.streamcompile`); bit-identical to ``compiled``
-  and therefore to the interpreter.
+  traces; orders of magnitude slower).
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from repro.arch.machine import SKX, MachineConfig
-from repro.conv._compat import legacy_positionals
 from repro.conv.blocking import BlockingPlan, choose_blocking
 from repro.conv.fusion import EltwiseAdd, FusedOp
 from repro.conv.params import ConvParams
 from repro.jit.codegen import ConvKernelDesc, generate_conv_kernel
-from repro.jit.compile import TierMismatchError, resolve_execution_tier
+from repro.jit.compile import resolve_execution_tier
 from repro.jit.interpreter import execute_kernel
 from repro.jit.kernel_cache import KernelCache, get_default_cache
-from repro.jit.streamcompile import StreamExecutor, compile_stream
 from repro.obs.metrics import get_metrics
 from repro.obs.tracer import Tracer, get_tracer
 from repro.parallel.partition import partition_forward
+from repro.quant.qkernels import CHAIN_LIMIT_PAIRS
+from repro.streams.replay import replay
 from repro.streams.rle import encode_segments
 from repro.streams.stream import KernelStream
 from repro.tensor.blocked import BlockedTensor, block_activations, block_weights
@@ -81,7 +75,7 @@ class DirectConvForward:
         self,
         params: ConvParams,
         machine: MachineConfig = SKX,
-        *legacy,
+        *,
         dtype: DType = DType.F32,
         fused_ops: Sequence[FusedOp] = (),
         threads: int = 1,
@@ -92,19 +86,6 @@ class DirectConvForward:
         execution_tier: str | None = None,
         streams: Sequence | None = None,
     ) -> None:
-        if legacy:
-            lv = legacy_positionals(
-                "DirectConvForward",
-                ("dtype", "fused_ops", "threads", "plan", "prefetch",
-                 "kernel_cache"),
-                legacy,
-            )
-            dtype = lv.get("dtype", dtype)
-            fused_ops = lv.get("fused_ops", fused_ops)
-            threads = lv.get("threads", threads)
-            plan = lv.get("plan", plan)
-            prefetch = lv.get("prefetch", prefetch)
-            kernel_cache = lv.get("kernel_cache", kernel_cache)
         self.params = params
         self.machine = machine
         self.dtype = dtype
@@ -131,10 +112,6 @@ class DirectConvForward:
         self._desc_index: dict[tuple, int] = {}
         self.programs = []  # µop programs, parallel to self._descs
         self.compiled = []  # CompiledKernel | None, parallel to self._descs
-        # stream_compiled executors, one per buffer-dtype signature; an
-        # executor owns mutable per-stream state (cells + scratch) so it is
-        # engine-private, never shared through the kernel cache
-        self._stream_execs: dict[tuple, StreamExecutor] = {}
         self._build_variants()
         metrics = get_metrics()
         if streams is not None:
@@ -176,6 +153,7 @@ class DirectConvForward:
             for rq in rqs:
                 shapes.add((rp, rq))
         inits = [True] if cb_unroll == self.cb else [True, False]
+        q16 = self.dtype is DType.QI16F32
         for rp, rq in sorted(shapes):
             for zi in inits:
                 desc = ConvKernelDesc(
@@ -190,16 +168,19 @@ class DirectConvForward:
                     o_strides=(ost[2], ost[3]),
                     cb_unroll=cb_unroll,
                     zero_init=zi,
-                    hoist_output=plan.hoist_output or cb_unroll > 1,
+                    # the int16 body flushes into fp32 registers that live
+                    # across the whole call, so it always hoists the output
+                    hoist_output=plan.hoist_output or cb_unroll > 1 or q16,
                     fused_memop=(
                         not self.machine.has_4fma and self.dtype is DType.F32
                     ),
                     use_4fma=self.machine.has_4fma and self.dtype is DType.F32,
-                    use_4vnni=(
-                        self.machine.has_4fma and self.dtype is DType.QI16F32
-                    ),
+                    use_4vnni=self.machine.has_4fma and q16,
                     prefetch=self.prefetch,
                     dtype=self.dtype,
+                    # int16: flush the int32 chain every CHAIN_LIMIT_PAIRS
+                    # VNNI ops (section II-K), as the perf model prices it
+                    acc_chain_limit=CHAIN_LIMIT_PAIRS if q16 else 0,
                 )
                 self._desc_index[(rp, rq, zi)] = len(self._descs)
                 self._descs.append(desc)
@@ -333,65 +314,8 @@ class DirectConvForward:
                             self._record_applies(st, variant, kb, o_off)
 
     # ------------------------------------------------------------------
-    # replay: numpy-contraction kernels (the real execution path)
+    # replay (Algorithm 5)
     # ------------------------------------------------------------------
-    def _make_conv_closures(
-        self, x: np.ndarray, w: np.ndarray, o: np.ndarray
-    ) -> list[Callable]:
-        closures = []
-        itemsize = o.itemsize
-        in_itemsize = x.itemsize
-        for desc in self._descs:
-            iscb, ish, isw = desc.i_strides
-            wscb, wsr, wss, wsc = desc.w_strides
-            osh, osw = desc.o_strides
-            stn = desc.stride
-            ishape = (
-                desc.cb_unroll,
-                desc.rb_p,
-                desc.R,
-                desc.rb_q,
-                desc.S,
-                desc.vlen,
-            )
-            istr = tuple(
-                s * in_itemsize
-                for s in (iscb, stn * ish, ish, stn * isw, isw, 1)
-            )
-            wshape = (desc.cb_unroll, desc.R, desc.S, desc.vlen, desc.vlen)
-            wstr = tuple(s * in_itemsize for s in (wscb, wsr, wss, wsc, 1))
-            oshape = (desc.rb_p, desc.rb_q, desc.vlen)
-            ostr = tuple(s * itemsize for s in (osh, osw, 1))
-            zero_init = desc.zero_init
-
-            def call(
-                i_off: int,
-                w_off: int,
-                o_off: int,
-                pi: int,
-                pw: int,
-                po: int,
-                *,
-                _is=ishape,
-                _ist=istr,
-                _ws=wshape,
-                _wst=wstr,
-                _os=oshape,
-                _ost=ostr,
-                _zi=zero_init,
-            ) -> None:
-                iv = as_strided(x[i_off:], _is, _ist)
-                wv = as_strided(w[w_off:], _ws, _wst)
-                ov = as_strided(o[o_off:], _os, _ost)
-                acc = np.einsum("bprqsc,brsck->pqk", iv, wv, optimize=True)
-                if _zi:
-                    ov[...] = acc
-                else:
-                    ov += acc
-
-            closures.append(call)
-        return closures
-
     def __call__(
         self,
         x: BlockedTensor,
@@ -428,15 +352,31 @@ class DirectConvForward:
         """Kernel-facing weight buffer (int16 engine hook: VNNI packing)."""
         return w
 
-    def _shapes_by_variant(self, itemsize: int) -> dict:
-        shape_by_variant = {}
-        for vid, desc in enumerate(self._descs):
-            osh, osw = desc.o_strides
-            shape_by_variant[vid] = (
-                (desc.rb_p, desc.rb_q, desc.vlen),
-                (osh * itemsize, osw * itemsize, itemsize),
-            )
-        return shape_by_variant
+    def _apply_ops(self, ob: np.ndarray) -> list[Callable]:
+        """APPLY callbacks ``(o_off, kb, variant)`` for the fused ops; the
+        variant id gives the output block's shape (section II-G)."""
+        if not self.fused_ops:
+            return []
+        itemsize = ob.itemsize
+        blocks = [
+            ((d.rb_p, d.rb_q, d.vlen),
+             (d.o_strides[0] * itemsize, d.o_strides[1] * itemsize, itemsize))
+            for d in self._descs
+        ]
+
+        def make(op: FusedOp) -> Callable:
+            def apply(o_off: int, kb: int, variant: int) -> None:
+                shape, strides = blocks[variant]
+                block = as_strided(ob[o_off:], shape, strides)
+                if isinstance(op, EltwiseAdd):
+                    other = as_strided(op.other_flat[o_off:], shape, strides)
+                    op.apply_block(block, kb, other)
+                else:
+                    op.apply_block(block, kb)
+
+            return apply
+
+        return [make(op) for op in self.fused_ops]
 
     def _interp_kernel(self, vid: int, buffers: dict, scale: float):
         prog = self.programs[vid]
@@ -462,8 +402,6 @@ class DirectConvForward:
         self, tier: str, xb: np.ndarray, wb: np.ndarray, ob: np.ndarray
     ) -> list[Callable]:
         """Variant-indexed kernel table for one execution tier."""
-        if tier == "einsum":
-            return self._make_conv_closures(xb, wb, ob)
         buffers = {"I": xb, "W": wb, "O": ob}
         scale = self._dequant_scale()
         if tier == "interpret":
@@ -484,77 +422,25 @@ class DirectConvForward:
                 kernels.append(self._interp_kernel(vid, buffers, scale))
         return kernels
 
-    # ------------------------------------------------------------------
-    # stream_compiled tier: whole-segment closure chains (ROADMAP #5)
-    # ------------------------------------------------------------------
-    def _stream_out_dtype(self) -> np.dtype:
-        """Output dtype the replay buffers will actually carry (int16
-        engine hook: the quantized engine replays into fp32)."""
-        return np.dtype(self.dtype.np_accum)
-
-    def _stream_executor(
-        self, xb: np.ndarray, wb: np.ndarray, ob: np.ndarray
-    ) -> StreamExecutor:
-        key = (xb.dtype.str, wb.dtype.str, ob.dtype.str)
-        ex = self._stream_execs.get(key)
-        if ex is None:
-            ex = self._build_stream_executor(
-                xb.dtype, wb.dtype, ob.dtype
-            )
-            self._stream_execs[key] = ex
-        return ex
-
-    def _build_stream_executor(self, xdt, wdt, odt) -> StreamExecutor:
-        with self.tracer.span(
-            "jit.stream_compile", pass_="fwd", layer=self.params.describe(),
-        ):
-            proto = {
-                "I": np.empty(0, dtype=xdt),
-                "W": np.empty(0, dtype=wdt),
-                "O": np.empty(0, dtype=odt),
-            }
-            shape_by_variant = self._shapes_by_variant(np.dtype(odt).itemsize)
-            programs = [
-                compile_stream(
-                    stream, segments, self.compiled, self.programs, proto,
-                    args=("I", "W", "O"), fused_ops=self.fused_ops,
-                    shape_by_variant=shape_by_variant,
-                )
-                for stream, segments in zip(self.streams, self.segments)
-            ]
-        ex = StreamExecutor(programs)
-        self.cache.note_stream_program(ex.meta())
-        return ex
-
-    def prepare_stream_compiled(self) -> dict:
-        """Pre-build the stream_compiled executor for this engine's replay
-        dtypes (serve boot / warm-cache path); returns its metadata."""
-        idt = np.dtype(self.dtype.np_input)
-        return self._stream_executor(
-            np.empty(0, dtype=idt),
-            np.empty(0, dtype=idt),
-            np.empty(0, dtype=self._stream_out_dtype()),
-        ).meta()
-
-    def _run_streams(self, kernels, ob, shape_by_variant, parallel) -> None:
-        if parallel and len(self.streams) > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=len(self.streams)) as pool:
+    def _run_streams(self, tier, xb, wb, ob, parallel) -> None:
+        """Replay every thread stream on ``tier``'s kernel table."""
+        kernels = self._tier_kernels(tier, xb, wb, ob)
+        apply_ops = self._apply_ops(ob)
+        jobs = list(zip(self.streams, self.segments))
+        if parallel and len(jobs) > 1:
+            with ThreadPoolExecutor(max_workers=len(jobs)) as pool:
                 futures = [
                     pool.submit(
-                        self._replay_stream, stream, segments, kernels, ob,
-                        shape_by_variant,
+                        replay, stream, segments, kernels, apply_ops,
+                        self.tracer,
                     )
-                    for stream, segments in zip(self.streams, self.segments)
+                    for stream, segments in jobs
                 ]
                 for f in futures:
                     f.result()
         else:
-            for stream, segments in zip(self.streams, self.segments):
-                self._replay_stream(
-                    stream, segments, kernels, ob, shape_by_variant
-                )
+            for stream, segments in jobs:
+                replay(stream, segments, kernels, apply_ops, self.tracer)
 
     def _execute(
         self,
@@ -562,7 +448,6 @@ class DirectConvForward:
         w: BlockedTensor,
         out: BlockedTensor | None,
         parallel: bool,
-        tier: str | None = None,
     ) -> BlockedTensor:
         if x.layout != self.in_layout:
             raise ShapeError(
@@ -576,108 +461,10 @@ class DirectConvForward:
                 np.zeros(self.out_layout.size, dtype=self.dtype.np_accum),
                 self.out_layout,
             )
-        xb, wb, ob = x.data, w.data, out.data
-        shape_by_variant = self._shapes_by_variant(ob.itemsize)
-        tier = tier if tier is not None else self.execution_tier
-        metrics = get_metrics()
-
-        if tier == "verify":
-            ref = ob.copy()
-            self._run_streams(
-                self._tier_kernels("compiled", xb, wb, ob), ob,
-                shape_by_variant, parallel,
-            )
-            self._run_streams(
-                self._tier_kernels("interpret", xb, wb, ref), ref,
-                shape_by_variant, False,
-            )
-            got, want = ob.view(np.uint32), ref.view(np.uint32)
-            if not np.array_equal(got, want):
-                nbad = int((got != want).sum())
-                raise TierMismatchError(
-                    f"compiled/interpret outputs differ bitwise in {nbad} "
-                    f"lanes for {self.params.describe()}"
-                )
-            metrics.inc("exec.verify.checks")
-            metrics.inc("exec.calls.compiled", self.total_conv_calls)
-            metrics.inc("exec.calls.interpret", self.total_conv_calls)
-        elif tier == "stream_compiled":
-            ex = self._stream_executor(xb, wb, ob)
-            ex.run(
-                {"I": xb, "W": wb, "O": ob},
-                scale=self._dequant_scale(),
-                parallel=parallel,
-            )
-            metrics.inc("exec.calls.stream_compiled", self.total_conv_calls)
-        else:
-            kernels = self._tier_kernels(tier, xb, wb, ob)
-            self._run_streams(kernels, ob, shape_by_variant, parallel)
-            metrics.inc(f"exec.calls.{tier}", self.total_conv_calls)
+        tier = self.execution_tier
+        self._run_streams(tier, x.data, w.data, out.data, parallel)
+        get_metrics().inc(f"exec.calls.{tier}", self.total_conv_calls)
         return out
-
-    def _replay_stream(self, stream, segments, kernels, ob, shape_by_variant):
-        """Algorithm 5 with APPLY dispatch resolving block shapes."""
-        tracer = self.tracer
-        if tracer.enabled:
-            with tracer.span("stream.replay", calls=len(stream)):
-                self._replay_stream_body(
-                    stream, segments, kernels, ob, shape_by_variant
-                )
-        else:
-            self._replay_stream_body(
-                stream, segments, kernels, ob, shape_by_variant
-            )
-
-    def _replay_stream_body(
-        self, stream, segments, kernels, ob, shape_by_variant
-    ):
-        from repro.streams.rle import SegmentKind
-
-        kinds = stream.kinds_list
-        i_off = stream.i_off_list
-        w_off = stream.w_off_list
-        o_off = stream.o_off_list
-        apply_op = stream.apply_op_list
-        next_conv = stream.next_conv_list
-        for seg in segments:
-            if seg.kind is SegmentKind.APPLY:
-                t = seg.start
-                op = self.fused_ops[apply_op[t]]
-                shape, strides = shape_by_variant[i_off[t]]
-                block = as_strided(ob[o_off[t] :], shape, strides)
-                if isinstance(op, EltwiseAdd):
-                    other = as_strided(
-                        op.other_flat[o_off[t] :], shape, strides
-                    )
-                    op.apply_block(block, w_off[t], other)
-                else:
-                    op.apply_block(block, w_off[t])
-                continue
-            # CONV-STREAK, split into same-variant runs; the compiled tier
-            # exposes `.batch` and takes each run as one vectorized call
-            stop = seg.start + seg.info
-            lo = seg.start
-            while lo < stop:
-                variant = kinds[lo]
-                hi = lo + 1
-                while hi < stop and kinds[hi] == variant:
-                    hi += 1
-                fn = kernels[variant]
-                batch = getattr(fn, "batch", None)
-                if batch is not None and hi - lo > 1:
-                    batch(
-                        stream.i_off[lo:hi],
-                        stream.w_off[lo:hi],
-                        stream.o_off[lo:hi],
-                    )
-                else:
-                    for t in range(lo, hi):
-                        nt = next_conv[t]
-                        fn(
-                            i_off[t], w_off[t], o_off[t],
-                            i_off[nt], w_off[nt], o_off[nt],
-                        )
-                lo = hi
 
     # ------------------------------------------------------------------
     # convenience and validation paths
@@ -699,7 +486,7 @@ class DirectConvForward:
         ``interpret`` tier without going through ``__call__``'s metrics).
 
         Orders of magnitude slower than the compiled tier; the reference the
-        ``verify`` tier and the equivalence tests compare against.
+        equivalence tests compare against.
         """
         if out is None:
             out = BlockedTensor(
@@ -707,10 +494,7 @@ class DirectConvForward:
                 self.out_layout,
             )
         w = self._prepare_weights(w)
-        xb, wb, ob = x.data, w.data, out.data
-        shape_by_variant = self._shapes_by_variant(ob.itemsize)
-        kernels = self._tier_kernels("interpret", xb, wb, ob)
-        self._run_streams(kernels, ob, shape_by_variant, False)
+        self._run_streams("interpret", x.data, w.data, out.data, False)
         return out
 
     # ------------------------------------------------------------------

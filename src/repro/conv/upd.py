@@ -21,13 +21,11 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from repro.arch.machine import SKX, MachineConfig
-from repro.conv._compat import legacy_positionals
 from repro.conv.blocking import UpdBlockingPlan, choose_upd_blocking
 from repro.conv.params import ConvParams
-from repro.jit.compile import TierMismatchError, resolve_execution_tier
+from repro.jit.compile import resolve_execution_tier
 from repro.jit.interpreter import execute_kernel
 from repro.jit.kernel_cache import KernelCache, get_default_cache
 from repro.jit.upd_codegen import UpdKernelDesc, generate_upd_kernel
@@ -35,6 +33,7 @@ from repro.obs.metrics import get_metrics
 from repro.obs.tracer import Tracer, get_tracer
 from repro.parallel.partition import split_range
 from repro.parallel.wu_strategies import UpdStrategy, choose_upd_strategy
+from repro.streams.replay import replay
 from repro.tensor.blocked import BlockedTensor, block_activations
 from repro.tensor.layout import ActivationLayout, WeightLayout
 from repro.types import DType, UnsupportedError
@@ -53,7 +52,7 @@ class DirectConvUpd:
         self,
         params: ConvParams,
         machine: MachineConfig = SKX,
-        *legacy,
+        *,
         dtype: DType = DType.F32,
         fused_ops: Sequence = (),
         threads: int = 1,
@@ -64,17 +63,6 @@ class DirectConvUpd:
         tracer: Tracer | None = None,
         execution_tier: str | None = None,
     ) -> None:
-        if legacy:
-            lv = legacy_positionals(
-                "DirectConvUpd",
-                ("dtype", "threads", "strategy", "plan", "kernel_cache"),
-                legacy,
-            )
-            dtype = lv.get("dtype", dtype)
-            threads = lv.get("threads", threads)
-            strategy = lv.get("strategy", strategy)
-            plan = lv.get("plan", plan)
-            kernel_cache = lv.get("kernel_cache", kernel_cache)
         if fused_ops:
             raise UnsupportedError(
                 "the weight-gradient pass has no fusable post-ops"
@@ -135,9 +123,6 @@ class DirectConvUpd:
         self.compiled = [
             self.cache.get_compiled(d, generate_upd_kernel) for d in self.descs
         ]
-        # stream_compiled programs + cells per buffer-dtype signature
-        # (engine-private mutable state; see DirectConvForward)
-        self._stream_progs: dict[tuple, tuple] = {}
 
     # ------------------------------------------------------------------
     # dryrun (section II-H applied to Algorithm 9)
@@ -194,33 +179,6 @@ class DirectConvUpd:
                 self.stream_group.append(gi)
 
     # ------------------------------------------------------------------
-    def _make_kernel_closures(self, xb, dyb, copies):
-        """Numpy microkernel closures per (variant, copy buffer)."""
-        closures = []
-        for desc in self.descs:
-            i_sh, i_sw = desc.i_strides
-            o_sh, o_sw = desc.o_strides
-            stn = desc.stride
-            vlen = desc.vlen
-            ishape = (desc.b_p, desc.b_q, vlen)
-            istr = tuple(s * 4 for s in (stn * i_sh, stn * i_sw, 1))
-            oshape = (desc.b_p, desc.b_q, vlen)
-            ostr = tuple(s * 4 for s in (o_sh, o_sw, 1))
-
-            def make(gi, _is=ishape, _ist=istr, _os=oshape, _ost=ostr, _v=vlen):
-                dwbuf = copies[gi]
-
-                def call(i_off, w_off, o_off, pi, pw, po):
-                    iv = as_strided(xb[i_off:], _is, _ist)
-                    ov = as_strided(dyb[o_off:], _os, _ost)
-                    dwv = dwbuf[w_off : w_off + _v * _v].reshape(_v, _v)
-                    dwv += np.einsum("pqc,pqk->ck", iv, ov, optimize=True)
-
-                return call
-
-            closures.append(make)
-        return closures
-
     def __call__(self, x: BlockedTensor, dy: BlockedTensor) -> BlockedTensor:
         """Replay the recorded streams into the gradient copies, then reduce
         (each simulated thread reduces 1/T of the copies -- section II-J)."""
@@ -242,13 +200,9 @@ class DirectConvUpd:
 
         return call
 
-    def _tier_kernels(self, tier, xb, dyb, copies, gi):
-        """Per-variant kernel table for one gradient-copy group."""
-        if tier == "einsum":
-            return [make(gi) for make in self._make_kernel_closures(
-                xb, dyb, copies
-            )]
-        buffers = {"I": xb, "dO": dyb, "dW": copies[gi]}
+    def _tier_kernels(self, tier, xb, dyb, dwb):
+        """Per-variant kernel table bound to one gradient copy ``dwb``."""
+        buffers = {"I": xb, "dO": dyb, "dW": dwb}
         if tier == "interpret":
             return [self._interp_kernel(p, buffers) for p in self.programs]
         kernels = []
@@ -262,93 +216,22 @@ class DirectConvUpd:
                 )
         return kernels
 
-    def _replay_into(self, xb, dyb, segs, tier):
-        copies = [
-            np.zeros(self.dw_layout.size, dtype=np.float32)
-            for _ in range(self.ncopies)
-        ]
-        from repro.streams.replay import replay
-
-        for stream, gi, seg in zip(self.streams, self.stream_group, segs):
-            kernels = self._tier_kernels(tier, xb, dyb, copies, gi)
-            replay(stream, seg, kernels, [])
-        return copies
-
-    def _stream_programs(self, xb, dyb):
-        """stream_compiled lowering of every thread stream (cached per
-        input-dtype signature; the dW copies are always fp32)."""
-        key = (xb.dtype.str, dyb.dtype.str)
-        got = self._stream_progs.get(key)
-        if got is None:
-            from repro.jit.streamcompile import BufferCell, compile_stream
-
-            proto = {
-                "I": np.empty(0, dtype=xb.dtype),
-                "dO": np.empty(0, dtype=dyb.dtype),
-                "dW": np.empty(0, dtype=np.float32),
-            }
-            with self.tracer.span(
-                "jit.stream_compile", pass_="upd",
-                layer=self.params.describe(),
-            ):
-                progs = [
-                    compile_stream(
-                        stream, stream.segments(), self.compiled,
-                        self.programs, proto, args=("I", "dW", "dO"),
-                    )
-                    for stream in self.streams
-                ]
-            cells = [BufferCell() for _ in progs]
-            got = self._stream_progs[key] = (progs, cells)
-            self.cache.note_stream_program({
-                "streams": len(progs),
-                "chunks": sum(p.meta["chunks"] for p in progs),
-            })
-        return got
-
-    def _stream_replay_into(self, xb, dyb):
-        """Replay through the pre-lowered closure chains.  Each stream's
-        cell binds that thread's gradient copy, so the per-copy sequential
-        accumulation order matches the compiled tier exactly."""
-        copies = [
-            np.zeros(self.dw_layout.size, dtype=np.float32)
-            for _ in range(self.ncopies)
-        ]
-        progs, cells = self._stream_programs(xb, dyb)
-        for prog, gi, cell in zip(progs, self.stream_group, cells):
-            cell.buffers = {"I": xb, "dO": dyb, "dW": copies[gi]}
-            cell.scale = 1.0
-            prog.run(cell)
-        return copies
-
     def _execute(self, x: BlockedTensor, dy: BlockedTensor) -> BlockedTensor:
         xb, dyb = x.data, dy.data
-        segs = [s.segments() for s in self.streams]
         tier = self.execution_tier
-        metrics = get_metrics()
+        copies = [
+            np.zeros(self.dw_layout.size, dtype=np.float32)
+            for _ in range(self.ncopies)
+        ]
+        # each stream replays into its group's gradient copy, so the
+        # per-copy accumulation order is the recorded sequential one
+        for stream, gi in zip(self.streams, self.stream_group):
+            kernels = self._tier_kernels(tier, xb, dyb, copies[gi])
+            replay(stream, stream.segments(), kernels, [], self.tracer)
         total_calls = sum(len(s) for s in self.streams)
-        if tier == "verify":
-            copies = self._replay_into(xb, dyb, segs, "compiled")
-            ref = self._replay_into(xb, dyb, segs, "interpret")
-            for gi, (a, b) in enumerate(zip(copies, ref)):
-                if not np.array_equal(a.view(np.uint32), b.view(np.uint32)):
-                    nbad = int(
-                        (a.view(np.uint32) != b.view(np.uint32)).sum()
-                    )
-                    raise TierMismatchError(
-                        f"compiled/interpret dW copies differ bitwise in "
-                        f"{nbad} lanes (copy {gi}) for "
-                        f"{self.params.describe()}"
-                    )
-            metrics.inc("exec.verify.checks")
-            metrics.inc("exec.calls.compiled", total_calls)
-            metrics.inc("exec.calls.interpret", total_calls)
-        elif tier == "stream_compiled":
-            copies = self._stream_replay_into(xb, dyb)
-            metrics.inc("exec.calls.stream_compiled", total_calls)
-        else:
-            copies = self._replay_into(xb, dyb, segs, tier)
-            metrics.inc(f"exec.calls.{tier}", total_calls)
+        metrics = get_metrics()
+        metrics.inc("stream.conv_calls", total_calls)
+        metrics.inc(f"exec.calls.{tier}", total_calls)
         dw = copies[0]
         for c in copies[1:]:
             dw = dw + c

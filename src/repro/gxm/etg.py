@@ -10,7 +10,6 @@ reductions outside Split nodes.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +18,6 @@ from repro.arch.machine import SKX, MachineConfig
 from repro.gxm.graph import TaskRef, compile_etg
 from repro.gxm.nodes import LossNode, Node, build_node, output_shape
 from repro.gxm.topology import TopologySpec
-from repro.jit.tiers import ReplayOptions, as_tier
 from repro.obs.metrics import get_metrics
 from repro.obs.tracer import Tracer, get_tracer
 from repro.types import Pass, ReproError
@@ -51,16 +49,11 @@ class ExecutionTaskGraph:
     execution_tier:
         Kernel-stream execution tier for ``"blocked"`` conv nodes -- an
         :class:`~repro.jit.ExecutionTier` or its string spelling
-        (``"compiled"``/``"stream_compiled"``/``"interpret"``/
-        ``"einsum"``/``"verify"``; ``None`` = process default).
+        (``"compiled"``/``"interpret"``; ``None`` = process default).
     conv_streams:
         Optional pre-recorded forward kernel streams per conv-node name
         (from :meth:`conv_stream_state` or a serve warm cache); blocked
         conv nodes with an entry skip the dryrun phase.
-    replay:
-        A :class:`~repro.jit.ReplayOptions` bundle; the explicit
-        ``execution_tier`` keyword wins over ``replay.tier`` when both
-        are given.
     tuned:
         Forwarded to :func:`repro.conv.make_engine` for every
         ``"blocked"`` conv node: ``True`` / a path / a
@@ -81,11 +74,8 @@ class ExecutionTaskGraph:
         tracer: Tracer | None = None,
         execution_tier: str | None = None,
         conv_streams: dict | None = None,
-        replay: ReplayOptions | None = None,
         tuned=False,
     ):
-        if replay is not None and execution_tier is None:
-            execution_tier = replay.resolve_tier()
         #: spans (``etg.step`` / ``etg.task``) are recorded here; the
         #: TaskProfiler swaps in its own always-enabled tracer per step.
         self.tracer = tracer if tracer is not None else get_tracer()
@@ -173,22 +163,6 @@ class ExecutionTaskGraph:
                 out[name] = streams
         return out
 
-    def prepare_replay(self) -> dict[str, dict]:
-        """Pre-build per-node replay state (``stream_compiled`` closure
-        chains) ahead of traffic; returns each prepared node's executor
-        metadata keyed by node name.  Serve boot calls this so the first
-        request never pays stream lowering, and the warm cache persists
-        the metadata."""
-        out: dict[str, dict] = {}
-        for name, node in self.nodes.items():
-            prep = getattr(node, "prepare_replay", None)
-            if prep is None:
-                continue
-            meta = prep()
-            if meta is not None:
-                out[name] = meta
-        return out
-
     # ------------------------------------------------------------------
     def train_step(self, x: np.ndarray, labels: np.ndarray) -> float:
         """Run every ETG task once (FWD + BWD + UPD); returns the loss."""
@@ -211,44 +185,9 @@ class ExecutionTaskGraph:
             self._run(x, labels, training=False)
         return self.loss if labels is not None else None
 
-    @contextmanager
-    def _replay_tier(self, tier):
-        """Temporarily point every blocked conv forward engine at ``tier``
-        (engines keep their recorded streams and JIT'ed variants; only the
-        replay dispatch changes, so the override is cheap and reversible)."""
-        if tier is None:
-            yield
-            return
-        tier = as_tier(tier)
-        saved = []
-        for node in self.nodes.values():
-            eng = getattr(node, "_fwd", None)
-            if eng is not None and hasattr(eng, "execution_tier"):
-                saved.append((eng, eng.execution_tier))
-                eng.execution_tier = tier
-        try:
-            yield
-        finally:
-            for eng, prev in saved:
-                eng.execution_tier = prev
-
-    def predict(self, x: np.ndarray, replay: ReplayOptions | None = None):
-        """Forward-only execution returning class probabilities.
-
-        ``replay`` (a :class:`~repro.jit.ReplayOptions`, an
-        :class:`~repro.jit.ExecutionTier`, or a tier name) overrides the
-        conv nodes' execution tier for this call only -- serving replicas
-        use this to run warm traffic on ``stream_compiled`` while a
-        degraded bucket replays on a lower tier.
-        """
-        tier = None
-        if replay is not None:
-            if isinstance(replay, ReplayOptions):
-                tier = replay.resolve_tier()
-            else:
-                tier = as_tier(replay)
-        with self._replay_tier(tier):
-            self.forward_only(x, None)
+    def predict(self, x: np.ndarray):
+        """Forward-only execution returning class probabilities."""
+        self.forward_only(x, None)
         return self.output_probabilities()
 
     # ------------------------------------------------------------------

@@ -71,12 +71,9 @@ class InferenceSession:
         for bn, mode in zip(self._bns, self._saved_modes.pop()):
             bn.training = mode
 
-    def predict(self, x: np.ndarray, replay=None) -> np.ndarray:
-        """Class probabilities for one batch.  ``replay`` (a
-        :class:`~repro.jit.ReplayOptions` or a tier) overrides the conv
-        nodes' execution tier for this call; see
-        :meth:`ExecutionTaskGraph.predict`."""
-        return self.etg.predict(x, replay=replay)
+    def predict(self, x: np.ndarray) -> np.ndarray:
+        """Class probabilities for one batch."""
+        return self.etg.predict(x)
 
     def evaluate(self, dataset, batch_size: int) -> EvalResult:
         """Loss and top-1/top-5 accuracy over one pass of the dataset."""

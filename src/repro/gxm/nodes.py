@@ -211,19 +211,6 @@ class ConvNode(Node):
             return None
         return list(self._fwd.streams)
 
-    def prepare_replay(self):
-        """Pre-build replay state ahead of traffic: when the forward
-        engine runs the ``stream_compiled`` tier, lower its streams into
-        closure chains now so the first request doesn't pay it.  Returns
-        the executor metadata, or ``None`` when there is nothing to
-        prepare (fast engine / other tiers)."""
-        if self.engine != "blocked":
-            return None
-        prep = getattr(self._fwd, "prepare_stream_compiled", None)
-        if prep is None or str(self._fwd.execution_tier) != "stream_compiled":
-            return None
-        return prep()
-
 
 class _LayerNode(Node):
     """Wraps a stateless/stateful Layer with 1 input and 1 output."""

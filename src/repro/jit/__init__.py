@@ -10,30 +10,22 @@ post-ops and two-level prefetching baked in.  The
 (performance), and :mod:`~repro.jit.kernel_cache` memoizes generation the way
 the paper's runtime amortizes JIT cost across a topology's layer setups.
 
-Execution tiers are first-class here: :class:`~repro.jit.tiers.ExecutionTier`
-enumerates them, :func:`~repro.jit.tiers.register_tier` records each tier's
-capabilities (batchable / trace-safe / degrade-to), and
-:class:`~repro.jit.tiers.ReplayOptions` bundles the replay-facing knobs.
-Legacy string spellings keep working everywhere a tier is accepted.
+Two execution tiers run recorded streams
+(:class:`~repro.jit.tiers.ExecutionTier`): ``compiled``
+(:mod:`~repro.jit.compile`, the default) and ``interpret``.  String
+spellings work everywhere a tier is accepted.
 """
 
 from repro.jit.tiers import (
     EXECUTION_TIERS,
     ExecutionTier,
-    ReplayOptions,
-    TierSpec,
     UnknownTierError,
     as_tier,
-    degrade_chain,
-    get_tier_spec,
-    register_tier,
-    tier_registry,
 )
 from repro.jit.codegen import ConvKernelDesc, generate_conv_kernel
 from repro.jit.compile import (
     CompiledKernel,
     CompileUnsupported,
-    TierMismatchError,
     compile_kernel,
     get_default_execution_tier,
     resolve_execution_tier,
@@ -45,14 +37,6 @@ from repro.jit.interpreter import execute_kernel
 from repro.jit.timing import KernelTiming, time_kernel
 from repro.jit.kernel_cache import KernelCache, get_default_cache
 
-# imported last: registers ExecutionTier.STREAM_COMPILED's capabilities
-# (and needs repro.jit.compile fully initialized)
-from repro.jit.streamcompile import (  # noqa: E402
-    StreamExecutor,
-    StreamProgram,
-    compile_stream,
-)
-
 __all__ = [
     "ConvKernelDesc",
     "generate_conv_kernel",
@@ -63,24 +47,14 @@ __all__ = [
     "execute_kernel",
     "CompiledKernel",
     "CompileUnsupported",
-    "TierMismatchError",
     "compile_kernel",
     "EXECUTION_TIERS",
     "ExecutionTier",
-    "TierSpec",
     "UnknownTierError",
-    "ReplayOptions",
     "as_tier",
-    "register_tier",
-    "tier_registry",
-    "get_tier_spec",
-    "degrade_chain",
     "get_default_execution_tier",
     "resolve_execution_tier",
     "set_default_execution_tier",
-    "StreamExecutor",
-    "StreamProgram",
-    "compile_stream",
     "KernelTiming",
     "time_kernel",
     "KernelCache",

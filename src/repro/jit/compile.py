@@ -29,7 +29,7 @@ interpreter-backed closure instead so traces stay exact.
 
 Programs a symbolic pass cannot prove safe (overlapping stores, register
 reads the generators never emit) raise :class:`CompileUnsupported`; callers
-fall back to another tier.
+fall back to the interpreter.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ from repro.types import ReproError, UnsupportedError
 
 __all__ = [
     "CompileUnsupported",
-    "TierMismatchError",
     "CompiledKernel",
     "compile_kernel",
     "EXECUTION_TIERS",
@@ -69,13 +68,9 @@ class CompileUnsupported(UnsupportedError):
     """The µop program uses a pattern the vectorizing translator rejects."""
 
 
-class TierMismatchError(ReproError):
-    """``verify`` mode found a bitwise difference between execution tiers."""
-
-
 # ----------------------------------------------------------------------
-# execution-tier selection (the enum + capability registry live in
-# repro.jit.tiers; this module keeps the process-wide default)
+# execution-tier selection (the enum lives in repro.jit.tiers; this module
+# keeps the process-wide default)
 # ----------------------------------------------------------------------
 _default_tier = ExecutionTier.COMPILED
 
@@ -374,17 +369,13 @@ def _sig(node, memo: dict) -> tuple:
 # evaluation plan: gather indices + cumsum reductions, one per store group
 # ----------------------------------------------------------------------
 class _Ctx:
-    __slots__ = ("buffers", "bases", "scale", "batch", "cache")
+    __slots__ = ("buffers", "bases", "scale", "batch")
 
-    def __init__(self, buffers, bases, scale, batch, cache=None) -> None:
+    def __init__(self, buffers, bases, scale, batch) -> None:
         self.buffers = buffers
         self.bases = bases
         self.scale = scale
         self.batch = batch  # None for a single call, else the batch size B
-        # optional per-call-site scratch dict: accumulator chains reuse
-        # their term buffers across replays (the stream_compiled tier
-        # preallocates one cache per compiled chunk)
-        self.cache = cache
 
 
 def _f64(a: np.ndarray) -> np.ndarray:
@@ -563,16 +554,7 @@ class _EAcc:
 
     def eval(self, ctx: _Ctx) -> np.ndarray:
         init = self.init.eval(ctx)
-        shape = (self.total + 1,) + init.shape
-        terms = None
-        if ctx.cache is not None:
-            terms = ctx.cache.get(id(self))
-            if terms is not None and terms.shape != shape:
-                terms = None
-        if terms is None:
-            terms = np.empty(shape)
-            if ctx.cache is not None:
-                ctx.cache[id(self)] = terms
+        terms = np.empty((self.total + 1,) + init.shape)
         terms[0] = init
         pos = 1
         for run in self.runs:
@@ -613,8 +595,8 @@ class _Plan:
         # bound the working set of one batched evaluation (~16 MB of f64)
         self.batch_cap = max(1, 2_000_000 // max(1, est))
 
-    def run(self, buffers, bases, scale, batch, cache=None) -> None:
-        ctx = _Ctx(buffers, bases, scale, batch, cache)
+    def run(self, buffers, bases, scale, batch) -> None:
+        ctx = _Ctx(buffers, bases, scale, batch)
         for st in self.stores:
             st.execute(ctx)
 

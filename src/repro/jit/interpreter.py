@@ -61,7 +61,10 @@ def execute_kernel(
     ``trace``/``touch`` observe memory operations for the cache simulator.
     ``scale`` multiplies every ``VCVT_I32F32`` immediate -- the runtime
     dequantization factor of the int16 path (the compiled tier applies the
-    identical product, keeping the tiers bit-for-bit comparable).
+    identical product, keeping the tiers bit-for-bit comparable).  A flush
+    of an int32 accumulator holding ``|acc| >= 2**31`` raises
+    :class:`~repro.quant.qkernels.QuantOverflowError`, as on the compiled
+    tier.
     """
     regs = _Regs()
     vlen = prog.vlen
@@ -157,7 +160,16 @@ def execute_kernel(
                     u.dst, np.maximum(regs.get(u.src1), regs.get(u.src2))
                 )
             elif op is Op.VCVT_I32F32:
-                regs.set(u.dst, regs.get(u.src1) * (u.imm * scale))
+                acc = regs.get(u.src1)
+                peak = np.abs(acc).max(initial=0.0)
+                if peak >= 2.0**31:
+                    from repro.quant.qkernels import QuantOverflowError
+
+                    raise QuantOverflowError(
+                        f"µop {idx} (VCVT_I32F32): int32 overflow in "
+                        f"interpreted q16 kernel (|acc|={int(peak)})"
+                    )
+                regs.set(u.dst, acc * (u.imm * scale))
             elif op is Op.PREFETCH1 or op is Op.PREFETCH2:
                 if trace is not None or touch is not None:
                     buf, off = resolve(u)
@@ -166,5 +178,7 @@ def execute_kernel(
             else:  # pragma: no cover - exhaustive over Op
                 raise ReproError(f"unhandled op {op}")
     except ReproError as e:
+        if type(e) is not ReproError:
+            raise  # typed faults (QuantOverflowError) keep their type
         # annotate faults with their position in the µop stream
         raise ReproError(f"µop {idx} ({u.op.name}): {e}") from None

@@ -46,8 +46,6 @@ class KernelCache:
         self.misses = 0
         self.compiled_hits = 0
         self.compiled_misses = 0
-        self.stream_programs = 0
-        self.stream_chunks = 0
         self.tuned_plans = 0
 
     def get(
@@ -122,16 +120,6 @@ class KernelCache:
         with self._lock:
             self.tuned_plans += 1
 
-    def note_stream_program(self, meta: dict) -> None:
-        """Record that an engine lowered its streams for the
-        ``stream_compiled`` tier.  Executors themselves are *not* cached
-        here -- they own mutable per-stream replay state (cells, scratch)
-        and must stay engine-private -- but their build counts surface in
-        :meth:`stats` next to the per-variant JIT counters."""
-        with self._lock:
-            self.stream_programs += int(meta.get("streams", 1))
-            self.stream_chunks += int(meta.get("chunks", 0))
-
     def __len__(self) -> int:
         with self._lock:
             return len(self._programs)
@@ -159,8 +147,6 @@ class KernelCache:
                 "compiled_variants": sum(
                     1 for v in self._compiled.values() if v is not None
                 ),
-                "stream_programs": self.stream_programs,
-                "stream_chunks": self.stream_chunks,
                 "tuned_plans": self.tuned_plans,
             }
 

@@ -1,54 +1,38 @@
-"""First-class execution tiers: enum, capability registry, replay options.
+"""Execution tiers: how recorded kernel streams are executed.
 
-Historically every layer of the stack (engines, the factory, the ETG, the
-serving config, the CLI) spelled execution tiers as bare string literals and
-each grew its own validation.  This module makes the tier a first-class
-object:
+There are two:
 
-* :class:`ExecutionTier` -- a ``str``-mixin enum, so every legacy call site
-  that compares or formats tiers as strings keeps working unchanged;
-* :class:`TierSpec` + :func:`register_tier` -- tiers self-register with
-  their capabilities (``batchable``: bound kernels expose ``.batch``;
-  ``trace_safe``: may run under a ``MemTrace`` observer; ``degrade_to``:
-  the next tier a serving replica falls back to);
-* :func:`as_tier` -- the one coercion point.  Unknown names raise
-  :class:`UnknownTierError`, which is both a :class:`ReproError` (the
-  library contract) and a ``ValueError`` (what input validation expects),
-  and the message lists every valid tier;
-* :class:`ReplayOptions` -- one dataclass unifying the tier/prefetch/trace
-  keywords that ``make_engine``, ``ExecutionTaskGraph.predict`` and
-  ``ServeConfig`` used to accept in slightly different shapes.
+* ``compiled`` (the default) -- each µop program vectorized once into a
+  batched numpy closure (:mod:`repro.jit.compile`);
+* ``interpret`` -- the per-µop interpreter (:mod:`repro.jit.interpreter`),
+  the reference and the only tier that can feed a memory trace.
 
-The four classic tiers register here; the ``stream_compiled`` tier
-registers itself from :mod:`repro.jit.streamcompile` (imported by the
-``repro.jit`` package init), so adding a tier means adding a registration,
-not another string branch.
+The two are bitwise identical on every generated variant.  A serving
+replica whose compiled bucket fails at runtime rebuilds that bucket on
+``interpret`` (:class:`repro.serve.worker.EngineReplica`).
+
+:func:`as_tier` is the one coercion point.  Unknown names raise
+:class:`UnknownTierError`, which is both a :class:`ReproError` (the library
+contract) and a ``ValueError`` (what input validation expects), and the
+message lists every valid tier.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Iterator, Optional
 
 from repro.types import ReproError
 
 __all__ = [
     "ExecutionTier",
-    "TierSpec",
     "UnknownTierError",
-    "ReplayOptions",
     "EXECUTION_TIERS",
     "as_tier",
-    "register_tier",
-    "get_tier_spec",
-    "tier_registry",
-    "degrade_chain",
 ]
 
 
 class UnknownTierError(ReproError, ValueError):
-    """A tier name no registered tier answers to.
+    """A name that is not an execution tier.
 
     Doubles as a ``ValueError`` so callers validating user input (CLI
     arguments, serve configs, HTTP admin) can catch the standard type.
@@ -58,104 +42,26 @@ class UnknownTierError(ReproError, ValueError):
 class ExecutionTier(str, enum.Enum):
     """How recorded kernel streams are executed.
 
-    The ``str`` mixin keeps the enum drop-in compatible with the legacy
-    string spellings: ``ExecutionTier.COMPILED == "compiled"`` is true,
-    and formatting a member yields the bare value.
+    The ``str`` mixin keeps the enum drop-in compatible with the string
+    spellings: ``ExecutionTier.COMPILED == "compiled"`` is true, and
+    formatting a member yields the bare value.
     """
 
     COMPILED = "compiled"
     INTERPRET = "interpret"
-    EINSUM = "einsum"
-    VERIFY = "verify"
-    STREAM_COMPILED = "stream_compiled"
 
     # plain-string str()/format() so metric keys and log lines read
-    # "stream_compiled", not "ExecutionTier.STREAM_COMPILED"
+    # "compiled", not "ExecutionTier.COMPILED"
     __str__ = str.__str__
     __format__ = str.__format__
 
 
-#: every tier name, in declaration order (legacy constant; see the enum)
+#: every tier name, in declaration order
 EXECUTION_TIERS = tuple(t.value for t in ExecutionTier)
 
 
-@dataclass(frozen=True)
-class TierSpec:
-    """Registered capabilities of one execution tier.
-
-    ``batchable``
-        replay may dispatch same-variant CONV streaks as one vectorized
-        call (the tier's bound kernels expose ``.batch`` or equivalent).
-    ``trace_safe``
-        the tier may run under a ``MemTrace``/cache-simulator observer;
-        tiers that are not trace-safe silently fall back to the
-        interpreter when a trace is requested.
-    ``degrade_to``
-        the next tier a serving replica rebuilds a failing bucket on
-        (``None`` = nothing lower; a failure propagates).
-    """
-
-    tier: ExecutionTier
-    batchable: bool
-    trace_safe: bool
-    degrade_to: Optional[ExecutionTier] = None
-    description: str = ""
-
-
-_REGISTRY: dict[ExecutionTier, TierSpec] = {}
-
-
-def register_tier(
-    tier: ExecutionTier,
-    *,
-    batchable: bool,
-    trace_safe: bool,
-    degrade_to: Optional[ExecutionTier] = None,
-    description: str = "",
-) -> TierSpec:
-    """Register (or re-register, idempotently) one tier's capabilities."""
-    spec = TierSpec(
-        tier=as_tier(tier),
-        batchable=batchable,
-        trace_safe=trace_safe,
-        degrade_to=None if degrade_to is None else as_tier(degrade_to),
-        description=description,
-    )
-    _REGISTRY[spec.tier] = spec
-    return spec
-
-
-def tier_registry() -> dict[ExecutionTier, TierSpec]:
-    """A snapshot of every registered tier's spec."""
-    return dict(_REGISTRY)
-
-
-def get_tier_spec(tier) -> TierSpec:
-    """The registered :class:`TierSpec` for ``tier`` (coerced)."""
-    t = as_tier(tier)
-    spec = _REGISTRY.get(t)
-    if spec is None:
-        raise UnknownTierError(
-            f"execution tier {t!r} has no registered capabilities"
-        )
-    return spec
-
-
-def degrade_chain(tier) -> list[ExecutionTier]:
-    """The full fallback chain starting *after* ``tier`` (e.g.
-    ``stream_compiled`` -> ``[compiled, interpret]``)."""
-    chain: list[ExecutionTier] = []
-    cur = get_tier_spec(tier).degrade_to
-    while cur is not None:
-        if cur in chain:  # defensive: a registration cycle
-            break
-        chain.append(cur)
-        cur = get_tier_spec(cur).degrade_to
-    return chain
-
-
 def as_tier(tier) -> ExecutionTier:
-    """Coerce a legacy string / enum member to :class:`ExecutionTier`.
+    """Coerce a string / enum member to :class:`ExecutionTier`.
 
     Raises :class:`UnknownTierError` (a ``ValueError``) listing the valid
     tiers for anything else.  ``None`` is *not* accepted here -- callers
@@ -173,82 +79,3 @@ def as_tier(tier) -> ExecutionTier:
         f"unknown execution tier {tier!r}; expected one of "
         f"{EXECUTION_TIERS}"
     )
-
-
-def _iter_tiers() -> Iterator[ExecutionTier]:  # pragma: no cover - trivial
-    return iter(ExecutionTier)
-
-
-# ----------------------------------------------------------------------
-# the four classic tiers register themselves here; stream_compiled
-# registers from repro.jit.streamcompile
-# ----------------------------------------------------------------------
-register_tier(
-    ExecutionTier.COMPILED,
-    batchable=True,
-    trace_safe=False,
-    degrade_to=ExecutionTier.INTERPRET,
-    description="µop programs vectorized once into batched numpy closures",
-)
-register_tier(
-    ExecutionTier.INTERPRET,
-    batchable=False,
-    trace_safe=True,
-    degrade_to=None,
-    description="the exact per-µop interpreter (memory-trace reference)",
-)
-register_tier(
-    ExecutionTier.EINSUM,
-    batchable=False,
-    trace_safe=False,
-    degrade_to=ExecutionTier.INTERPRET,
-    description="legacy per-call numpy contraction closures",
-)
-register_tier(
-    ExecutionTier.VERIFY,
-    batchable=True,
-    trace_safe=False,
-    degrade_to=ExecutionTier.INTERPRET,
-    description="run compiled AND interpret, assert bitwise equality",
-)
-
-
-# ----------------------------------------------------------------------
-# unified replay options
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class ReplayOptions:
-    """One bundle for the replay-facing knobs engines/graphs accept.
-
-    ``tier``
-        Execution tier (name or :class:`ExecutionTier`; ``None`` =
-        process default).
-    ``prefetch``
-        Software-prefetch levels baked into JIT'ed kernels at *build*
-        time (``"none" | "l1" | "l2" | "both"``).  Per-call override
-        points (e.g. ``ExecutionTaskGraph.predict``) ignore it, since
-        prefetch schedules are part of the generated programs.
-    ``trace``
-        Request trace-exact replay.  Tiers whose spec is not
-        ``trace_safe`` resolve to the interpreter -- the same
-        "trace forces interpreter" contract :meth:`CompiledKernel.bind`
-        honors.
-    """
-
-    tier: "ExecutionTier | str | None" = None
-    prefetch: str = "both"
-    trace: bool = False
-
-    def __post_init__(self) -> None:
-        if self.tier is not None:
-            object.__setattr__(self, "tier", as_tier(self.tier))
-
-    def resolve_tier(self) -> ExecutionTier:
-        """The tier that will actually run (``None`` -> process default;
-        ``trace=True`` forces the interpreter on non-trace-safe tiers)."""
-        from repro.jit.compile import resolve_execution_tier
-
-        tier = resolve_execution_tier(self.tier)
-        if self.trace and not get_tier_spec(tier).trace_safe:
-            return ExecutionTier.INTERPRET
-        return tier

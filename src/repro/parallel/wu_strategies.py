@@ -15,6 +15,9 @@ copies ``G``:
 
 ``choose_upd_strategy`` evaluates the bandwidth model for every divisor ``G``
 of ``T`` at dryrun time, exactly when the paper says the decision is made.
+Every candidate shares the same memory bandwidth, so the choice ranks
+modeled bytes and needs no bandwidth figure; ``est_time`` is reported only
+for machines that have one.
 """
 
 from __future__ import annotations
@@ -38,7 +41,9 @@ class UpdStrategy:
     input_read: float
     dout_read: float
     dw_rw: float
-    est_time: float  # bandwidth-model estimate used for the choice
+    #: bandwidth-model time estimate (seconds); ``None`` when the machine
+    #: has no memory-bandwidth figure
+    est_time: float | None
 
     @property
     def name(self) -> str:
@@ -87,8 +92,9 @@ def upd_strategy_traffic(
     reduction = (ncopies + 1.0) * dw_bytes / threads if ncopies > 1 else 0.0
     dw_rw = slice_rw / max(1, group_threads // (tk * tc)) + reduction
 
-    bw_share = machine.mem_bw / threads
-    est_time = (input_read + dout_read + dw_rw) / bw_share
+    est_time = None
+    if machine.mem_bw > 0:
+        est_time = (input_read + dout_read + dw_rw) / (machine.mem_bw / threads)
     return UpdStrategy(
         ncopies=ncopies,
         tk=tk,
@@ -103,14 +109,14 @@ def upd_strategy_traffic(
 def choose_upd_strategy(
     p: ConvParams, machine: MachineConfig, threads: int
 ) -> UpdStrategy:
-    """Evaluate every divisor ``G`` of ``threads`` and pick the cheapest --
-    the dryrun-time decision of section II-J."""
+    """Evaluate every divisor ``G`` of ``threads`` and pick the one moving
+    the fewest modeled bytes -- the dryrun-time decision of section II-J."""
     best: UpdStrategy | None = None
     for g in range(1, threads + 1):
         if threads % g:
             continue
         cand = upd_strategy_traffic(p, machine, threads, g)
-        if best is None or cand.est_time < best.est_time:
+        if best is None or cand.total_bytes < best.total_bytes:
             best = cand
     assert best is not None
     return best

@@ -39,6 +39,7 @@ from repro.jit.timing import time_kernel
 from repro.jit.upd_codegen import UpdKernelDesc, generate_upd_kernel
 from repro.parallel.wu_strategies import choose_upd_strategy
 from repro.perf.traffic import TrafficEstimate, forward_traffic, upd_traffic
+from repro.quant.qkernels import CHAIN_LIMIT_PAIRS
 from repro.types import DType, Pass
 
 __all__ = ["LayerPerf", "ConvPerfModel"]
@@ -46,8 +47,6 @@ __all__ = ["LayerPerf", "ConvPerfModel"]
 #: extra per-call dispatch cycles without kernel streams (branchy prefetch/
 #: fusion/boundary logic of section II-H) -- the replay loop avoids these.
 BRANCHY_CALL_OVERHEAD = 60.0
-#: int16 kernels: VNNI ops per int32 accumulator before a flush (II-K)
-Q16_CHAIN_LIMIT = 8
 
 
 @dataclass
@@ -140,7 +139,7 @@ class ConvPerfModel:
             fused=fused,
             prefetch="both",
             dtype=dtype,
-            acc_chain_limit=Q16_CHAIN_LIMIT if dtype is DType.QI16F32 else 0,
+            acc_chain_limit=CHAIN_LIMIT_PAIRS if dtype is DType.QI16F32 else 0,
         )
 
     # ------------------------------------------------------------------

@@ -2,9 +2,11 @@
 
 :class:`QuantConvForward` subclasses the fp32 streams engine: same blocked
 layouts, same dryrun/replay kernel streams, but the JIT'ed variants are the
-VNNI kernels (``dtype=QI16F32``: packed-pair weights, int32 accumulators,
-chain-limited flushes -- 4VNNIW form on KNM) and the functional microkernel
-performs the identical chunked int32 accumulation with overflow detection.
+VNNI kernels (``dtype=QI16F32``: packed-pair weights, int32 accumulators
+flushed every :data:`~repro.quant.qkernels.CHAIN_LIMIT_PAIRS` VNNI ops --
+4VNNIW form on KNM).  Both execution tiers raise
+:class:`~repro.quant.qkernels.QuantOverflowError` when a flushed int32
+accumulator has overflowed.
 
 Register pressure halves the accumulator budget (int32+fp32 pairs), which
 the blocking plan reflects -- exactly the paper's "restricted accumulation
@@ -13,20 +15,17 @@ chain limits the register data reuse".
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from repro.arch.machine import KNM, MachineConfig
-from repro.conv._compat import legacy_positionals
 from repro.conv.blocking import BlockingPlan, choose_blocking
 from repro.conv.forward import DirectConvForward
 from repro.conv.fusion import FusedOp
 from repro.conv.params import ConvParams
 from repro.jit.kernel_cache import KernelCache
 from repro.obs.tracer import Tracer
-from repro.quant.qkernels import CHAIN_LIMIT_PAIRS, QuantOverflowError
 from repro.quant.qtensor import QuantTensor, quantize
 from repro.tensor.blocked import BlockedTensor, block_activations, block_weights
 from repro.tensor.transforms import vnni_pack_weights
@@ -42,34 +41,20 @@ class QuantConvForward(DirectConvForward):
         self,
         params: ConvParams,
         machine: MachineConfig = KNM,
-        *legacy,
+        *,
         dtype: DType = DType.QI16F32,
         fused_ops: Sequence[FusedOp] = (),
         threads: int = 1,
-        chain_limit: int = CHAIN_LIMIT_PAIRS,
         plan: BlockingPlan | None = None,
         prefetch: str = "both",
         kernel_cache: KernelCache | None = None,
         tracer: Tracer | None = None,
         execution_tier: str | None = None,
     ) -> None:
-        if legacy:
-            lv = legacy_positionals(
-                "QuantConvForward",
-                ("fused_ops", "threads", "chain_limit", "prefetch",
-                 "kernel_cache"),
-                legacy,
-            )
-            fused_ops = lv.get("fused_ops", fused_ops)
-            threads = lv.get("threads", threads)
-            chain_limit = lv.get("chain_limit", chain_limit)
-            prefetch = lv.get("prefetch", prefetch)
-            kernel_cache = lv.get("kernel_cache", kernel_cache)
         if dtype is not DType.QI16F32:
             raise UnsupportedError(
                 f"QuantConvForward is the int16 engine; got dtype={dtype}"
             )
-        self.chain_limit = chain_limit
         # the restricted accumulation chain halves the register budget
         # (int32+fp32 pairs), which the default plan reflects; an explicit
         # plan overrides the cap at the caller's own risk.
@@ -97,11 +82,6 @@ class QuantConvForward(DirectConvForward):
         the actual factor is known only once the operands are quantized)."""
         return self._scale
 
-    def _stream_out_dtype(self) -> np.dtype:
-        """The int16 engine replays into an fp32 output (``run_quantized``
-        allocates it explicitly), not ``np_accum``."""
-        return np.dtype(np.float32)
-
     def _prepare_weights(self, w: BlockedTensor) -> BlockedTensor:
         """All int16 kernels consume the VNNI pair layout (section II-K):
         adjacent reduction channels interleaved per output lane, so each
@@ -111,69 +91,6 @@ class QuantConvForward(DirectConvForward):
         return BlockedTensor(
             vnni_pack_weights(w).reshape(w.layout.shape), w.layout
         )
-
-    # ------------------------------------------------------------------
-    def _make_conv_closures(
-        self, x: np.ndarray, w: np.ndarray, o: np.ndarray
-    ) -> list[Callable]:
-        """int16 microkernel closures: chunked int32 accumulation with the
-        chain-limit flush schedule, matching the µop generator's."""
-        closures = []
-        scale = self._scale
-        chunk_pairs = self.chain_limit
-        for desc in self._descs:
-            iscb, ish, isw = desc.i_strides
-            wscb, wsr, wss, wsc = desc.w_strides
-            osh, osw = desc.o_strides
-            stn = desc.stride
-            pairs = desc.vlen // 2
-            # the weight buffer is VNNI pair-packed (c/2, k, 2); activations
-            # stay channel-major so a pair is two adjacent elements
-            ishape = (
-                desc.cb_unroll, desc.rb_p, desc.R, desc.rb_q, desc.S,
-                pairs, 2,
-            )
-            istr = tuple(
-                s * 2 for s in (iscb, stn * ish, ish, stn * isw, isw, 2, 1)
-            )
-            wshape = (desc.cb_unroll, desc.R, desc.S, pairs, desc.vlen, 2)
-            wstr = tuple(s * 2 for s in (wscb, wsr, wss, 2 * wsc, 2, 1))
-            oshape = (desc.rb_p, desc.rb_q, desc.vlen)
-            ostr = tuple(s * 4 for s in (osh, osw, 1))
-            zero_init = desc.zero_init
-
-            def call(
-                i_off, w_off, o_off, pi, pw, po, *,
-                _is=ishape, _ist=istr, _ws=wshape, _wst=wstr,
-                _os=oshape, _ost=ostr, _zi=zero_init, _np=pairs,
-            ) -> None:
-                iv = as_strided(x[i_off:], _is, _ist)
-                wv = as_strided(w[w_off:], _ws, _wst)
-                ov = as_strided(o[o_off:], _os, _ost)
-                acc = np.zeros(_os, dtype=np.float32)
-                # channel pairs chunked by the accumulation-chain limit
-                for c0 in range(0, _np, chunk_pairs):
-                    c1 = min(c0 + chunk_pairs, _np)
-                    part = np.einsum(
-                        "bprqsct,brsckt->pqk",
-                        iv[..., c0:c1, :].astype(np.int64),
-                        wv[:, :, :, c0:c1].astype(np.int64),
-                        optimize=True,
-                    )
-                    peak = int(np.abs(part).max(initial=0))
-                    if peak >= 2**31:
-                        raise QuantOverflowError(
-                            f"int32 overflow in blocked q16 kernel "
-                            f"(|acc|={peak})"
-                        )
-                    acc += part.astype(np.float32) * scale
-                if _zi:
-                    ov[...] = acc
-                else:
-                    ov += acc
-
-            closures.append(call)
-        return closures
 
     # ------------------------------------------------------------------
     def run_quantized(

@@ -13,7 +13,7 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass, field
 
-from repro.jit.tiers import ReplayOptions, as_tier
+from repro.jit.tiers import as_tier
 from repro.types import ReproError
 
 __all__ = ["ServeConfig", "ServeConfigError"]
@@ -47,14 +47,11 @@ class ServeConfig:
         ``"blocked"`` (the full kernel-stream engine; the one the stream
         warm cache accelerates).
     execution_tier:
-        Kernel-stream tier for ``"blocked"`` -- any registered
-        :class:`~repro.jit.ExecutionTier` or its string spelling
-        (``None`` = process default, i.e. ``compiled``).  Unknown names
-        are rejected at construction with the valid tiers listed.
-    replay:
-        Optional :class:`~repro.jit.ReplayOptions` (back-compat shim):
-        its tier is folded into ``execution_tier`` when that field is
-        unset.  Not part of the stream fingerprint.
+        Kernel-stream tier for ``"blocked"`` -- ``"compiled"`` or
+        ``"interpret"`` (an :class:`~repro.jit.ExecutionTier` or its
+        string spelling; ``None`` = process default, i.e. ``compiled``).
+        Unknown names are rejected at construction with the valid tiers
+        listed.
     buckets:
         Ascending micro-batch sizes.  A batch of ``n`` pending requests
         is padded up to the smallest bucket >= n; engines exist only for
@@ -98,7 +95,6 @@ class ServeConfig:
     input_shape: tuple[int, int, int] = (16, 8, 8)
     engine: str = "fast"
     execution_tier: str | None = None
-    replay: ReplayOptions | None = field(default=None, compare=False)
     machine: str = "SKX"
     threads: int = 1
     buckets: tuple[int, ...] = (1, 2, 4, 8, 16)
@@ -122,8 +118,6 @@ class ServeConfig:
                 f"unknown serve engine {self.engine!r}; expected {_ENGINES}"
             )
         tier = self.execution_tier
-        if tier is None and self.replay is not None:
-            tier = self.replay.resolve_tier()
         if tier is not None:
             # validate eagerly (UnknownTierError is a ValueError too) and
             # normalize to the canonical string spelling so fingerprints
@@ -185,9 +179,8 @@ class ServeConfig:
         """Content digest of every field that affects recorded streams."""
         doc = asdict(self)
         # runtime-only knobs do not change the streams an engine records
-        # (replay is already folded into execution_tier at construction)
         for k in ("workers", "queue_capacity", "batch_window_ms",
-                  "max_queue_wait_ms", "checkpoint", "replay",
+                  "max_queue_wait_ms", "checkpoint",
                   "incident_dir", "recorder"):
             doc.pop(k)
         # the tuning DB changes blocking plans, hence recorded streams --

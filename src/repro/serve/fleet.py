@@ -146,7 +146,7 @@ def _reinit_shared_locks() -> None:
 def _rebuild_warm_cache(config, warm) -> StreamWarmCache:
     """Reconstruct a verified warm cache from the parent's shared store.
 
-    ``warm`` is ``{"store", "index", "replay_meta"}``: the parent
+    ``warm`` is ``{"store", "index"}``: the parent
     already digest-verified the bundle, so the child only rebuilds
     zero-copy read-only views -- no load, no verify, no copy."""
     cache = StreamWarmCache(config.fingerprint())
@@ -164,8 +164,6 @@ def _rebuild_warm_cache(config, warm) -> StreamWarmCache:
                 for i in range(n_streams)
             ]
         cache.put(bucket, by_node)
-    for bucket, meta in (warm.get("replay_meta") or {}).items():
-        cache.put_replay_meta(bucket, meta)
     return cache
 
 
@@ -518,15 +516,7 @@ class InferenceFleet:
                             stream, field
                         )
         self._warm_store = ShmArrayStore.from_arrays(arrays)
-        self._warm = {
-            "store": self._warm_store,
-            "index": index,
-            "replay_meta": {
-                bucket: cache.replay_meta(bucket)
-                for bucket in cache.buckets
-                if cache.replay_meta(bucket)
-            },
-        }
+        self._warm = {"store": self._warm_store, "index": index}
         self.metrics.set_gauge(
             "serve.fleet.warm_shared_bytes", self._warm_store.nbytes
         )

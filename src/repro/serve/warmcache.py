@@ -10,13 +10,8 @@ saved offsets instead of re-running any dryrun.
 Entries are keyed ``(bucket, node_name)`` and carry content digests;
 :meth:`load` refuses an artifact whose config fingerprint differs from
 the server's (different model/shape/blocking => different streams).
-
-When replicas run the ``stream_compiled`` tier, the cache additionally
-keeps each bucket's segment-closure *metadata* (chunk/call counts per
-node, produced by :meth:`ExecutionTaskGraph.prepare_replay`).  The
-closures themselves are engine-private mutable state and are always
-re-lowered from the streams at boot -- the metadata rides along in the
-artifact so operators can see what replay shape a warm boot restores.
+Artifacts saved by older releases may carry extra metadata keys (such as
+``replay_meta``); loading ignores them.
 """
 
 from __future__ import annotations
@@ -38,8 +33,6 @@ class StreamWarmCache:
         #: the owning config's fingerprint; artifacts must match it
         self.fingerprint = fingerprint
         self._by_bucket: dict[int, dict[str, list]] = {}
-        #: bucket -> {node -> stream_compiled executor metadata}
-        self._replay_meta: dict[int, dict[str, dict]] = {}
 
     def __contains__(self, bucket: int) -> bool:
         return bucket in self._by_bucket
@@ -54,23 +47,11 @@ class StreamWarmCache:
     def put(self, bucket: int, streams_by_node: dict[str, list]) -> None:
         self._by_bucket[int(bucket)] = dict(streams_by_node)
 
-    def put_replay_meta(
-        self, bucket: int, meta_by_node: dict[str, dict]
-    ) -> None:
-        """Record one bucket's stream_compiled closure metadata."""
-        self._replay_meta[int(bucket)] = dict(meta_by_node)
-
-    def replay_meta(self, bucket: int) -> dict[str, dict] | None:
-        """The stream_compiled closure metadata recorded for ``bucket``
-        (``None`` when the bucket's replicas never lowered streams)."""
-        return self._replay_meta.get(bucket)
-
     def clear(self) -> None:
         """Invalidate every entry (hot reload rebuilds the cache from
         the freshly swapped replicas so saved artifacts always describe
         the engines actually serving)."""
         self._by_bucket.clear()
-        self._replay_meta.clear()
 
     def digests(self) -> dict[str, str]:
         """Content digest per ``bucket/node`` entry (the cache key the
@@ -97,10 +78,6 @@ class StreamWarmCache:
                 "kind": "serve_warm_streams",
                 "fingerprint": self.fingerprint,
                 "buckets": sorted(self._by_bucket),
-                "replay_meta": {
-                    str(bucket): by_node
-                    for bucket, by_node in sorted(self._replay_meta.items())
-                },
             },
         )
         return len(bundle)
@@ -119,6 +96,4 @@ class StreamWarmCache:
         for key, streams in bundle.items():
             bucket_s, _, node = key.partition("/")
             self._by_bucket.setdefault(int(bucket_s), {})[node] = streams
-        for bucket_s, by_node in (meta.get("replay_meta") or {}).items():
-            self._replay_meta[int(bucket_s)] = dict(by_node)
         return self.buckets

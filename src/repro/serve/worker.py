@@ -31,14 +31,12 @@ is **never replayed** -- the engine call is skipped entirely.  The
 build, which is exactly how tests age a batch past its deadline
 deterministically.
 
-Graceful degradation: a blocked replica whose execution tier fails at
-runtime rebuilds the offending bucket's engine on the next tier down
-the registry's ``degrade_to`` chain (``stream_compiled`` -> ``compiled``
--> ``interpret``) and retries the batch.  Each transition increments
-``serve.tier_degraded`` plus a ``serve.tier_degraded.<from>_to_<to>``
-pair counter and records the bucket in
-:attr:`EngineReplica.degraded_buckets`; a bucket already at the bottom
-of its chain propagates the failure.  A worker thread that dies (e.g.
+Graceful degradation: a blocked replica whose ``compiled`` bucket fails
+at runtime rebuilds that bucket's engine on ``interpret`` and retries
+the batch.  The transition increments ``serve.tier_degraded`` plus the
+``serve.tier_degraded.compiled_to_interpret`` pair counter and records
+the bucket in :attr:`EngineReplica.degraded_buckets`; a bucket already
+on ``interpret`` propagates the failure.  A worker thread that dies (e.g.
 an injected crash) is restarted by the server's supervisor -- its
 batches are never lost because the crash boundary is between batches.
 """
@@ -51,6 +49,8 @@ from contextlib import contextmanager
 
 from repro.forensics.recorder import get_recorder
 from repro.gxm.inference import InferenceSession
+from repro.jit.compile import resolve_execution_tier
+from repro.jit.tiers import ExecutionTier
 from repro.obs.metrics import get_metrics
 from repro.obs.tracer import get_tracer
 from repro.resilience.faults import FaultInjector, InjectedFault
@@ -164,18 +164,12 @@ class EngineReplica:
                 else:
                     self.warm_buckets.append(bucket)
                 self._sessions[bucket] = InferenceSession(etg).__enter__()
-                # stream_compiled lowering happens now, not on the first
-                # request; the warm cache keeps the closure-chain metadata
-                replay_meta = etg.prepare_replay()
-                if replay_meta and warm_cache is not None:
-                    warm_cache.put_replay_meta(bucket, replay_meta)
 
     def run(self, batch, bucket: int):
         """Probabilities for one ``(bucket, C, H, W)`` batch.
 
-        A blocked-engine failure degrades the bucket one step down the
-        tier registry's ``degrade_to`` chain and retries; a failure with
-        nothing lower to reach propagates.
+        A blocked-engine failure on ``compiled`` rebuilds the bucket on
+        ``interpret`` and retries; a failure on ``interpret`` propagates.
         """
         if self.injector is not None:
             fault = self.injector.fire("serve.replica.run")
@@ -194,22 +188,18 @@ class EngineReplica:
         tier = self._bucket_tier.get(bucket)
         if tier is not None:
             return tier
-        from repro.jit.compile import resolve_execution_tier
-
         return resolve_execution_tier(self.config.execution_tier)
 
     def _degrade_and_retry(self, batch, bucket: int, err: BaseException):
-        """Rebuild one bucket's engine on the next tier down the
-        registry's ``degrade_to`` chain."""
+        """Rebuild one bucket's engine on ``interpret``, the reference
+        tier, and retry the batch there."""
         if self.config.engine != "blocked":
             raise err  # the fast engine has no tier to fall back to
-        from repro.jit.tiers import get_tier_spec
-
         with self._lock:
             cur = self._current_tier(bucket)
-            nxt = get_tier_spec(cur).degrade_to
-            if nxt is None:
-                raise err  # bottom of the chain: genuine failure
+            nxt = ExecutionTier.INTERPRET
+            if cur == nxt:
+                raise err  # already on the reference tier: genuine failure
             streams = (
                 self._warm_cache.get(bucket)
                 if self._warm_cache is not None

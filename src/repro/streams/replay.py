@@ -2,10 +2,13 @@
 
 ``replay`` walks the RLE segments of a thread's frozen stream and dispatches
 through two tables: ``kernels[variant](i_off, w_off, o_off, pi, pw, po)`` for
-convolution calls and ``apply_ops[op](o_off, kb)`` for fused operators.  The
-prefetch arguments of call ``t`` are the compute offsets of call ``t+1``
-(Fig. 1); the final call prefetches its own operands, matching the paper's
-convention that the last iteration has nothing new to fetch.
+convolution calls and ``apply_ops[op](o_off, kb, variant)`` for fused
+operators, where ``variant`` is the preceding conv call's variant id (an
+APPLY record carries it in ``i_off``) so the operator can find its output
+block's shape.  The prefetch arguments of call ``t`` are the compute offsets
+of call ``t+1`` (Fig. 1); the final call prefetches its own operands,
+matching the paper's convention that the last iteration has nothing new to
+fetch.
 
 The loop contains no boundary/fusion conditionals -- precisely the point of
 the kernel-streams framework (section II-H).  Per-call bookkeeping is hoisted
@@ -21,15 +24,14 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from repro.obs.metrics import get_metrics
-from repro.obs.tracer import get_tracer
+from repro.obs.tracer import Tracer, get_tracer
 from repro.streams.rle import Segment, SegmentKind
 from repro.streams.stream import FrozenStream
 
 __all__ = ["replay"]
 
 ConvKernel = Callable[[int, int, int, int, int, int], None]
-ApplyOp = Callable[[int, int], None]
+ApplyOp = Callable[[int, int, int], None]
 
 
 def replay(
@@ -37,18 +39,16 @@ def replay(
     segments: Sequence[Segment],
     kernels: Sequence[ConvKernel],
     apply_ops: Sequence[ApplyOp],
+    tracer: Tracer | None = None,
 ) -> int:
-    """Execute one thread's recorded stream; returns the number of conv calls."""
-    tracer = get_tracer()
+    """Execute one thread's recorded stream inside one ``stream.replay``
+    span (on ``tracer``, default the process tracer); returns the number
+    of conv calls."""
+    tracer = tracer if tracer is not None else get_tracer()
     if tracer.enabled:
         with tracer.span("stream.replay", calls=len(stream)):
-            conv_calls = _replay(stream, segments, kernels, apply_ops)
-    else:
-        conv_calls = _replay(stream, segments, kernels, apply_ops)
-    metrics = get_metrics()
-    metrics.inc("stream.conv_calls", conv_calls)
-    metrics.inc("stream.segments_replayed", len(segments))
-    return conv_calls
+            return _replay(stream, segments, kernels, apply_ops)
+    return _replay(stream, segments, kernels, apply_ops)
 
 
 def _replay(
@@ -66,7 +66,7 @@ def _replay(
     for seg in segments:
         if seg.kind is SegmentKind.APPLY:
             t = seg.start
-            apply_ops[seg.info](o_off[t], w_off[t])
+            apply_ops[seg.info](o_off[t], w_off[t], i_off[t])
             continue
         # CONV-STREAK: Algorithm 5's inner loop, split into same-variant runs
         stop = seg.start + seg.info

@@ -37,8 +37,9 @@ from repro.jit.codegen import ConvKernelDesc, generate_conv_kernel
 from repro.jit.interpreter import execute_kernel
 from repro.jit.kernel_cache import KernelCache, get_default_cache
 from repro.jit.timing import time_kernel
-from repro.perf.model import Q16_CHAIN_LIMIT, combine_parts
+from repro.perf.model import combine_parts
 from repro.perf.traffic import forward_traffic
+from repro.quant.qkernels import CHAIN_LIMIT_PAIRS
 from repro.tune.mapspace import Candidate
 from repro.types import DType
 
@@ -100,7 +101,7 @@ def candidate_desc(
         use_4vnni=machine.has_4fma and dtype is DType.QI16F32,
         prefetch=cand.prefetch,
         dtype=dtype,
-        acc_chain_limit=Q16_CHAIN_LIMIT if dtype is DType.QI16F32 else 0,
+        acc_chain_limit=CHAIN_LIMIT_PAIRS if dtype is DType.QI16F32 else 0,
     )
 
 

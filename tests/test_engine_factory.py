@@ -1,6 +1,4 @@
-"""make_engine factory, ConvEngine protocol, constructor deprecation shims."""
-
-import warnings
+"""make_engine factory, ConvEngine protocol, keyword-only configuration."""
 
 import numpy as np
 import pytest
@@ -39,8 +37,6 @@ class TestDispatch:
         ],
     )
     def test_pass_spellings(self, pass_, cls):
-        # SKX rather than TINY: the update-pass strategy heuristic needs
-        # a machine with a memory-bandwidth figure
         eng = make_engine(pass_, P16, machine=SKX)
         assert type(eng) is cls
         assert isinstance(eng, ConvEngine)
@@ -61,12 +57,6 @@ class TestDispatch:
     def test_strategy_only_for_upd(self):
         with pytest.raises(ReproError, match="update pass"):
             make_engine(Pass.FWD, P, machine=TINY, strategy="flat")
-
-    def test_chain_limit_only_for_quant(self):
-        with pytest.raises(ReproError, match="int16"):
-            make_engine(Pass.FWD, P, machine=TINY, chain_limit=4)
-        eng = make_engine("quant", P16, machine=KNM, chain_limit=4)
-        assert eng.chain_limit == 4
 
     def test_upd_fused_ops_raises(self):
         from repro.conv.fusion import ReLU
@@ -116,48 +106,18 @@ class TestNumericsMatchDirect:
 
 
 class TestDeprecationShims:
-    """Old positional call shapes still work, with a DeprecationWarning."""
-
-    def test_forward_legacy_positional_dtype(self, rng):
-        x, w, _ = rand_conv_tensors(P, rng)
-        with pytest.warns(DeprecationWarning, match="keyword"):
-            old = DirectConvForward(P, TINY, DType.F32, (), 2)
-        assert old.dtype is DType.F32 and old.threads == 2
-        new = DirectConvForward(P, TINY, dtype=DType.F32, threads=2)
-        assert np.array_equal(old.run_nchw(x, w), new.run_nchw(x, w))
-
-    def test_backward_legacy_positional(self, rng):
-        _, w, dy = rand_conv_tensors(P, rng)
-        with pytest.warns(DeprecationWarning):
-            old = DirectConvBackward(P, TINY, DType.F32, 2)
-        assert old.threads == 2
-        new = DirectConvBackward(P, TINY, dtype=DType.F32, threads=2)
-        assert np.array_equal(old.run_nchw(dy, w), new.run_nchw(dy, w))
-
-    def test_upd_legacy_positional(self, rng):
-        x, _, dy = rand_conv_tensors(P16, rng)
-        with pytest.warns(DeprecationWarning):
-            old = DirectConvUpd(P16, SKX, DType.F32, 2)
-        new = DirectConvUpd(P16, SKX, dtype=DType.F32, threads=2)
-        assert np.array_equal(old.run_nchw(x, dy), new.run_nchw(x, dy))
-
-    def test_quant_legacy_positional(self):
-        with pytest.warns(DeprecationWarning):
-            old = QuantConvForward(P16, KNM, (), 2)
-        assert old.threads == 2
-
-    def test_keyword_calls_do_not_warn(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            DirectConvForward(P, TINY, dtype=DType.F32, threads=2)
-            DirectConvBackward(P, TINY, threads=2)
-            DirectConvUpd(P16, SKX, threads=2)
-            QuantConvForward(P16, KNM, threads=2)
-            make_engine(Pass.FWD, P, machine=TINY)
+    """The positional-argument shims are gone: every engine takes its
+    configuration after ``machine`` as keywords only."""
 
     def test_too_many_positionals_is_a_typeerror(self):
-        with pytest.raises(TypeError):
-            DirectConvBackward(P, TINY, DType.F32, 1, None, "extra")
+        for cls, p, machine in (
+            (DirectConvForward, P, TINY),
+            (DirectConvBackward, P, TINY),
+            (DirectConvUpd, P16, SKX),
+            (QuantConvForward, P16, KNM),
+        ):
+            with pytest.raises(TypeError):
+                cls(p, machine, DType.F32)
 
 
 class TestProtocol:

@@ -1,11 +1,11 @@
 """Execution tiers: the compiled tier must be *bitwise* identical to the
 µop interpreter on every generated variant, and the tier plumbing
-(engines, factory, cache, verify mode, trace fallback) must behave."""
+(engines, factory, cache, trace fallback) must behave."""
 
 import numpy as np
 import pytest
 
-from repro.arch.machine import KNM, SKX, MachineConfig
+from repro.arch.machine import KNM, SKX
 from repro.conv.backward import DirectConvBackward
 from repro.conv.engine import make_engine
 from repro.conv.forward import DirectConvForward
@@ -15,7 +15,6 @@ from repro.conv.upd import DirectConvUpd
 from repro.jit.compile import (
     EXECUTION_TIERS,
     CompiledKernel,
-    TierMismatchError,
     compile_kernel,
     get_default_execution_tier,
     resolve_execution_tier,
@@ -24,26 +23,13 @@ from repro.jit.compile import (
 from repro.jit.gemm import GemmDesc, generate_gemm_kernel
 from repro.jit.interpreter import execute_kernel
 from repro.jit.kernel_cache import KernelCache
-from repro.jit.streamcompile import compile_stream
-from repro.jit.tiers import (
-    ExecutionTier,
-    ReplayOptions,
-    UnknownTierError,
-    as_tier,
-    degrade_chain,
-    get_tier_spec,
-    tier_registry,
-)
+from repro.jit.tiers import ExecutionTier, UnknownTierError, as_tier
 from repro.quant.qconv_engine import QuantConvForward
 from repro.quant.qtensor import quantize
 from repro.conv.reference import conv2d_forward
 from repro.tensor.blocked import block_activations, block_weights
 from repro.types import ReproError
 from tests.conftest import TINY, assert_close, rand_conv_tensors
-
-#: TINY with a memory bandwidth so the §II-J update-strategy model can run
-TINY_BW = MachineConfig(name="TINYBW", cores=4, freq_hz=1e9, vlen_bits=128,
-                        mem_bw=1e10)
 
 #: layer shapes exercising every µop generator feature on the VLEN=4 machine:
 #: multi-row pixel blocking, 1x1, strides, asymmetric taps, remainders
@@ -65,10 +51,9 @@ def _fwd_out(p, rng, tier, **kw):
 
 
 class TestForwardTiers:
-    @pytest.mark.parametrize("tier", ["compiled", "stream_compiled"])
     @pytest.mark.parametrize("p", FWD_CASES, ids=lambda p: p.describe())
-    def test_compiled_bitwise_equals_interpreter(self, p, tier, rng):
-        out_c, x, w = _fwd_out(p, rng, tier)
+    def test_compiled_bitwise_equals_interpreter(self, p, rng):
+        out_c, x, w = _fwd_out(p, rng, "compiled")
         rng2 = np.random.default_rng(1234)
         out_i, _, _ = _fwd_out(p, rng2, "interpret")
         assert np.array_equal(out_c.view(np.uint32), out_i.view(np.uint32))
@@ -83,7 +68,7 @@ class TestForwardTiers:
         x, w, _ = rand_conv_tensors(p, rng)
         bias = rng.standard_normal(p.K).astype(np.float32)
         outs = {}
-        for tier in ("compiled", "stream_compiled", "interpret"):
+        for tier in ("compiled", "interpret"):
             eng = DirectConvForward(
                 p, machine=TINY, threads=2, fused_ops=[Bias(bias), ReLU()],
                 execution_tier=tier,
@@ -95,30 +80,12 @@ class TestForwardTiers:
             outs["compiled"].view(np.uint32),
             outs["interpret"].view(np.uint32),
         )
-        assert np.array_equal(
-            outs["stream_compiled"].view(np.uint32),
-            outs["interpret"].view(np.uint32),
-        )
         ref = np.maximum(
             conv2d_forward(x, w, p) + bias[None, :, None, None], 0
         )
         eng = DirectConvForward(p, machine=TINY, threads=2,
                                 fused_ops=[Bias(bias), ReLU()])
         assert_close(eng.run_nchw(x, w), ref, rtol=1e-4)
-
-    def test_verify_tier_runs_clean(self, rng):
-        p = FWD_CASES[0]
-        out_v, x, w = _fwd_out(p, rng, "verify")
-        rng2 = np.random.default_rng(1234)
-        out_c, _, _ = _fwd_out(p, rng2, "compiled")
-        assert np.array_equal(out_v, out_c)
-
-    def test_einsum_tier_close_but_independent(self, rng):
-        p = FWD_CASES[0]
-        out_e, x, w = _fwd_out(p, rng, "einsum")
-        rng2 = np.random.default_rng(1234)
-        out_c, _, _ = _fwd_out(p, rng2, "compiled")
-        assert_close(out_e, out_c, rtol=1e-4)
 
 
 class TestQuantTiers:
@@ -129,7 +96,7 @@ class TestQuantTiers:
         qx, qw = quantize(x), quantize(w)
         outs = {}
         for machine in (KNM, SKX):  # 4VNNIW quad form and pair form
-            for tier in ("compiled", "stream_compiled", "interpret"):
+            for tier in ("compiled", "interpret"):
                 eng = QuantConvForward(p, machine=machine,
                                        execution_tier=tier)
                 outs[tier] = eng.run_quantized(qx, qw)
@@ -137,22 +104,6 @@ class TestQuantTiers:
                 outs["compiled"].view(np.uint32),
                 outs["interpret"].view(np.uint32),
             )
-            assert np.array_equal(
-                outs["stream_compiled"].view(np.uint32),
-                outs["interpret"].view(np.uint32),
-            )
-            eng = QuantConvForward(p, machine=machine,
-                                   execution_tier="einsum")
-            assert_close(eng.run_quantized(qx, qw), outs["compiled"],
-                         rtol=1e-4)
-
-    def test_q16_verify_tier(self, rng):
-        p = ConvParams(N=1, C=32, K=32, H=4, W=4, R=3, S=3, stride=1,
-                       pad_h=1, pad_w=1)
-        x, w, _ = rand_conv_tensors(p, rng, scale=0.3)
-        eng = QuantConvForward(p, machine=KNM, execution_tier="verify")
-        out = eng.run_quantized(quantize(x), quantize(w))
-        assert np.isfinite(out).all()
 
 
 class TestUpdTiers:
@@ -161,29 +112,14 @@ class TestUpdTiers:
                        pad_h=1, pad_w=1)
         x, _, dy = rand_conv_tensors(p, rng)
         dws = {}
-        for tier in ("compiled", "stream_compiled", "interpret"):
-            eng = DirectConvUpd(p, machine=TINY_BW, threads=2,
+        for tier in ("compiled", "interpret"):
+            eng = DirectConvUpd(p, machine=TINY, threads=2,
                                 execution_tier=tier)
             dws[tier] = eng.run_nchw(x, dy)
         assert np.array_equal(
             dws["compiled"].view(np.uint32),
             dws["interpret"].view(np.uint32),
         )
-        assert np.array_equal(
-            dws["stream_compiled"].view(np.uint32),
-            dws["interpret"].view(np.uint32),
-        )
-        eng = DirectConvUpd(p, machine=TINY_BW, threads=2,
-                            execution_tier="einsum")
-        assert_close(eng.run_nchw(x, dy), dws["compiled"], rtol=1e-4)
-
-    def test_upd_verify_tier(self, rng):
-        p = ConvParams(N=1, C=4, K=4, H=5, W=5, R=3, S=3, stride=1,
-                       pad_h=1, pad_w=1)
-        x, _, dy = rand_conv_tensors(p, rng)
-        eng = DirectConvUpd(p, machine=TINY_BW, execution_tier="verify")
-        dw = eng.run_nchw(x, dy)
-        assert np.isfinite(dw).all()
 
 
 class TestBackwardTiers:
@@ -273,12 +209,10 @@ class TestTierSelection:
     def test_make_engine_passes_the_tier(self):
         p = ConvParams(N=1, C=4, K=4, H=4, W=4, R=1, S=1, stride=1)
         for pass_ in ("fwd", "upd", "bwd"):
-            eng = make_engine(pass_, p, machine=TINY_BW,
+            eng = make_engine(pass_, p, machine=TINY,
                               execution_tier="interpret")
             assert eng.execution_tier == "interpret"
-        assert EXECUTION_TIERS == ("compiled", "interpret", "einsum",
-                                   "verify", "stream_compiled")
-        assert TierMismatchError is not None
+        assert EXECUTION_TIERS == ("compiled", "interpret")
 
     def test_cache_tracks_compiled_variants(self):
         cache = KernelCache()
@@ -290,127 +224,39 @@ class TestTierSelection:
         DirectConvForward(p, machine=TINY, kernel_cache=cache)
         assert cache.stats()["compiled_hits"] >= 1
 
-    def test_cache_tracks_stream_programs(self):
-        cache = KernelCache()
-        p = ConvParams(N=1, C=4, K=4, H=4, W=4, R=1, S=1, stride=1)
-        eng = DirectConvForward(p, machine=TINY, kernel_cache=cache,
-                                execution_tier="stream_compiled")
-        meta = eng.prepare_stream_compiled()
-        assert meta["conv_calls"] > 0
-        st = cache.stats()
-        assert st["stream_programs"] >= 1
-        assert st["stream_chunks"] >= 1
-
 
 class TestTierRegistry:
-    def test_registry_covers_every_tier(self):
-        reg = tier_registry()
-        assert set(reg) == set(ExecutionTier)
-        for tier, spec in reg.items():
-            assert spec.tier is tier
-            assert spec.description
+    """The tier enum: coercion, validation, and what each tier can do."""
 
     def test_as_tier_coerces_strings_and_enums(self):
-        assert as_tier("stream_compiled") is ExecutionTier.STREAM_COMPILED
+        assert as_tier("interpret") is ExecutionTier.INTERPRET
         assert as_tier(ExecutionTier.COMPILED) is ExecutionTier.COMPILED
-        # the enum doubles as its string spelling (legacy call sites
-        # compare with ==, format with f-strings)
+        # the enum doubles as its string spelling (call sites compare
+        # with ==, format with f-strings)
         assert as_tier("compiled") == "compiled"
-        assert f"{ExecutionTier.STREAM_COMPILED}" == "stream_compiled"
+        assert f"{ExecutionTier.COMPILED}" == "compiled"
 
     def test_unknown_tier_is_valueerror_listing_tiers(self):
-        with pytest.raises(UnknownTierError) as ei:
-            as_tier("turbo")
-        assert isinstance(ei.value, ValueError)
-        for name in EXECUTION_TIERS:
-            assert name in str(ei.value)
+        for bad in ("turbo", "stream_compiled", "einsum", "verify"):
+            with pytest.raises(UnknownTierError) as ei:
+                as_tier(bad)
+            assert isinstance(ei.value, ValueError)
+            for name in EXECUTION_TIERS:
+                assert name in str(ei.value)
 
-    def test_tier_capabilities(self):
-        assert get_tier_spec("compiled").batchable
-        assert not get_tier_spec("compiled").trace_safe
-        assert get_tier_spec("interpret").trace_safe
-        assert get_tier_spec("interpret").degrade_to is None
-        spec = get_tier_spec("stream_compiled")
-        assert spec.batchable and not spec.trace_safe
-        assert spec.degrade_to is ExecutionTier.COMPILED
-
-    def test_degrade_chain_walks_to_interpreter(self):
-        assert degrade_chain("stream_compiled") == [
-            ExecutionTier.COMPILED, ExecutionTier.INTERPRET
-        ]
-        assert degrade_chain("compiled") == [ExecutionTier.INTERPRET]
-        assert degrade_chain("interpret") == []
-
-
-class TestReplayOptions:
-    def test_resolve_tier_passthrough(self):
-        opts = ReplayOptions(tier="stream_compiled")
-        assert opts.resolve_tier() is ExecutionTier.STREAM_COMPILED
-
-    def test_trace_forces_a_trace_safe_tier(self):
-        opts = ReplayOptions(tier="stream_compiled", trace=True)
-        assert opts.resolve_tier() is ExecutionTier.INTERPRET
-        assert ReplayOptions(tier="interpret", trace=True).resolve_tier() \
-            is ExecutionTier.INTERPRET
-
-    def test_unset_tier_resolves_process_default(self):
-        prev = set_default_execution_tier("einsum")
-        try:
-            assert ReplayOptions().resolve_tier() is ExecutionTier.EINSUM
-        finally:
-            set_default_execution_tier(prev)
-
-    def test_unknown_tier_rejected_at_construction(self):
-        with pytest.raises(ReproError, match="unknown execution tier"):
-            ReplayOptions(tier="turbo")
-
-    def test_make_engine_accepts_replay_bundle(self):
-        p = ConvParams(N=1, C=4, K=4, H=4, W=4, R=1, S=1, stride=1)
-        eng = make_engine("fwd", p, machine=TINY,
-                          replay=ReplayOptions(tier="stream_compiled"))
-        assert eng.execution_tier == "stream_compiled"
-        # explicit kwarg wins over the bundle
-        eng = make_engine("fwd", p, machine=TINY, execution_tier="interpret",
-                          replay=ReplayOptions(tier="stream_compiled"))
-        assert eng.execution_tier == "interpret"
-
-
-class TestStreamCompiledLowering:
-    def test_trace_forces_interpreter_stream_program(self, rng):
+    def test_tier_capabilities(self, rng):
+        """compiled binds batchable kernels; only interpret can feed a
+        memory trace, so a traced bind falls back to it."""
         p = ConvParams(N=1, C=4, K=4, H=4, W=4, R=1, S=1, stride=1)
         eng = DirectConvForward(p, machine=TINY)
-        proto = {"I": np.empty(0, np.float32), "W": np.empty(0, np.float32),
-                 "O": np.empty(0, np.float32)}
-        trace = []
-        prog = compile_stream(eng.streams[0], eng.segments[0], eng.compiled,
-                              eng.programs, proto, trace=trace)
-        assert prog.tier == "interpret"
-        assert prog.meta["fallback_calls"] == prog.meta["conv_calls"] > 0
-
-    def test_stream_program_meta_counts_calls(self):
-        p = ConvParams(N=1, C=8, K=8, H=6, W=6, R=3, S=3, stride=1,
-                       pad_h=1, pad_w=1)
-        eng = DirectConvForward(p, machine=TINY,
-                                execution_tier="stream_compiled")
-        meta = eng.prepare_stream_compiled()
-        assert meta["tier"] == "stream_compiled"
-        assert meta["conv_calls"] == eng.total_conv_calls
-        assert meta["chunks"] + meta["single_calls"] > 0
-        assert meta["fallback_calls"] == 0
-
-    def test_repeated_replays_reuse_scratch_bitwise(self, rng):
-        p = FWD_CASES[0]
         x, w, _ = rand_conv_tensors(p, rng)
-        eng_s = DirectConvForward(p, machine=TINY,
-                                  execution_tier="stream_compiled")
-        eng_i = DirectConvForward(p, machine=TINY,
-                                  execution_tier="interpret")
-        for _ in range(3):
-            bx = block_activations(x, 4, pad_h=p.pad_h, pad_w=p.pad_w)
-            bw = block_weights(w, 4)
-            out_s = eng_s(bx, bw).data
-            out_i = eng_i(bx, bw).data
-            assert np.array_equal(
-                out_s.view(np.uint32), out_i.view(np.uint32)
-            )
-            x = x + 0.25  # next replay sees different data, same closures
+        buffers = {
+            "I": block_activations(x, 4).data,
+            "W": block_weights(w, 4).data,
+            "O": np.zeros(eng.out_layout.size, dtype=np.float32),
+        }
+        fn = eng.compiled[0].bind(buffers)
+        assert fn.tier == "compiled" and callable(fn.batch)
+        traced = eng.compiled[0].bind(buffers, trace=[])
+        assert traced.tier == "interpret"
+        assert not hasattr(traced, "batch")

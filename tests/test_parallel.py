@@ -1,17 +1,22 @@
 """Work partitioning (II-F) and dW strategies (II-J)."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.arch.machine import KNM, SKX
+from repro.arch.machine import KNM, SKX, MachineConfig
 from repro.conv.params import ConvParams
+from repro.conv.reference import conv2d_update_weights
+from repro.conv.upd import DirectConvUpd
 from repro.parallel.partition import partition_forward, split_range
 from repro.parallel.threadsim import ThreadTimes
 from repro.parallel.wu_strategies import (
     choose_upd_strategy,
     upd_strategy_traffic,
 )
+from tests.conftest import assert_close, rand_conv_tensors
 
 
 class TestSplitRange:
@@ -117,6 +122,26 @@ class TestWuStrategies:
             if 72 % g == 0:
                 cand = upd_strategy_traffic(p, KNM, 72, g)
                 assert best.est_time <= cand.est_time + 1e-12
+
+    def test_bandwidthless_machine_gets_the_same_choice(self, rng):
+        """Every candidate shares one bandwidth, so the choice needs no
+        bandwidth figure: a machine without one picks what a machine with
+        one picks, reports no time estimate, and runs the update pass."""
+        tiny = MachineConfig(name="TINY", cores=4, freq_hz=1e9, vlen_bits=128)
+        with_bw = dataclasses.replace(tiny, mem_bw=1e10)
+        for p in (self.P_SMALL_DW, self.P_BIG_DW):
+            for threads in (1, 4, 6, 72):
+                got = choose_upd_strategy(p, tiny, threads)
+                want = choose_upd_strategy(p, with_bw, threads)
+                assert (got.ncopies, got.tk, got.tc) == (
+                    want.ncopies, want.tk, want.tc
+                )
+                assert got.est_time is None
+        p = ConvParams(N=2, C=8, K=8, H=6, W=6, R=3, S=3, stride=1,
+                       pad_h=1, pad_w=1)
+        x, _, dy = rand_conv_tensors(p, rng)
+        dw = DirectConvUpd(p, machine=tiny, threads=2).run_nchw(x, dy)
+        assert_close(dw, conv2d_update_weights(x, dy, p))
 
     def test_strategy_names(self):
         assert upd_strategy_traffic(self.P_SMALL_DW, SKX, 28, 1).name == "shared"

@@ -102,7 +102,7 @@ class TestStreamProperties:
             frozen,
             segs,
             [lambda i, w, o, pi, pw, po: calls.append(("c", i))],
-            [lambda o, kb: calls.append(("a", kb))],
+            [lambda o, kb, variant: calls.append(("a", kb))],
         )
         expect = [
             ("c", i) if ch == "c" else ("a", i)
@@ -128,7 +128,7 @@ class TestStreamProperties:
             frozen,
             encode_segments(frozen),
             [lambda i, w, o, pi, pw, po: recorded.append((i, pi))],
-            [lambda o, kb: None],
+            [lambda o, kb, variant: None],
         )
         conv_ids = [i for i, ch in enumerate(pattern) if ch == "c"]
         for t, (i, pi) in enumerate(recorded):

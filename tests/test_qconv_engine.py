@@ -6,8 +6,9 @@ import pytest
 from repro.arch.machine import KNM, SKX
 from repro.conv.params import ConvParams
 from repro.conv.reference import conv2d_forward
-from repro.quant import qconv2d_forward, quantize
+from repro.quant import CHAIN_LIMIT_PAIRS, qconv2d_forward, quantize
 from repro.quant.qconv_engine import QuantConvForward
+from repro.quant.qkernels import QuantOverflowError
 from tests.conftest import rand_conv_tensors
 
 CASES = [
@@ -27,8 +28,50 @@ class TestQuantEngine:
         qx, qw = quantize(x), quantize(w)
         eng = QuantConvForward(p, machine=machine, threads=2)
         out = eng.run_quantized(qx, qw)
-        ref = qconv2d_forward(qx, qw, p, chain_limit=eng.chain_limit)
+        ref = qconv2d_forward(qx, qw, p, chain_limit=CHAIN_LIMIT_PAIRS)
         assert np.abs(out - ref).max() < 1e-4 * max(1.0, np.abs(ref).max())
+
+    @pytest.mark.parametrize("machine", [KNM, SKX], ids=lambda m: m.name)
+    def test_chain_limit_flushes_keep_int32_in_range(self, machine):
+        """§II-K: the JIT'ed variants flush the int32 chain every
+        CHAIN_LIMIT_PAIRS VNNI ops.  With these operands one unflushed
+        3x5 chain overflows int32; flushed, both tiers run and agree
+        bitwise."""
+        p = CASES[2]
+        x, w, _ = rand_conv_tensors(p, np.random.default_rng(0), scale=0.3)
+        qx, qw = quantize(x), quantize(w)
+        outs = [
+            QuantConvForward(p, machine=machine, execution_tier=tier)
+            .run_quantized(qx, qw)
+            for tier in ("compiled", "interpret")
+        ]
+        assert np.array_equal(outs[0].view(np.uint32), outs[1].view(np.uint32))
+
+    @pytest.mark.parametrize("tier", ["compiled", "interpret"])
+    def test_overflow_is_a_typed_error_on_both_tiers(self, tier):
+        """Full-scale operands overflow int32 inside one flush window;
+        both tiers raise QuantOverflowError, not a generic error."""
+        p = ConvParams(N=1, C=32, K=16, H=2, W=2, R=1, S=1, stride=1)
+        x = np.ones((p.N, p.C, p.H, p.W), dtype=np.float32)
+        w = np.ones((p.K, p.C, p.R, p.S), dtype=np.float32)
+        eng = QuantConvForward(p, machine=SKX, execution_tier=tier)
+        with pytest.raises(QuantOverflowError):
+            eng.run_nchw(x, w)
+
+    @pytest.mark.parametrize("machine", [KNM, SKX], ids=lambda m: m.name)
+    def test_unhoisted_plan_still_initializes_outputs(self, machine, rng):
+        """A 1x1 layer with one channel block gets a plan without output
+        hoisting; the int16 variants hoist anyway, since their fp32
+        results stay in registers for the whole call."""
+        p = ConvParams(N=1, C=16, K=16, H=3, W=3, R=1, S=1, stride=1)
+        x, w, _ = rand_conv_tensors(p, rng, scale=0.3)
+        qx, qw = quantize(x), quantize(w)
+        ref = qconv2d_forward(qx, qw, p, chain_limit=CHAIN_LIMIT_PAIRS)
+        for tier in ("compiled", "interpret"):
+            eng = QuantConvForward(p, machine=machine, execution_tier=tier)
+            assert not eng.plan.hoist_output
+            out = eng.run_quantized(qx, qw)
+            assert np.abs(out - ref).max() < 1e-4 * np.abs(ref).max()
 
     def test_close_to_fp32(self, rng):
         p = CASES[0]

@@ -87,17 +87,6 @@ class TestServeConfig:
         with pytest.raises(ReproError):
             ServeConfig(**kw)
 
-    def test_replay_options_fold_into_tier(self):
-        from repro import ReplayOptions
-
-        cfg = ServeConfig(engine="blocked",
-                          replay=ReplayOptions(tier="stream_compiled"))
-        assert cfg.execution_tier == "stream_compiled"
-        # the explicit kwarg wins over the back-compat bundle
-        cfg = ServeConfig(engine="blocked", execution_tier="interpret",
-                          replay=ReplayOptions(tier="stream_compiled"))
-        assert cfg.execution_tier == "interpret"
-
     def test_unknown_tier_rejected_listing_registry(self):
         from repro import EXECUTION_TIERS
 
@@ -208,8 +197,7 @@ class TestBitwiseIdentity:
 
     @pytest.mark.parametrize(
         "engine,tier",
-        [("fast", None), ("blocked", "compiled"), ("blocked", "interpret"),
-         ("blocked", "stream_compiled")],
+        [("fast", None), ("blocked", "compiled"), ("blocked", "interpret")],
     )
     def test_threads_through_batcher_match_direct_predict(
         self, engine, tier, clean_metrics
@@ -301,27 +289,38 @@ class TestWarmCache:
             assert (a == b).all()
 
     def test_replay_meta_round_trips_with_streams(self, clean_metrics):
-        cfg = tiny_config(engine="blocked",
-                          execution_tier="stream_compiled", buckets=(1, 2))
+        """Artifacts from releases with a closure-chain tier carry a
+        ``replay_meta`` block next to the streams; they still load, and
+        the streams come back intact."""
+        from repro.streams.serialize import save_stream_bundle
+
+        cfg = tiny_config(engine="blocked", buckets=(1, 2))
         server = InferenceServer(cfg)
         server.start()
         try:
-            meta1 = server.warm_cache.replay_meta(1)
-            meta2 = server.warm_cache.replay_meta(2)
-            assert meta1 and meta2, (
-                "stream_compiled boot must record closure metadata"
-            )
-            node_meta = next(iter(meta1.values()))
-            assert node_meta["conv_calls"] > 0
-            buf = io.BytesIO()
-            server.save_streams_artifact(buf)
+            cache = server.warm_cache
+            bundle = {
+                f"{bucket}/{node}": streams
+                for bucket in cache.buckets
+                for node, streams in cache.get(bucket).items()
+            }
+            digests = cache.digests()
         finally:
             server.stop()
+        buf = io.BytesIO()
+        save_stream_bundle(buf, bundle, meta={
+            "kind": "serve_warm_streams",
+            "fingerprint": cfg.fingerprint(),
+            "buckets": [1, 2],
+            "replay_meta": {
+                "1": {"conv1": {"tier": "stream_compiled", "streams": 1,
+                                "chunks": 4, "conv_calls": 32}},
+            },
+        })
         buf.seek(0)
         other = StreamWarmCache(cfg.fingerprint())
-        other.load(buf)
-        assert other.replay_meta(1) == meta1
-        assert other.replay_meta(2) == meta2
+        assert other.load(buf) == [1, 2]
+        assert other.digests() == digests
 
     def test_restore_rejects_unknown_fused_ops(self):
         """A stream carrying APPLY records for fused ops the engine does

@@ -99,7 +99,7 @@ class TestReplay:
             s,
             segs,
             [lambda i, w, o, pi, pw, po: calls.append((i, pi))],
-            [lambda o, kb: applies.append((o, kb))],
+            [lambda o, kb, variant: applies.append((o, kb))],
         )
         assert len(calls) == 2 and len(applies) == 1
         assert calls[0][1] == calls[1][0]  # prefetch skipped the APPLY
@@ -107,17 +107,18 @@ class TestReplay:
     def test_apply_dispatch(self):
         st = KernelStream()
         st.record_conv(0, 1, 2, 3)
-        st.record_apply(1, o_off=3, kb=7, variant=0)
+        st.record_apply(1, o_off=3, kb=7, variant=2)
         s = st.freeze()
         hits = []
         replay(
             s,
             encode_segments(s),
             [lambda *a: None],
-            [lambda o, kb: hits.append(("op0", o, kb)),
-             lambda o, kb: hits.append(("op1", o, kb))],
+            [lambda o, kb, v: hits.append(("op0", o, kb, v)),
+             lambda o, kb, v: hits.append(("op1", o, kb, v))],
         )
-        assert hits == [("op1", 3, 7)]
+        # the APPLY record hands its op the preceding call's variant id
+        assert hits == [("op1", 3, 7, 2)]
 
 
 class TestEngineStreams:
