@@ -11,17 +11,26 @@ register block with batched numpy ops, and replay dispatches into that.
 Translation is a symbolic execution of the µop stream: the 32-entry register
 file holds expression nodes instead of vectors, stores capture the final
 expression per output tile, and isomorphic accumulator chains across the
-register block collapse into one gather + running-sum evaluation.  The
-compiled tier is **bit-identical** to the interpreter by construction:
+register block collapse into one store group whose members are evaluated
+together.  The compiled tier is **bit-identical** to the interpreter by
+construction:
 
 * every load is widened to float64 exactly like the interpreter's
   ``astype(np.float64)``;
-* each accumulator's FMA chain is evaluated with ``np.cumsum`` over the
-  stacked term products -- a strictly sequential left-to-right float64 sum,
-  i.e. the same rounding order as the interpreter's ``acc += w * b`` loop;
+* each store group's FMA chain is folded term by term into one float64
+  accumulator, in place (``acc += w[t] * s[t]``) -- the same strict left
+  fold, and so the same rounding sequence, as the interpreter's
+  ``acc += w * b`` loop.  Products of consecutive terms are formed a
+  block at a time in a fixed-size scratch (``_PRODUCT_BLOCK``), not as one
+  tensor holding every term's product.  A weight vector every member
+  reads at the same term is gathered once, not once per member;
 * fused post-ops, int16 chain-limit flushes (``VCVT``/``VADD``) and
   store/reload round-trips (un-hoisted variants) stay explicit expression
   nodes, so their evaluation order and intermediate precision are preserved.
+
+A bound kernel's ``batch`` evaluates a streak of calls with a leading call
+axis, in dependency rounds: calls that store to the same block run in
+streak order, one round each (see :meth:`_CompiledBound.batch`).
 
 Prefetch µops are no-ops in this tier.  When a ``MemTrace``/cache-simulator
 observer is attached, :meth:`CompiledKernel.bind` silently returns an
@@ -366,8 +375,14 @@ def _sig(node, memo: dict) -> tuple:
 
 
 # ----------------------------------------------------------------------
-# evaluation plan: gather indices + cumsum reductions, one per store group
+# evaluation plan: one in-place float64 accumulator per store group
 # ----------------------------------------------------------------------
+#: float64 elements one batched evaluation may gather and accumulate (~16 MB)
+_BATCH_BUDGET = 2_000_000
+#: float64 elements of a chain's term-product scratch (256 KB, L2-resident)
+_PRODUCT_BLOCK = 1 << 15
+
+
 class _Ctx:
     __slots__ = ("buffers", "bases", "scale", "batch")
 
@@ -375,7 +390,12 @@ class _Ctx:
         self.buffers = buffers
         self.bases = bases
         self.scale = scale
-        self.batch = batch  # None for a single call, else the batch size B
+        self.batch = batch  # B, the number of calls evaluated together
+
+    def base(self, tensor: str, ndim: int) -> np.ndarray:
+        """``tensor``'s per-call base offsets shaped ``(B, 1, ...)`` (or
+        one shared scalar) to broadcast against an ``ndim``-d index."""
+        return np.reshape(self.bases.get(tensor, 0), (-1,) + (1,) * ndim)
 
 
 def _f64(a: np.ndarray) -> np.ndarray:
@@ -390,8 +410,6 @@ class _EZero:
         self.n = n
 
     def eval(self, ctx: _Ctx) -> np.ndarray:
-        if ctx.batch is None:
-            return np.zeros((self.m, self.n))
         return np.zeros((ctx.batch, self.m, self.n))
 
 
@@ -406,10 +424,7 @@ class _EGather:
 
     def eval(self, ctx: _Ctx) -> np.ndarray:
         buf = ctx.buffers[self.tensor]
-        base = ctx.bases.get(self.tensor, 0)
-        if ctx.batch is None:
-            return _f64(buf[self.idx + base])
-        return _f64(buf[self.idx[None] + base.reshape(-1, 1, 1)])
+        return _f64(buf[self.idx + ctx.base(self.tensor, 2)])
 
 
 class _EBcastS:
@@ -424,12 +439,8 @@ class _EBcastS:
 
     def eval(self, ctx: _Ctx) -> np.ndarray:
         buf = ctx.buffers[self.tensor]
-        base = ctx.bases.get(self.tensor, 0)
-        if ctx.batch is None:
-            v = _f64(buf[self.offs + base])
-        else:
-            v = _f64(buf[self.offs[None] + base.reshape(-1, 1)])
-        return np.broadcast_to(v[..., None], v.shape + (self.n,))
+        v = _f64(buf[self.offs + ctx.base(self.tensor, 1)])
+        return np.repeat(v[..., None], self.n, axis=-1)
 
 
 class _ECast:
@@ -484,86 +495,93 @@ class _EBin:
         return np.maximum(a, b)
 
 
-class _RunFma:
-    """A maximal run of FMA terms sharing (weight tensor, scalar tensor)."""
+class _Run:
+    """A maximal run of chain terms sharing (kind, weight tensor, scalar
+    tensor).  ``widx`` is ``(T, 1, m, wn)``, or ``(T, 1, 1, wn)`` when
+    every member of the store group reads the same weight vector at each
+    term -- then the vector is gathered once per term, not once per
+    member.  ``sidx`` is ``(T, 1, m, pair)``; the unit axis takes the
+    calls."""
 
     __slots__ = ("T", "wtensor", "widx", "stensor", "sidx")
+    pair = 1  # scalar operands per term
 
     def __init__(self, wtensor, woffs, wn, stensor, soffs) -> None:
         self.T = woffs.shape[0]
+        if (woffs == woffs[:, :1]).all():
+            woffs = woffs[:, :1]
         self.wtensor = wtensor
-        self.widx = woffs[:, :, None] + np.arange(wn)  # (T, m, n)
+        self.widx = woffs[:, None, :, None] + np.arange(wn)
         self.stensor = stensor
-        self.sidx = soffs  # (T, m)
+        self.sidx = soffs[:, None, :, None] + np.arange(self.pair)
 
-    def fill(self, out: np.ndarray, ctx: _Ctx) -> None:
+    @property
+    def elements(self) -> int:
+        """float64 operands one call gathers for this run."""
+        return self.widx.size + self.sidx.size
+
+    def fold(self, acc: np.ndarray, ctx: _Ctx) -> None:
+        """Add the run's terms to ``acc`` one at a time, in order.  One
+        multiply forms the products of as many terms as fit in
+        ``_PRODUCT_BLOCK`` elements (the per-term multiply of a small
+        batch costs more in numpy call overhead than in arithmetic)."""
         wb = ctx.buffers[self.wtensor]
         sb = ctx.buffers[self.stensor]
-        wbase = ctx.bases.get(self.wtensor, 0)
-        sbase = ctx.bases.get(self.stensor, 0)
-        if ctx.batch is None:
-            w = _f64(wb[self.widx + wbase])
-            s = _f64(sb[self.sidx + sbase])
-        else:
-            w = _f64(wb[self.widx[:, None] + wbase.reshape(1, -1, 1, 1)])
-            s = _f64(sb[self.sidx[:, None] + sbase.reshape(1, -1, 1)])
-        np.multiply(w, s[..., None], out=out)
+        w = _f64(wb[self.widx + ctx.base(self.wtensor, 2)])
+        s = _f64(sb[self.sidx + ctx.base(self.stensor, 2)])
+        k = max(1, min(self.T, _PRODUCT_BLOCK // acc.size))
+        prod = np.empty((k,) + acc.shape)
+        for t0 in range(0, self.T, k):
+            p = prod[: self.T - t0]
+            self.products(w[t0 : t0 + k], s[t0 : t0 + k], p)
+            for term in p:
+                acc += term
 
 
-class _RunVnni:
-    """A maximal run of VNNI terms: int16 pair dot-products."""
+class _RunFma(_Run):
+    """``acc += w * t[off]``."""
 
-    __slots__ = ("T", "wtensor", "widx", "stensor", "sidx")
+    __slots__ = ()
 
-    def __init__(self, wtensor, woffs, wn, stensor, soffs) -> None:
-        self.T = woffs.shape[0]
-        self.wtensor = wtensor
-        self.widx = woffs[:, :, None] + np.arange(wn)  # (T, m, 2n)
-        self.stensor = stensor
-        self.sidx = soffs  # (T, m)
+    @staticmethod
+    def products(w, s, out) -> None:
+        np.multiply(w, s, out=out)
 
-    def fill(self, out: np.ndarray, ctx: _Ctx) -> None:
-        wb = ctx.buffers[self.wtensor]
-        sb = ctx.buffers[self.stensor]
-        wbase = ctx.bases.get(self.wtensor, 0)
-        sbase = ctx.bases.get(self.stensor, 0)
-        if ctx.batch is None:
-            w = _f64(wb[self.widx + wbase])
-            s0 = _f64(sb[self.sidx + sbase])
-            s1 = _f64(sb[self.sidx + (sbase + 1)])
-        else:
-            w = _f64(wb[self.widx[:, None] + wbase.reshape(1, -1, 1, 1)])
-            s0 = _f64(sb[self.sidx[:, None] + sbase.reshape(1, -1, 1)])
-            s1 = _f64(sb[self.sidx[:, None] + (sbase + 1).reshape(1, -1, 1)])
-        # one chain step is w_even*a0 + w_odd*a1, matching the interpreter's
-        # reshape(vlen, 2) pair product exactly (mul, mul, add in f64)
-        np.multiply(w[..., 0::2], s0[..., None], out=out)
-        out += w[..., 1::2] * s1[..., None]
+
+class _RunVnni(_Run):
+    """int16 pair dot-products: ``acc += w_even*t[off] + w_odd*t[off+1]``."""
+
+    __slots__ = ()
+    pair = 2
+
+    @staticmethod
+    def products(w, s, out) -> None:
+        # mul, mul, add in f64: the interpreter's reshape(vlen, 2) pair
+        # product exactly
+        np.multiply(w[..., 0::2], s[..., :1], out=out)
+        out += w[..., 1::2] * s[..., 1:]
 
 
 class _EAcc:
-    """Sequential accumulator chain, evaluated with an order-exact cumsum."""
+    """Sequential accumulator chain folded term by term into one float64
+    accumulator -- the interpreter's per-µop ``acc += w*b`` left fold,
+    with the same rounding sequence."""
 
-    __slots__ = ("init", "runs", "total", "integer")
+    __slots__ = ("init", "runs", "integer", "elements")
 
-    def __init__(self, init, runs: list, integer: bool) -> None:
+    def __init__(self, init, runs: list, integer: bool, m: int, n: int):
         self.init = init
         self.runs = runs
-        self.total = sum(r.T for r in runs)
         self.integer = integer
+        # the accumulator plus each run's gathered operands
+        self.elements = m * n + sum(r.elements for r in runs)
 
     def eval(self, ctx: _Ctx) -> np.ndarray:
-        init = self.init.eval(ctx)
-        terms = np.empty((self.total + 1,) + init.shape)
-        terms[0] = init
-        pos = 1
+        # every eval returns a new array, so the fold may overwrite it
+        acc = self.init.eval(ctx)
         for run in self.runs:
-            run.fill(terms[pos : pos + run.T], ctx)
-            pos += run.T
-        # cumsum along the chain axis is a strict left fold in f64 -- the
-        # same rounding sequence as the interpreter's per-µop `acc += w*b`
-        np.cumsum(terms, axis=0, out=terms)
-        return terms[-1]
+            run.fold(acc, ctx)
+        return acc
 
 
 class _EStore:
@@ -577,11 +595,7 @@ class _EStore:
     def execute(self, ctx: _Ctx) -> None:
         val = self.node.eval(ctx)
         buf = ctx.buffers[self.tensor]
-        base = ctx.bases.get(self.tensor, 0)
-        if ctx.batch is None:
-            buf[self.idx + base] = val
-        else:
-            buf[self.idx[None] + base.reshape(-1, 1, 1)] = val
+        buf[self.idx + ctx.base(self.tensor, 2)] = val
 
 
 class _Plan:
@@ -592,8 +606,10 @@ class _Plan:
     def __init__(self, stores: list, store_tensors: set, est: int) -> None:
         self.stores = stores
         self.store_tensors = store_tensors
-        # bound the working set of one batched evaluation (~16 MB of f64)
-        self.batch_cap = max(1, 2_000_000 // max(1, est))
+        # calls per batched evaluation: ``est`` is one call's float64
+        # working set (stored values plus every chain's accumulator and
+        # gathered operands, nested chains included)
+        self.batch_cap = max(1, _BATCH_BUDGET // max(1, est))
 
     def run(self, buffers, bases, scale, batch) -> None:
         ctx = _Ctx(buffers, bases, scale, batch)
@@ -603,11 +619,13 @@ class _Plan:
 
 def _build_plan(final_stores, vlen: int, widths: dict) -> _Plan:
     """Group isomorphic stores and lower each group to eval nodes."""
+    est = 0
 
     def width(tensor: str) -> int:
         return widths[tensor] * vlen
 
     def build(rep, members):
+        nonlocal est
         m = len(members)
         if isinstance(rep, _SZero):
             return _EZero(m, vlen)
@@ -683,7 +701,9 @@ def _build_plan(final_stores, vlen: int, widths: dict) -> _Plan:
             integer = isinstance(init, _EZero) and all(
                 isinstance(r, _RunVnni) for r in runs
             )
-            return _EAcc(init, runs, integer)
+            acc = _EAcc(init, runs, integer, m, vlen)
+            est += acc.elements
+            return acc
         raise CompileUnsupported(
             f"unknown symbolic node {type(rep)}"
         )  # pragma: no cover
@@ -699,31 +719,33 @@ def _build_plan(final_stores, vlen: int, widths: dict) -> _Plan:
         groups[key].append((off, node))
 
     stores: list[_EStore] = []
-    est_total = 0
     store_tensors = {t for t, _off, _node in final_stores}
     for tensor, sig in order:
         entries = groups[(tensor, sig)]
         offs = np.array([off for off, _ in entries], dtype=np.int64)
-        rep = entries[0][1]
-        node = build(rep, [n for _, n in entries])
-        m = len(entries)
-        chain = node.total + 1 if isinstance(node, _EAcc) else 1
-        est_total += chain * m * vlen
+        node = build(entries[0][1], [n for _, n in entries])
+        est += len(entries) * vlen
         stores.append(_EStore(tensor, offs, vlen, node))
-    return _Plan(stores, store_tensors, est_total)
+    return _Plan(stores, store_tensors, est)
 
 
-def _unique_prefix(a: np.ndarray, lo: int, hi: int) -> int:
-    """Length of the longest prefix of ``a[lo:hi]`` with no repeated value."""
-    sl = a[lo:hi]
-    if sl.size <= 1:
-        return sl.size
-    perm = np.argsort(sl, kind="stable")
-    srt = sl[perm]
-    eq = srt[1:] == srt[:-1]
-    if not eq.any():
-        return sl.size
-    return int(perm[1:][eq].min())
+def _rounds(key: np.ndarray) -> Optional[np.ndarray]:
+    """Dependency round of each call: how many earlier calls store to the
+    same base offset.  ``None`` when no offset repeats (one round)."""
+    n = key.size
+    perm = np.argsort(key, kind="stable")
+    srt = key[perm]
+    new = np.empty(n, dtype=bool)
+    new[0] = True
+    np.not_equal(srt[1:], srt[:-1], out=new[1:])
+    if new.all():
+        return None
+    # rank within each run of equal offsets, in call order (stable sort)
+    starts = np.flatnonzero(new)
+    rank = np.arange(n) - np.repeat(starts, np.diff(starts, append=n))
+    rounds = np.empty(n, dtype=np.int64)
+    rounds[perm] = rank
+    return rounds
 
 
 class _CompiledBound:
@@ -731,7 +753,7 @@ class _CompiledBound:
 
     tier = "compiled"
 
-    __slots__ = ("plan", "buffers", "args", "scale", "extra", "_store_args")
+    __slots__ = ("plan", "buffers", "args", "scale", "extra", "_store_arg")
 
     def __init__(self, plan, buffers, args, scale, extra) -> None:
         self.plan = plan
@@ -739,30 +761,37 @@ class _CompiledBound:
         self.args = args
         self.scale = scale
         self.extra = extra
-        self._store_args = [
-            pos
-            for pos, name in enumerate(args)
-            if name in plan.store_tensors
-        ]
+        # the offset argument that selects the block a call stores to
+        stores = plan.store_tensors
+        self._store_arg = (
+            args.index(next(iter(stores)))
+            if len(stores) == 1 and stores <= set(args)
+            else None
+        )
 
-    def _bases(self) -> dict:
-        return dict(self.extra) if self.extra else {}
-
-    def __call__(self, i_off, w_off, o_off, pi=0, pw=0, po=0) -> None:
-        bases = self._bases()
+    def _run(self, i_off, w_off, o_off, batch: int) -> None:
+        bases = dict(self.extra) if self.extra else {}
         bases[self.args[0]] = i_off
         bases[self.args[1]] = w_off
         bases[self.args[2]] = o_off
-        self.plan.run(self.buffers, bases, self.scale, None)
+        self.plan.run(self.buffers, bases, self.scale, batch)
+
+    def __call__(self, i_off, w_off, o_off, pi=0, pw=0, po=0) -> None:
+        self._run(i_off, w_off, o_off, 1)
 
     def batch(self, i_arr, w_arr, o_arr) -> None:
-        """Run a streak of calls at once.
+        """Run a streak of calls at once, bitwise equal to calling them in
+        order.
 
-        Calls are grouped into vector chunks; a chunk never repeats a base
-        offset of a stored tensor, so read-modify-write chains across calls
-        (e.g. the ``c_b``-outer loop order revisiting an output block, or
-        the update pass re-accumulating one ``dW`` block) keep their exact
-        sequential semantics.
+        Calls that store to the same base offset (the ``c_b``-outer loop
+        order revisiting an output block, the update pass re-accumulating
+        one ``dW`` block) form a read-modify-write chain.  Round ``r``
+        holds every call that is the ``r``-th in the streak to store to
+        its offset; rounds run in order, so each chain keeps its
+        sequential order, and calls within a round touch disjoint blocks.
+        Each round runs in chunks of at most ``batch_cap`` calls.  When
+        no single offset argument selects every store, each call is its
+        own round.
         """
         arrs = (
             np.asarray(i_arr, dtype=np.int64),
@@ -770,23 +799,21 @@ class _CompiledBound:
             np.asarray(o_arr, dtype=np.int64),
         )
         n = arrs[0].size
-        store_arrays = [arrs[pos] for pos in self._store_args]
+        if self._store_arg is None:
+            rounds = np.arange(n)
+        else:
+            rounds = _rounds(arrs[self._store_arg])
+        if rounds is None:
+            sel = [np.arange(n)]
+        else:
+            # stable: calls keep their streak order inside a round
+            perm = np.argsort(rounds, kind="stable")
+            sel = np.split(perm, np.flatnonzero(np.diff(rounds[perm])) + 1)
         cap = self.plan.batch_cap
-        lo = 0
-        while lo < n:
-            hi = min(n, lo + cap)
-            for sa in store_arrays:
-                hi = min(hi, lo + _unique_prefix(sa, lo, hi))
-            if hi - lo == 1:
-                self(int(arrs[0][lo]), int(arrs[1][lo]), int(arrs[2][lo]))
-                lo = hi
-                continue
-            bases = self._bases()
-            bases[self.args[0]] = arrs[0][lo:hi]
-            bases[self.args[1]] = arrs[1][lo:hi]
-            bases[self.args[2]] = arrs[2][lo:hi]
-            self.plan.run(self.buffers, bases, self.scale, hi - lo)
-            lo = hi
+        for idx in sel:
+            for lo in range(0, idx.size, cap):
+                part = idx[lo : lo + cap]
+                self._run(*(a[part] for a in arrs), part.size)
 
 
 class _InterpretBound:
@@ -904,7 +931,7 @@ class CompiledKernel:
         """Single invocation against explicit per-tensor base offsets (the
         compiled mirror of :func:`repro.jit.interpreter.execute_kernel`)."""
         plan = self._plan_for(buffers)
-        plan.run(buffers, dict(bases or {}), scale, None)
+        plan.run(buffers, dict(bases or {}), scale, 1)
 
 
 def compile_kernel(program: KernelProgram) -> CompiledKernel:

@@ -5,6 +5,7 @@
 import numpy as np
 import pytest
 
+from repro.arch.isa import KernelProgram, Op, Uop
 from repro.arch.machine import KNM, SKX
 from repro.conv.backward import DirectConvBackward
 from repro.conv.engine import make_engine
@@ -24,6 +25,7 @@ from repro.jit.gemm import GemmDesc, generate_gemm_kernel
 from repro.jit.interpreter import execute_kernel
 from repro.jit.kernel_cache import KernelCache
 from repro.jit.tiers import ExecutionTier, UnknownTierError, as_tier
+from repro.models.resnet50 import resnet50_layer
 from repro.quant.qconv_engine import QuantConvForward
 from repro.quant.qtensor import quantize
 from repro.conv.reference import conv2d_forward
@@ -48,6 +50,27 @@ def _fwd_out(p, rng, tier, **kw):
     bx = block_activations(x, 4, pad_h=p.pad_h, pad_w=p.pad_w)
     bw = block_weights(w, 4)
     return eng(bx, bw).data, x, w
+
+
+def _bound_calls(ck, buffers, args, stored, calls):
+    """Run ``calls`` (offset triples for ``args``) three ways: one
+    ``batch``, the compiled kernel one call at a time, and the
+    interpreter; return the three resulting copies of ``stored``."""
+    i_arr, w_arr, o_arr = (np.array(c, dtype=np.int64) for c in zip(*calls))
+    results = []
+    for mode in ("batch", "single", "interpret"):
+        bufs = dict(buffers, **{stored: buffers[stored].copy()})
+        if mode == "batch":
+            ck.bind(bufs, args=args).batch(i_arr, w_arr, o_arr)
+        elif mode == "single":
+            fn = ck.bind(bufs, args=args)
+            for i, w, o in calls:
+                fn(i, w, o)
+        else:
+            for i, w, o in calls:
+                execute_kernel(ck.program, bufs, dict(zip(args, (i, w, o))))
+        results.append(bufs[stored])
+    return results
 
 
 class TestForwardTiers:
@@ -186,6 +209,148 @@ class TestCompiledKernelStandalone:
         assert np.array_equal(got.view(np.uint32), ref.view(np.uint32))
         assert isinstance(ck, CompiledKernel)
         assert sorted(ck.tensors) == ["A", "B", "C"]
+
+    def test_members_with_their_own_weights(self, rng):
+        """Two isomorphic accumulators reading different weight vectors
+        form one store group whose weights are gathered per member."""
+        uops = [
+            Uop(Op.VLOAD, dst=0, tensor="W", offset=0),
+            Uop(Op.VLOAD, dst=1, tensor="W", offset=4),
+            Uop(Op.VZERO, dst=2),
+            Uop(Op.VZERO, dst=3),
+        ]
+        for k in range(3):
+            uops += [
+                Uop(Op.VFMA_MEM, dst=2, src1=0, tensor="I", offset=k),
+                Uop(Op.VFMA_MEM, dst=3, src1=1, tensor="I", offset=k + 3),
+            ]
+        uops += [
+            Uop(Op.VSTORE, src1=2, tensor="O", offset=0),
+            Uop(Op.VSTORE, src1=3, tensor="O", offset=4),
+        ]
+        ck = compile_kernel(KernelProgram(name="two_w", vlen=4, uops=uops))
+        buffers = {
+            "I": rng.standard_normal(16).astype(np.float32),
+            "W": rng.standard_normal(16).astype(np.float32),
+        }
+        calls = [(0, 0, 0), (5, 8, 8), (2, 4, 16)]
+        got, single, ref = _bound_calls(
+            ck, dict(buffers, O=np.zeros(24, np.float32)), ("I", "W", "O"),
+            "O", calls,
+        )
+        assert np.array_equal(got.view(np.uint32), ref.view(np.uint32))
+        assert np.array_equal(single.view(np.uint32), ref.view(np.uint32))
+
+
+class TestBatchRounds:
+    """``.batch`` schedules calls that store to the same block into
+    dependency rounds; the result must be exactly sequential replay."""
+
+    def test_repeated_output_blocks_out_of_order(self, rng):
+        # cb-outer loop order: variant 1 accumulates into its output
+        p = ConvParams(N=1, C=8, K=8, H=6, W=6, R=3, S=3, stride=1,
+                       pad_h=1, pad_w=1)
+        eng = DirectConvForward(p, machine=TINY)
+        assert eng.plan.loop_order == "cb_outer"
+        ck = eng.compiled[1]
+        assert not eng._descs[1].zero_init
+        x, w, _ = rand_conv_tensors(p, rng)
+        buffers = {
+            "I": block_activations(x, 4, pad_h=1, pad_w=1).data,
+            "W": block_weights(w, 4).data,
+            "O": rng.standard_normal(eng.out_layout.size).astype(np.float32),
+        }
+        st = eng.streams[0]
+        recorded = sorted(
+            {(int(st.i_off[t]), int(st.w_off[t]), int(st.o_off[t]))
+             for t in range(len(st))},
+            key=lambda c: c[2],
+        )
+        by_o = {}
+        for c in recorded:
+            by_o.setdefault(c[2], []).append(c)
+        a, b, c = (by_o[o] for o in sorted(by_o)[:3])
+        # A B A C B A: block A is revisited after other blocks ran
+        calls = [a[0], b[0], a[1], c[0], b[1], a[0]]
+        got, single, ref = _bound_calls(
+            ck, buffers, ("I", "W", "O"), "O", calls
+        )
+        assert np.array_equal(got.view(np.uint32), single.view(np.uint32))
+        assert np.array_equal(got.view(np.uint32), ref.view(np.uint32))
+
+    def test_one_dw_block_accumulated_by_every_call(self, rng):
+        p = ConvParams(N=2, C=16, K=8, H=4, W=4, R=1, S=1, stride=1)
+        eng = DirectConvUpd(p, machine=TINY)
+        x, _, dy = rand_conv_tensors(p, rng)
+        buffers = {
+            "I": block_activations(x, 4).data,
+            "dO": block_activations(dy, 4).data,
+            "dW": rng.standard_normal(eng.dw_layout.size).astype(np.float32),
+        }
+        st = eng.streams[0]
+        # every recorded (input, output-gradient) pair, all summed into
+        # the dW block at offset 16
+        calls = [(int(st.i_off[t]), 16, int(st.o_off[t]))
+                 for t in range(len(st))]
+        assert len(calls) > 2
+        got, single, ref = _bound_calls(
+            eng.compiled[0], buffers, ("I", "dW", "dO"), "dW", calls
+        )
+        assert np.array_equal(got.view(np.uint32), single.view(np.uint32))
+        assert np.array_equal(got.view(np.uint32), ref.view(np.uint32))
+
+    def test_store_outside_the_offset_args_keeps_call_order(self, rng):
+        """A stored tensor no offset argument moves sits at one base for
+        every call, so every call depends on the one before."""
+        desc = GemmDesc(vlen=4, k=3, n=5, a_sk=4, b_sk=1, b_sn=3, c_sn=4)
+        ck = compile_kernel(generate_gemm_kernel(desc))
+        buffers = {
+            "A": rng.standard_normal(40).astype(np.float32),
+            "B": rng.standard_normal(40).astype(np.float32),
+            "C": rng.standard_normal(20).astype(np.float32),
+        }
+        calls = [(0, 0, 0), (8, 5, 0), (4, 20, 0), (12, 9, 0)]
+        got, single, ref = _bound_calls(
+            ck, buffers, ("A", "B", "unused"), "C", calls
+        )
+        assert np.array_equal(got.view(np.uint32), single.view(np.uint32))
+        assert np.array_equal(got.view(np.uint32), ref.view(np.uint32))
+
+
+def _chains(node):
+    """Every accumulator chain in an evaluation tree, nested ones too."""
+    if hasattr(node, "runs"):
+        yield node
+        yield from _chains(node.init)
+    for attr in ("sub", "a", "b"):
+        child = getattr(node, attr, None)
+        if child is not None and hasattr(child, "eval"):
+            yield from _chains(child)
+
+
+class TestBatchBudget:
+    def test_q16_plans_bound_their_working_set_like_f32(self):
+        """int16 stores are scale/add trees over flushed chains; the
+        batch cap must count those nested chains.  Bound: ``batch_cap``
+        calls' gathered chain scalars (one float64 per member per term)
+        fit in the same 2M-element budget on both dtypes."""
+        p = resnet50_layer(8, minibatch=1)
+        engines = (
+            (DirectConvForward(p, machine=SKX), np.float32),
+            (QuantConvForward(p, machine=KNM), np.int16),
+        )
+        for eng, in_dt in engines:
+            buffers = {"I": np.zeros(1, in_dt), "W": np.zeros(1, in_dt),
+                       "O": np.zeros(1, np.float32)}
+            for ck in eng.compiled:
+                plan = ck._plan_for(buffers)
+                scalars = sum(
+                    sum(run.T for run in chain.runs) * len(store.idx)
+                    for store in plan.stores
+                    for chain in _chains(store.node)
+                )
+                assert scalars > 0
+                assert plan.batch_cap * scalars <= 2_000_000, ck.program.name
 
 
 class TestTierSelection:
