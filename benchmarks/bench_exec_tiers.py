@@ -1,12 +1,14 @@
 """Execution-tier benchmark: compiled numpy closures vs the µop interpreter.
 
-Measures wall time of the forward engine on Table-1 ResNet-50 layers, and
-of the weight-update engine on one 1x1 layer, under the ``interpret`` and
-``compiled`` execution tiers (same streams, same µop programs), asserts
-the outputs are *bitwise* identical, and records the per-layer and
-geometric-mean speedups (interpret/compiled) to a JSON report.  The
-update pass re-accumulates each ``dW`` block over many calls, so its row
-covers the compiled tier's dependency-round batching.
+Measures wall time of the forward engine on Table-1 ResNet-50 layers and
+on resnet_mini's ``res3a_b`` shape, and of the weight-update engine on one
+1x1 layer, under the ``interpret`` and ``compiled`` execution tiers (same
+streams, same µop programs), asserts the outputs are *bitwise* identical,
+and records the per-layer and geometric-mean speedups (interpret/compiled)
+to a JSON report.  The update pass re-accumulates each ``dW`` block over
+many calls, and ``res3a_b``'s ``c_b``-outer streams alternate a zero-init
+and an accumulate variant, so those two rows cover replay's dependency
+rounds within one variant and across variants.
 
 Run as a plain script (not pytest -- the timing loop is its own harness)::
 
@@ -42,6 +44,11 @@ DEFAULT_LAYERS = [1, 2, 4, 8, 12, 16, 20]
 #: compiled tier's dependency rounds)
 UPD_LAYER = 3
 UPD_MIN_MINIBATCH = 2
+#: the cross-variant row: resnet_mini's res3a_b at the benchmark's train
+#: minibatch, a c_b-outer layer whose streams alternate two variants
+CB_OUTER_LAYER = "res3a_b"
+CB_OUTER_PARAMS = ConvParams(N=8, C=32, K=32, H=4, W=4, R=3, S=3, stride=1,
+                             pad_h=1, pad_w=1)
 
 
 def _time_call(fn, repeats: int) -> float:
@@ -66,8 +73,9 @@ def _compare(results: dict, outs: dict) -> dict:
     return results
 
 
-def bench_f32_layer(layer_id: int, p: ConvParams, repeats: int) -> dict:
-    rng = np.random.default_rng(layer_id)
+def bench_f32_layer(layer_id: int | str, p: ConvParams, repeats: int,
+                    seed: int | None = None) -> dict:
+    rng = np.random.default_rng(layer_id if seed is None else seed)
     x = rng.standard_normal((p.N, p.C, p.H, p.W)).astype(np.float32)
     w = rng.standard_normal((p.K, p.C, p.R, p.S)).astype(np.float32)
     results = {"layer": layer_id, "dtype": "f32", "pass": "fwd",
@@ -139,7 +147,7 @@ def bench_q16_layer(layer_id: int, p: ConvParams, repeats: int) -> dict:
 
 def _print_row(row: dict) -> None:
     print(
-        f"layer {row['layer']:>2} {row['dtype']:<7} {row['pass']}  "
+        f"layer {row['layer']:>7} {row['dtype']:<7} {row['pass']}  "
         f"interpret {row['interpret_s']:8.3f}s  "
         f"compiled {row['compiled_s']:8.3f}s  "
         f"speedup {row['speedup']:7.1f}x  exact={row['exact']}"
@@ -156,8 +164,8 @@ def main(argv=None) -> int:
                          "affordable; relative speedups are N-independent)")
     ap.add_argument("--repeats", type=int, default=1)
     ap.add_argument("--quick", action="store_true",
-                    help="one small f32 forward layer plus the update-pass "
-                         "row (CI smoke)")
+                    help="one small f32 forward layer plus the res3a_b "
+                         "and update-pass rows (CI smoke)")
     ap.add_argument("--no-quant", action="store_true",
                     help="skip the int16 (KNM) measurement")
     ap.add_argument("--out", default="BENCH_exec_tiers.json")
@@ -181,6 +189,9 @@ def main(argv=None) -> int:
         p = resnet50_layer(lid, minibatch=args.minibatch)
         rows.append(bench_f32_layer(lid, p, args.repeats))
         _print_row(rows[-1])
+    rows.append(bench_f32_layer(CB_OUTER_LAYER, CB_OUTER_PARAMS,
+                                args.repeats, seed=0))
+    _print_row(rows[-1])
     p = resnet50_layer(
         UPD_LAYER, minibatch=max(UPD_MIN_MINIBATCH, args.minibatch)
     )

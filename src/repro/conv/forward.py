@@ -41,7 +41,6 @@ from repro.obs.tracer import Tracer, get_tracer
 from repro.parallel.partition import partition_forward
 from repro.quant.qkernels import CHAIN_LIMIT_PAIRS
 from repro.streams.replay import replay
-from repro.streams.rle import encode_segments
 from repro.streams.stream import KernelStream
 from repro.tensor.blocked import BlockedTensor, block_activations, block_weights
 from repro.tensor.layout import ActivationLayout, WeightLayout
@@ -218,7 +217,7 @@ class DirectConvForward:
                     self._dryrun_cb_outer(st, n, kb, ojb_range, oj_chunk)
             streams.append(st.freeze())
         self.streams = streams
-        self.segments = [encode_segments(s) for s in streams]
+        self.segments = [s.segments() for s in streams]
 
     def _restore_streams(self, streams) -> None:
         """Adopt pre-recorded frozen streams (section II-H: the dryrun
@@ -269,7 +268,7 @@ class DirectConvForward:
                         f"{what} buffer for {self.params.describe()}"
                     )
         self.streams = streams
-        self.segments = [encode_segments(s) for s in streams]
+        self.segments = [s.segments() for s in streams]
 
     def _record_applies(self, st: KernelStream, variant: int, kb: int, o_off: int) -> None:
         for op_idx in range(len(self.fused_ops)):

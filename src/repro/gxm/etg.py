@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.arch.machine import SKX, MachineConfig
 from repro.gxm.graph import TaskRef, compile_etg
-from repro.gxm.nodes import LossNode, Node, build_node, output_shape
+from repro.gxm.nodes import ConvNode, LossNode, Node, build_node, output_shape
 from repro.gxm.topology import TopologySpec
 from repro.obs.metrics import get_metrics
 from repro.obs.tracer import Tracer, get_tracer
@@ -240,6 +240,10 @@ class ExecutionTaskGraph:
                 raise ReproError(
                     f"missing gradient for {layer.tops[0]!r}"
                 )
+            if isinstance(node, ConvNode) and self._is_data(layer.bottoms[0]):
+                # a Data top keeps no gradient: skip the input gradient
+                node.keep_grad(dy)
+                return
             dx = node.backward(dy)
             if layer.type in ("Eltwise", "Concat"):
                 for b, d in zip(layer.bottoms, dx):

@@ -178,12 +178,19 @@ class ConvNode(Node):
             self._y = y
         return y
 
-    def backward(self, dy: np.ndarray) -> np.ndarray:
+    def keep_grad(self, dy: np.ndarray) -> None:
+        """Keep what UPD needs of the output gradient: ``dy`` behind the
+        fused ReLU's mask.  The whole backward task of a node whose input
+        gradient nobody reads (Caffe's ``propagate_down: false``)."""
         if self.fused_relu:
             # reconstruct the ReLU mask from the fused output: positions
             # clamped to zero pass no gradient
             dy = np.where(self._y > 0, dy, 0.0).astype(np.float32)
         self._dy = dy
+
+    def backward(self, dy: np.ndarray) -> np.ndarray:
+        self.keep_grad(dy)
+        dy = self._dy
         p = self._params_for(dy.shape[0])
         if self.engine == "blocked":
             return self._bwd_engine().run_nchw(dy, self.weight)

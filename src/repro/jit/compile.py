@@ -28,9 +28,13 @@ construction:
   store/reload round-trips (un-hoisted variants) stay explicit expression
   nodes, so their evaluation order and intermediate precision are preserved.
 
-A bound kernel's ``batch`` evaluates a streak of calls with a leading call
-axis, in dependency rounds: calls that store to the same block run in
-streak order, one round each (see :meth:`_CompiledBound.batch`).
+A bound kernel evaluates many calls at once with a leading call axis.
+Stream replay hands it one dependency round of a CONV-STREAK at a time
+(:meth:`_CompiledBound.run_round`; the rounds are scheduled once per
+frozen stream, see :mod:`repro.streams.replay`).  A direct ``batch``
+caller passes any streak and gets the same rounds computed on the spot:
+calls that store to the same block run in streak order, one round each
+(see :meth:`_CompiledBound.batch`).
 
 Prefetch µops are no-ops in this tier.  When a ``MemTrace``/cache-simulator
 observer is attached, :meth:`CompiledKernel.bind` silently returns an
@@ -58,6 +62,7 @@ from repro.jit.tiers import (
 )
 from repro.obs.metrics import get_metrics
 from repro.obs.tracer import get_tracer
+from repro.streams.stream import store_rounds
 from repro.types import ReproError, UnsupportedError
 
 __all__ = [
@@ -729,31 +734,12 @@ def _build_plan(final_stores, vlen: int, widths: dict) -> _Plan:
     return _Plan(stores, store_tensors, est)
 
 
-def _rounds(key: np.ndarray) -> Optional[np.ndarray]:
-    """Dependency round of each call: how many earlier calls store to the
-    same base offset.  ``None`` when no offset repeats (one round)."""
-    n = key.size
-    perm = np.argsort(key, kind="stable")
-    srt = key[perm]
-    new = np.empty(n, dtype=bool)
-    new[0] = True
-    np.not_equal(srt[1:], srt[:-1], out=new[1:])
-    if new.all():
-        return None
-    # rank within each run of equal offsets, in call order (stable sort)
-    starts = np.flatnonzero(new)
-    rank = np.arange(n) - np.repeat(starts, np.diff(starts, append=n))
-    rounds = np.empty(n, dtype=np.int64)
-    rounds[perm] = rank
-    return rounds
-
-
 class _CompiledBound:
     """A compiled kernel bound to concrete buffers; replay-callable."""
 
     tier = "compiled"
 
-    __slots__ = ("plan", "buffers", "args", "scale", "extra", "_store_arg")
+    __slots__ = ("plan", "buffers", "args", "scale", "extra", "store_arg")
 
     def __init__(self, plan, buffers, args, scale, extra) -> None:
         self.plan = plan
@@ -761,9 +747,10 @@ class _CompiledBound:
         self.args = args
         self.scale = scale
         self.extra = extra
-        # the offset argument that selects the block a call stores to
+        #: index of the offset argument that selects the block a call
+        #: stores to; ``None`` when no single argument selects every store
         stores = plan.store_tensors
-        self._store_arg = (
+        self.store_arg = (
             args.index(next(iter(stores)))
             if len(stores) == 1 and stores <= set(args)
             else None
@@ -779,17 +766,28 @@ class _CompiledBound:
     def __call__(self, i_off, w_off, o_off, pi=0, pw=0, po=0) -> None:
         self._run(i_off, w_off, o_off, 1)
 
+    def run_round(self, i_arr, w_arr, o_arr) -> None:
+        """Run one dependency round -- calls that store to pairwise
+        distinct blocks, given as offset arrays -- at most ``batch_cap``
+        calls per evaluation.  Stream replay dispatches the groups of
+        :meth:`~repro.streams.stream.FrozenStream.schedule` here."""
+        cap = self.plan.batch_cap
+        for lo in range(0, len(i_arr), cap):
+            part = i_arr[lo : lo + cap]
+            self._run(part, w_arr[lo : lo + cap], o_arr[lo : lo + cap],
+                      len(part))
+
     def batch(self, i_arr, w_arr, o_arr) -> None:
-        """Run a streak of calls at once, bitwise equal to calling them in
-        order.
+        """Run any streak of calls at once, bitwise equal to calling them
+        in order.
 
         Calls that store to the same base offset (the ``c_b``-outer loop
         order revisiting an output block, the update pass re-accumulating
         one ``dW`` block) form a read-modify-write chain.  Round ``r``
         holds every call that is the ``r``-th in the streak to store to
-        its offset; rounds run in order, so each chain keeps its
-        sequential order, and calls within a round touch disjoint blocks.
-        Each round runs in chunks of at most ``batch_cap`` calls.  When
+        its offset (:func:`~repro.streams.stream.store_rounds`, the helper
+        stream schedules are built with); rounds run in order through
+        :meth:`run_round`, so each chain keeps its sequential order.  When
         no single offset argument selects every store, each call is its
         own round.
         """
@@ -799,21 +797,14 @@ class _CompiledBound:
             np.asarray(o_arr, dtype=np.int64),
         )
         n = arrs[0].size
-        if self._store_arg is None:
+        if self.store_arg is None:
             rounds = np.arange(n)
         else:
-            rounds = _rounds(arrs[self._store_arg])
-        if rounds is None:
-            sel = [np.arange(n)]
-        else:
-            # stable: calls keep their streak order inside a round
-            perm = np.argsort(rounds, kind="stable")
-            sel = np.split(perm, np.flatnonzero(np.diff(rounds[perm])) + 1)
-        cap = self.plan.batch_cap
-        for idx in sel:
-            for lo in range(0, idx.size, cap):
-                part = idx[lo : lo + cap]
-                self._run(*(a[part] for a in arrs), part.size)
+            rounds = store_rounds(arrs[self.store_arg])
+        # stable: calls keep their streak order inside a round
+        perm = np.argsort(rounds, kind="stable")
+        for idx in np.split(perm, np.flatnonzero(np.diff(rounds[perm])) + 1):
+            self.run_round(*(a[idx] for a in arrs))
 
 
 class _InterpretBound:

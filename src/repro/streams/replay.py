@@ -12,12 +12,23 @@ fetch.
 
 The loop contains no boundary/fusion conditionals -- precisely the point of
 the kernel-streams framework (section II-H).  Per-call bookkeeping is hoisted
-to freeze time (:class:`~repro.streams.stream.FrozenStream` precomputes the
-``next_conv`` prefetch-target array and Python-int offset mirrors), and when
-a kernel exposes a ``.batch`` method (the compiled execution tier,
-:mod:`repro.jit.compile`), each same-variant run inside a CONV-STREAK is
-dispatched as one batched call over the run's offset slices instead of a
-Python call per record.
+to freeze time: :class:`~repro.streams.stream.FrozenStream` precomputes the
+``next_conv`` prefetch-target array, Python-int offset mirrors and, once per
+store argument, the schedule of every CONV-STREAK
+(:meth:`~repro.streams.stream.FrozenStream.schedule`): calls grouped by
+(dependency round, variant), where a call's round is the number of earlier
+calls in the streak that store to its block.
+
+When every kernel of the table can run a round at once -- the compiled
+execution tier's binds (:mod:`repro.jit.compile`), which name the offset
+argument they store through as ``store_arg`` -- each group is one batched
+``run_round`` dispatch, across variants (a ``c_b``-outer streak alternates
+its zero-init and accumulate variants).  Groups run in order, so each
+block's read-modify-write chain keeps its recorded order; a call reads the
+stored tensor only inside its own block, so the result is bitwise that of
+recorded-order replay.  Any other table (the interpreter, trace-observed
+binds, a compile fallback) replays the streak call by call in recorded
+order with its prefetch arguments, so memory traces are exact.
 """
 
 from __future__ import annotations
@@ -43,12 +54,20 @@ def replay(
 ) -> int:
     """Execute one thread's recorded stream inside one ``stream.replay``
     span (on ``tracer``, default the process tracer); returns the number
-    of conv calls."""
+    of conv calls.  ``segments`` is the stream's RLE
+    (:meth:`~repro.streams.stream.FrozenStream.segments`)."""
     tracer = tracer if tracer is not None else get_tracer()
     if tracer.enabled:
         with tracer.span("stream.replay", calls=len(stream)):
             return _replay(stream, segments, kernels, apply_ops)
     return _replay(stream, segments, kernels, apply_ops)
+
+
+def _store_arg(kernels: Sequence[ConvKernel]) -> int | None:
+    """The offset argument every kernel of the table stores through, or
+    ``None`` unless all of them run dependency rounds batched."""
+    args = {getattr(fn, "store_arg", None) for fn in kernels}
+    return args.pop() if len(args) == 1 else None
 
 
 def _replay(
@@ -62,36 +81,25 @@ def _replay(
     w_off = stream.w_off_list
     o_off = stream.o_off_list
     next_conv = stream.next_conv_list
+    store_arg = _store_arg(kernels)
+    schedule = None if store_arg is None else stream.schedule(store_arg)
     conv_calls = 0
     for seg in segments:
         if seg.kind is SegmentKind.APPLY:
             t = seg.start
             apply_ops[seg.info](o_off[t], w_off[t], i_off[t])
             continue
-        # CONV-STREAK: Algorithm 5's inner loop, split into same-variant runs
-        stop = seg.start + seg.info
-        lo = seg.start
-        while lo < stop:
-            variant = kinds[lo]
-            hi = lo + 1
-            while hi < stop and kinds[hi] == variant:
-                hi += 1
-            fn = kernels[variant]
-            batch = getattr(fn, "batch", None)
-            if batch is not None and hi - lo > 1:
-                batch(
-                    stream.i_off[lo:hi],
-                    stream.w_off[lo:hi],
-                    stream.o_off[lo:hi],
+        # CONV-STREAK: Algorithm 5's inner loop
+        if schedule is not None:
+            for variant, i, w, o in schedule[seg.start]:
+                kernels[variant].run_round(i, w, o)
+        else:
+            for t in range(seg.start, seg.start + seg.info):
+                # prefetch args = next conv call's offsets (APPLYs skip)
+                nt = next_conv[t]
+                kernels[kinds[t]](
+                    i_off[t], w_off[t], o_off[t],
+                    i_off[nt], w_off[nt], o_off[nt],
                 )
-            else:
-                for t in range(lo, hi):
-                    # prefetch args = next conv call's offsets (APPLYs skip)
-                    nt = next_conv[t]
-                    fn(
-                        i_off[t], w_off[t], o_off[t],
-                        i_off[nt], w_off[nt], o_off[nt],
-                    )
-            conv_calls += hi - lo
-            lo = hi
+        conv_calls += seg.info
     return conv_calls

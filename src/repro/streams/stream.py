@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.types import ReproError
 
-__all__ = ["KernelStream", "CONV_CALL", "APPLY_CALL"]
+__all__ = ["KernelStream", "CONV_CALL", "APPLY_CALL", "store_rounds"]
 
 #: sentinel kernel ids; real conv variants are numbered 0..N-1
 CONV_CALL = 0
@@ -89,6 +89,24 @@ def _next_conv_index(kinds: np.ndarray) -> np.ndarray:
     return np.where(nxt >= n, own, nxt)
 
 
+def store_rounds(keys: np.ndarray) -> np.ndarray:
+    """Dependency round of each call: how many earlier calls store to the
+    same block (``keys`` holds each call's store base offset, in call
+    order).  The calls of one round store to pairwise distinct blocks."""
+    keys = np.asarray(keys)
+    n = keys.size
+    perm = np.argsort(keys, kind="stable")
+    srt = keys[perm]
+    first = np.ones(n, dtype=bool)
+    np.not_equal(srt[1:], srt[:-1], out=first[1:])
+    # rank within each run of equal offsets, in call order (stable sort)
+    starts = np.flatnonzero(first)
+    rank = np.arange(n) - np.repeat(starts, np.diff(starts, append=n))
+    rounds = np.empty(n, dtype=np.int64)
+    rounds[perm] = rank
+    return rounds
+
+
 @dataclass(frozen=True)
 class FrozenStream:
     """Immutable, array-backed form used by replay.
@@ -155,6 +173,51 @@ class FrozenStream:
             got = encode_segments(self)
             object.__setattr__(self, "_segments", got)
         return got
+
+    def schedule(self, store_arg: int) -> dict[int, tuple]:
+        """Batched replay schedule of every CONV-STREAK, keyed by the
+        streak's first record; built once per ``store_arg`` and cached.
+
+        ``store_arg`` picks the offset stream (0 ``i_off``, 1 ``w_off``,
+        2 ``o_off``) that selects the block each call stores to.  A
+        call's round is the number of earlier calls in its streak that
+        store to the same block (:func:`store_rounds`).  A streak's
+        groups are ``(variant, i_off, w_off, o_off)``, one per (round,
+        variant), rounds in order and calls in streak order inside a
+        group.  Running the groups in order keeps every block's
+        read-modify-write chain in recorded order, and the calls of one
+        group store to pairwise distinct blocks.
+        """
+        cache = self.__dict__.get("_schedules")
+        if cache is None:
+            cache = {}
+            object.__setattr__(self, "_schedules", cache)
+        got = cache.get(store_arg)
+        if got is None:
+            from repro.streams.rle import SegmentKind
+
+            store = (self.i_off, self.w_off, self.o_off)[store_arg]
+            got = cache[store_arg] = {
+                seg.start: self._streak_groups(
+                    store, seg.start, seg.start + seg.info
+                )
+                for seg in self.segments()
+                if seg.kind is SegmentKind.CONV_STREAK
+            }
+        return got
+
+    def _streak_groups(self, store: np.ndarray, lo: int, hi: int) -> tuple:
+        kinds = self.kinds[lo:hi]
+        rounds = store_rounds(store[lo:hi])
+        order = np.lexsort((kinds, rounds))  # stable: call order last
+        cut = np.flatnonzero(
+            (np.diff(rounds[order]) != 0) | (np.diff(kinds[order]) != 0)
+        )
+        return tuple(
+            (int(self.kinds[idx[0]]), self.i_off[idx], self.w_off[idx],
+             self.o_off[idx])
+            for idx in np.split(order + lo, cut + 1)
+        )
 
     def __len__(self) -> int:
         return int(self.kinds.size)

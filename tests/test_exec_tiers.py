@@ -2,17 +2,21 @@
 µop interpreter on every generated variant, and the tier plumbing
 (engines, factory, cache, trace fallback) must behave."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.arch.isa import KernelProgram, Op, Uop
 from repro.arch.machine import KNM, SKX
+from repro.conv.blocking import UpdBlockingPlan, choose_blocking
 from repro.conv.backward import DirectConvBackward
 from repro.conv.engine import make_engine
 from repro.conv.forward import DirectConvForward
 from repro.conv.fusion import Bias, ReLU
 from repro.conv.params import ConvParams
 from repro.conv.upd import DirectConvUpd
+from repro.jit import compile as jit_compile
 from repro.jit.compile import (
     EXECUTION_TIERS,
     CompiledKernel,
@@ -315,6 +319,150 @@ class TestBatchRounds:
         )
         assert np.array_equal(got.view(np.uint32), single.view(np.uint32))
         assert np.array_equal(got.view(np.uint32), ref.view(np.uint32))
+
+
+#: ``c_b``-outer on the VLEN=4 machine: C/VLEN = 3 input-channel blocks,
+#: and RB_Q = 4 on Q = 6 leaves a 2-column remainder, so the streams mix
+#: four variants (two block shapes, zero-init and accumulate)
+SCHED_FWD = ConvParams(N=2, C=12, K=8, H=6, W=6, R=3, S=3, stride=1,
+                       pad_h=1, pad_w=1)
+#: update pass with B_P = 4 on P = 6: a 2-row remainder variant
+SCHED_UPD = ConvParams(N=2, C=8, K=8, H=6, W=6, R=3, S=3, stride=1,
+                       pad_h=1, pad_w=1)
+
+
+def _q_remainder_plan(p, hoist_output=True):
+    return dataclasses.replace(
+        choose_blocking(p, TINY), rb_p=1, rb_p_rem=0, rb_q=4,
+        rb_q_rem=p.Q % 4, hoist_output=hoist_output,
+    )
+
+
+def _upd_remainder_plan(p):
+    return UpdBlockingPlan(vlen=4, b_p=4, b_q=p.Q, b_p_rem=p.P % 4,
+                           b_q_rem=0)
+
+
+def _fwd_tiers(p, rng, parallel=False, **kw):
+    """Forward outputs of both tiers on identical inputs."""
+    x, w, _ = rand_conv_tensors(p, rng)
+    bx = block_activations(x, 4, pad_h=p.pad_h, pad_w=p.pad_w)
+    bw = block_weights(w, 4)
+    outs = {}
+    for tier in ("compiled", "interpret"):
+        eng = DirectConvForward(p, machine=TINY, execution_tier=tier, **kw)
+        outs[tier] = eng(bx, bw, parallel=parallel).data
+    return eng, outs
+
+
+def _assert_bitwise(outs):
+    assert np.array_equal(outs["compiled"].view(np.uint32),
+                          outs["interpret"].view(np.uint32))
+
+
+def _stored_tensor_reads_stay_in_own_block(prog):
+    """Every element a program loads from the tensor it stores to is one
+    it also stores (so calls in one dependency round cannot see each
+    other's blocks)."""
+    vlen = prog.vlen
+    stored, loaded = {}, {}
+    for u in prog.uops:
+        if u.op in (Op.VSTORE, Op.VSTORE_NT):
+            stored.setdefault(u.tensor, set()).update(
+                range(u.offset, u.offset + vlen))
+        elif u.tensor is not None and u.op not in (Op.PREFETCH1,
+                                                   Op.PREFETCH2):
+            width = {Op.VLOAD: vlen, Op.V4FMA: int(u.imm) or 4,
+                     Op.VVNNI: 2 * (int(u.imm) or 4)}.get(u.op, 1)
+            if u.op is Op.VBCAST and u.imm == 2.0:
+                width = 2
+            loaded.setdefault(u.tensor, set()).update(
+                range(u.offset, u.offset + width))
+    assert len(stored) == 1, prog.name
+    (tensor, elems), = stored.items()
+    assert loaded.get(tensor, set()) <= elems, prog.name
+
+
+class TestStreakSchedule:
+    """Replay runs each CONV-STREAK as groups of one (dependency round,
+    variant), scheduled once per stream; the result must be exactly
+    recorded-order replay."""
+
+    @pytest.mark.parametrize("hoist", [True, False],
+                             ids=["hoisted", "unhoisted"])
+    def test_cb_outer_four_variants(self, rng, hoist):
+        eng, outs = _fwd_tiers(SCHED_FWD, rng,
+                               plan=_q_remainder_plan(SCHED_FWD, hoist))
+        assert eng.plan.loop_order == "cb_outer" and eng.cb == 3
+        assert len(eng._descs) == 4
+        assert len(set(eng.streams[0].kinds.tolist())) == 4
+        _assert_bitwise(outs)
+
+    def test_cb_outer_fused_ops_parallel_threads(self, rng):
+        bias = rng.standard_normal(SCHED_FWD.K).astype(np.float32)
+        eng, outs = _fwd_tiers(
+            SCHED_FWD, rng, parallel=True, threads=2,
+            plan=_q_remainder_plan(SCHED_FWD),
+            fused_ops=[Bias(bias), ReLU()],
+        )
+        assert len(eng.streams) == 2
+        _assert_bitwise(outs)
+
+    def test_update_pass_with_a_bp_remainder(self, rng):
+        p = SCHED_UPD
+        x, _, dy = rand_conv_tensors(p, rng)
+        dws = {}
+        for tier in ("compiled", "interpret"):
+            eng = DirectConvUpd(p, machine=TINY, execution_tier=tier,
+                                plan=_upd_remainder_plan(p))
+            dws[tier] = eng.run_nchw(x, dy)
+        assert len(eng.descs) == 2
+        _assert_bitwise(dws)
+
+    def test_one_dispatch_per_round_and_variant(self, rng, monkeypatch):
+        """24 calls alternate a zero-init and an accumulate variant in
+        runs of three; replay evaluates the plan twice, one round each."""
+        p = ConvParams(N=2, C=8, K=8, H=6, W=6, R=3, S=3, stride=1,
+                       pad_h=1, pad_w=1)
+        eng = DirectConvForward(p, machine=TINY)
+        assert eng.total_conv_calls == 24 and len(eng._descs) == 2
+        x, w, _ = rand_conv_tensors(p, rng)
+        bx = block_activations(x, 4, pad_h=1, pad_w=1)
+        bw = block_weights(w, 4)
+        ref = eng.execute_uops(bx, bw).data
+        sizes = []
+        run = jit_compile._Plan.run
+
+        def counting(plan, buffers, bases, scale, batch):
+            sizes.append(batch)
+            run(plan, buffers, bases, scale, batch)
+
+        monkeypatch.setattr(jit_compile._Plan, "run", counting)
+        for _ in range(2):
+            sizes.clear()
+            got = eng(bx, bw).data
+            assert sizes == [12, 12]
+            assert np.array_equal(got.view(np.uint32), ref.view(np.uint32))
+
+    def test_stored_tensor_reads_stay_in_own_block(self):
+        engines = [
+            DirectConvForward(SCHED_FWD, machine=TINY,
+                              plan=_q_remainder_plan(SCHED_FWD)),
+            DirectConvForward(SCHED_FWD, machine=TINY,
+                              fused_ops=[ReLU()],
+                              plan=_q_remainder_plan(SCHED_FWD)),
+            DirectConvForward(SCHED_FWD, machine=TINY,
+                              plan=_q_remainder_plan(SCHED_FWD, False)),
+            DirectConvUpd(SCHED_UPD, machine=TINY,
+                          plan=_upd_remainder_plan(SCHED_UPD)),
+            QuantConvForward(ConvParams(N=1, C=32, K=32, H=6, W=6, R=3,
+                                        S=3, stride=1, pad_h=1, pad_w=1),
+                             machine=KNM),
+        ]
+        for eng in engines:
+            assert len(eng.programs) >= 2
+            for prog in eng.programs:
+                _stored_tensor_reads_stay_in_own_block(prog)
 
 
 def _chains(node):

@@ -5,6 +5,7 @@ import pytest
 
 from repro.gxm.data import SyntheticImageDataset
 from repro.gxm.etg import ExecutionTaskGraph
+from repro.gxm.nodes import ConvNode
 from repro.gxm.topology import TopologySpec
 from repro.gxm.trainer import SGD, Trainer
 from repro.models.resnet50 import resnet_mini_topology
@@ -104,6 +105,26 @@ class TestGradientCheck:
         assert losses["fast"] == pytest.approx(losses["blocked"], rel=1e-5)
         assert np.allclose(grads["fast"], grads["blocked"], rtol=1e-3,
                            atol=1e-5)
+
+
+class TestInputGradientSkip:
+    def test_conv_on_the_data_top_builds_no_bwd_engine(self, rng):
+        """The Data top keeps no gradient, so a blocked step never builds
+        (or replays) conv1's BWD engine; every other conv needs one, and
+        every conv still lands its weight gradient."""
+        topo = resnet_mini_topology(num_classes=4, width=32)
+        etg = ExecutionTaskGraph(topo, (2, 16, 8, 8), engine="blocked",
+                                 seed=0)
+        x = rng.standard_normal((2, 16, 8, 8)).astype(np.float32)
+        y = rng.integers(0, 4, 2)
+        Trainer(etg, lr=0.05).train_step(x, y)
+        convs = {name: node for name, node in etg.nodes.items()
+                 if isinstance(node, ConvNode)}
+        assert len(convs) > 1
+        assert convs["conv1"]._bwd is None
+        assert all(node._bwd is not None
+                   for name, node in convs.items() if name != "conv1")
+        assert all(node.dweight.any() for node in convs.values())
 
 
 class TestTraining:
