@@ -8,7 +8,12 @@ and records the per-layer and geometric-mean speedups (interpret/compiled)
 to a JSON report.  The update pass re-accumulates each ``dW`` block over
 many calls, and ``res3a_b``'s ``c_b``-outer streams alternate a zero-init
 and an accumulate variant, so those two rows cover replay's dependency
-rounds within one variant and across variants.
+rounds within one variant and across variants.  Every row also records
+``calls``, the conv calls of one run, and ``grid_calls``, how many of
+them replay in rounds laid out as a weight-block x input-row grid with
+more than one input row; the rest run one row wide (``(B, 1)`` column
+groups, or one input row against several weight blocks).  Table-1
+layer 20 mixes both.
 
 Run as a plain script (not pytest -- the timing loop is its own harness)::
 
@@ -60,6 +65,21 @@ def _time_call(fn, repeats: int) -> float:
     return best
 
 
+def _grid_share(results: dict, eng, store_arg: int) -> None:
+    """Record the engine's conv calls and how many of them its replay
+    schedule (``store_arg``: 2 for forward binds, 1 for update binds)
+    lays out as grids more than one input row wide."""
+    calls = grid = 0
+    for stream in eng.streams:
+        for groups in stream.schedule(store_arg).values():
+            for _variant, i, w, o in groups:
+                n = np.broadcast(i, w, o).size
+                calls += n
+                grid += n if i.shape[1] > 1 else 0
+    results["calls"] = calls
+    results["grid_calls"] = grid
+
+
 def _compare(results: dict, outs: dict) -> dict:
     """Record whether both tiers' outputs are bitwise equal, and the
     speedup (interpret/compiled)."""
@@ -99,6 +119,7 @@ def bench_f32_layer(layer_id: int | str, p: ConvParams, repeats: int,
             run()  # amortize plan building up front
         results[f"{tier}_s"] = _time_call(run, repeats)
         outs[tier] = out.data.copy()
+    _grid_share(results, eng, store_arg=2)
     return _compare(results, outs)
 
 
@@ -122,6 +143,7 @@ def bench_upd_layer(layer_id: int, p: ConvParams, repeats: int) -> dict:
         if tier != "interpret":
             run()
         results[f"{tier}_s"] = _time_call(run, repeats)
+    _grid_share(results, eng, store_arg=1)
     return _compare(results, outs)
 
 
@@ -142,6 +164,7 @@ def bench_q16_layer(layer_id: int, p: ConvParams, repeats: int) -> dict:
         if tier != "interpret":
             run()
         results[f"{tier}_s"] = _time_call(run, repeats)
+    _grid_share(results, eng, store_arg=2)
     return _compare(results, outs)
 
 
@@ -150,7 +173,8 @@ def _print_row(row: dict) -> None:
         f"layer {row['layer']:>7} {row['dtype']:<7} {row['pass']}  "
         f"interpret {row['interpret_s']:8.3f}s  "
         f"compiled {row['compiled_s']:8.3f}s  "
-        f"speedup {row['speedup']:7.1f}x  exact={row['exact']}"
+        f"speedup {row['speedup']:7.1f}x  "
+        f"grid {row['grid_calls']}/{row['calls']}  exact={row['exact']}"
     )
 
 
@@ -164,8 +188,9 @@ def main(argv=None) -> int:
                          "affordable; relative speedups are N-independent)")
     ap.add_argument("--repeats", type=int, default=1)
     ap.add_argument("--quick", action="store_true",
-                    help="one small f32 forward layer plus the res3a_b "
-                         "and update-pass rows (CI smoke)")
+                    help="Table-1 layers 2 and 20 (all-grid and mixed "
+                         "grid/column replay) plus the res3a_b and "
+                         "update-pass rows (CI smoke)")
     ap.add_argument("--no-quant", action="store_true",
                     help="skip the int16 (KNM) measurement")
     ap.add_argument("--out", default="BENCH_exec_tiers.json")
@@ -174,7 +199,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     if args.quick:
-        layers = [2]
+        layers = [2, 20]
         quant_layers = []
     else:
         ids = (

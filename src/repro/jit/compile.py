@@ -28,13 +28,23 @@ construction:
   store/reload round-trips (un-hoisted variants) stay explicit expression
   nodes, so their evaluation order and intermediate precision are preserved.
 
-A bound kernel evaluates many calls at once with a leading call axis.
-Stream replay hands it one dependency round of a CONV-STREAK at a time
-(:meth:`_CompiledBound.run_round`; the rounds are scheduled once per
-frozen stream, see :mod:`repro.streams.replay`).  A direct ``batch``
-caller passes any streak and gets the same rounds computed on the spot:
-calls that store to the same block run in streak order, one round each
-(see :meth:`_CompiledBound.batch`).
+A bound kernel evaluates many calls at once, laid out as a ``(G, H)``
+grid.  Stream replay hands it one dependency round of a CONV-STREAK at a
+time (:meth:`_CompiledBound.run_round`; the rounds are scheduled once per
+frozen stream, see :mod:`repro.streams.replay`).  Nearly every round is
+the cross product of ``G`` weight-side blocks and ``H`` input rows -- the
+reuse-ordered loop nest of the paper's register-blocked microkernel --
+and arrives as ``(1, H)`` input, ``(G, 1)`` row and ``(G, H)`` store
+offsets; any other round arrives as ``(B, 1)`` columns, the ``H = 1``
+case of the same code.  Every plan node evaluates in one
+``(G, VLEN, H, m)`` layout (``m`` members of a store group), so a row's
+weight vectors are gathered once, an input row's scalars are gathered
+once, and a chain's products multiply each weight lane by ``H * m``
+contiguous scalars.  Every output element keeps its init, its terms and
+their left-fold order, so the grid changes no bit.  A direct ``batch``
+caller passes any streak and gets the same rounds, laid out the same
+way, computed on the spot: calls that store to the same block run in
+streak order, one round each (see :meth:`_CompiledBound.batch`).
 
 Prefetch µops are no-ops in this tier.  When a ``MemTrace``/cache-simulator
 observer is attached, :meth:`CompiledKernel.bind` silently returns an
@@ -62,8 +72,8 @@ from repro.jit.tiers import (
 )
 from repro.obs.metrics import get_metrics
 from repro.obs.tracer import get_tracer
-from repro.streams.stream import store_rounds
-from repro.types import ReproError, UnsupportedError
+from repro.streams.stream import round_grid, store_rounds
+from repro.types import ReproError, ShapeError, UnsupportedError
 
 __all__ = [
     "CompileUnsupported",
@@ -386,25 +396,68 @@ def _sig(node, memo: dict) -> tuple:
 _BATCH_BUDGET = 2_000_000
 #: float64 elements of a chain's term-product scratch (256 KB, L2-resident)
 _PRODUCT_BLOCK = 1 << 15
+#: shortest ``H * m`` inner loop whose products run with numpy's smallest
+#: ufunc buffer: with the default (8192 elements) numpy copies a broadcast
+#: weight into the buffer to lengthen shorter inner loops, ~4x slower per
+#: product (measured on numpy 2.4); below this length that copy costs
+#: less than the extra loop overhead
+_UNBUFFERED_MIN = 64
+_MIN_BUFSIZE = 16
+
+
+#: the base of a tensor no offset argument moves
+_NO_BASE = np.zeros((1, 1, 1, 1), dtype=np.int64)
+
+
+def _grid_base(base) -> np.ndarray:
+    """A base offset -- a scalar or a 2-D array broadcasting to the
+    ``(G, H)`` grid -- shaped ``(G|1, 1, H|1, 1)`` for the layout."""
+    base = np.asarray(base)
+    g, h = base.shape if base.ndim == 2 else (1, 1)
+    return base.reshape(g, 1, h, 1)
 
 
 class _Ctx:
-    __slots__ = ("buffers", "bases", "scale", "batch")
+    """One batched evaluation of a plan over a ``(G, H)`` grid of calls.
 
-    def __init__(self, buffers, bases, scale, batch) -> None:
+    Every node evaluates to the layout ``(G, n, H, m)``: grid rows, the
+    ``n`` vector lanes, grid columns, and the ``m`` members of a store
+    group, so a chain's products and adds run over ``H * m`` contiguous
+    elements.  ``bases`` maps each tensor to its base offset: a scalar,
+    or an array that broadcasts to ``(G, H)`` -- ``(G, 1)`` for the
+    tensor a grid row selects, ``(1, H)`` for the input (a column),
+    ``(G, H)`` for the stored tensor, and ``(B, 1)`` for all three in a
+    column group (``H = 1``).  A tensor's operands are gathered over its
+    own base's shape only, so a row's weights are gathered once, not
+    once per column."""
+
+    __slots__ = ("buffers", "bases", "scale", "grid")
+
+    def __init__(self, buffers, bases, scale) -> None:
         self.buffers = buffers
-        self.bases = bases
+        self.bases = {t: _grid_base(b) for t, b in bases.items()}
+        g, _, h, _ = np.broadcast_shapes(
+            _NO_BASE.shape, *(b.shape for b in self.bases.values())
+        )
+        self.grid = (g, h)
         self.scale = scale
-        self.batch = batch  # B, the number of calls evaluated together
 
-    def base(self, tensor: str, ndim: int) -> np.ndarray:
-        """``tensor``'s per-call base offsets shaped ``(B, 1, ...)`` (or
-        one shared scalar) to broadcast against an ``ndim``-d index."""
-        return np.reshape(self.bases.get(tensor, 0), (-1,) + (1,) * ndim)
+    def base(self, tensor: str) -> np.ndarray:
+        """``tensor``'s base offsets shaped ``(G|1, 1, H|1, 1)``; indices
+        of shape ``(n, 1, m)`` or ``(T, 1, n, 1, m)`` broadcast against
+        it into the layout."""
+        return self.bases.get(tensor, _NO_BASE)
 
 
 def _f64(a: np.ndarray) -> np.ndarray:
     return a.astype(np.float64) if a.dtype != np.float64 else a
+
+
+def _lanes(offs: np.ndarray, n: int) -> np.ndarray:
+    """Element offsets of ``n``-wide vectors at ``offs`` (one per member),
+    shaped ``(n, 1, m)`` and contiguous, so gathers come out in the
+    ``(G, n, H, m)`` layout in C order."""
+    return np.ascontiguousarray((offs[:, None] + np.arange(n)).T[:, None])
 
 
 class _EZero:
@@ -415,25 +468,27 @@ class _EZero:
         self.n = n
 
     def eval(self, ctx: _Ctx) -> np.ndarray:
-        return np.zeros((ctx.batch, self.m, self.n))
+        g, h = ctx.grid
+        return np.zeros((g, self.n, h, self.m))
 
 
 class _EGather:
     """Vector load: ``buf[base + off : base + off + n]`` per member."""
 
-    __slots__ = ("tensor", "idx")
+    __slots__ = ("tensor", "lanes")
 
     def __init__(self, tensor: str, offs: np.ndarray, n: int) -> None:
         self.tensor = tensor
-        self.idx = offs[:, None] + np.arange(n)  # (m, n)
+        self.lanes = _lanes(offs, n)
 
     def eval(self, ctx: _Ctx) -> np.ndarray:
         buf = ctx.buffers[self.tensor]
-        return _f64(buf[self.idx + ctx.base(self.tensor, 2)])
+        return _f64(buf[self.lanes + ctx.base(self.tensor)])
 
 
 class _EBcastS:
-    """Scalar broadcast materialized as an (m, n) block."""
+    """Scalar broadcast ``buf[base + off]`` materialized across the ``n``
+    lanes, per member."""
 
     __slots__ = ("tensor", "offs", "n")
 
@@ -444,8 +499,8 @@ class _EBcastS:
 
     def eval(self, ctx: _Ctx) -> np.ndarray:
         buf = ctx.buffers[self.tensor]
-        v = _f64(buf[self.offs + ctx.base(self.tensor, 1)])
-        return np.repeat(v[..., None], self.n, axis=-1)
+        v = _f64(buf[self.offs + ctx.base(self.tensor)])  # (G, 1, H, m)
+        return np.repeat(v, self.n, axis=1)
 
 
 class _ECast:
@@ -502,11 +557,13 @@ class _EBin:
 
 class _Run:
     """A maximal run of chain terms sharing (kind, weight tensor, scalar
-    tensor).  ``widx`` is ``(T, 1, m, wn)``, or ``(T, 1, 1, wn)`` when
-    every member of the store group reads the same weight vector at each
-    term -- then the vector is gathered once per term, not once per
-    member.  ``sidx`` is ``(T, 1, m, pair)``; the unit axis takes the
-    calls."""
+    tensor).  ``widx`` is ``(T, 1, wn, 1, m)``, or ``(T, 1, wn, 1, 1)``
+    when every member of the store group reads the same weight vector at
+    each term -- then the vector is gathered once per term, not once per
+    member.  ``sidx`` is ``(T, 1, pair, 1, m)``.  The unit axes take the
+    grid's rows and columns from the tensors' bases, so the weight
+    vectors of a grid row are gathered ``(T, G, wn, 1, 1)`` and the
+    scalars of an input column ``(T, 1, pair, H, m)``."""
 
     __slots__ = ("T", "wtensor", "widx", "stensor", "sidx")
     pair = 1  # scalar operands per term
@@ -516,9 +573,11 @@ class _Run:
         if (woffs == woffs[:, :1]).all():
             woffs = woffs[:, :1]
         self.wtensor = wtensor
-        self.widx = woffs[:, None, :, None] + np.arange(wn)
+        self.widx = (woffs[:, None, None, None, :]
+                     + np.arange(wn)[:, None, None])
         self.stensor = stensor
-        self.sidx = soffs[:, None, :, None] + np.arange(self.pair)
+        self.sidx = (soffs[:, None, None, None, :]
+                     + np.arange(self.pair)[:, None, None])
 
     @property
     def elements(self) -> int:
@@ -526,14 +585,26 @@ class _Run:
         return self.widx.size + self.sidx.size
 
     def fold(self, acc: np.ndarray, ctx: _Ctx) -> None:
-        """Add the run's terms to ``acc`` one at a time, in order.  One
-        multiply forms the products of as many terms as fit in
-        ``_PRODUCT_BLOCK`` elements (the per-term multiply of a small
-        batch costs more in numpy call overhead than in arithmetic)."""
+        """Add the run's terms to ``acc`` (``(G, n, H, m)``) one at a
+        time, in order.  One multiply forms the products of as many terms
+        as fit in ``_PRODUCT_BLOCK`` elements (the per-term multiply of a
+        small batch costs more in numpy call overhead than in
+        arithmetic); against a shared weight vector its inner loop runs
+        over ``H * m`` scalars per weight lane, unbuffered once that is at
+        least ``_UNBUFFERED_MIN`` long.  Buffering never changes a value."""
         wb = ctx.buffers[self.wtensor]
         sb = ctx.buffers[self.stensor]
-        w = _f64(wb[self.widx + ctx.base(self.wtensor, 2)])
-        s = _f64(sb[self.sidx + ctx.base(self.stensor, 2)])
+        w = _f64(wb[self.widx + ctx.base(self.wtensor)])
+        s = _f64(sb[self.sidx + ctx.base(self.stensor)])
+        if acc.shape[2] * acc.shape[3] < _UNBUFFERED_MIN:
+            return self._fold(w, s, acc)
+        bufsize = np.setbufsize(_MIN_BUFSIZE)
+        try:
+            self._fold(w, s, acc)
+        finally:
+            np.setbufsize(bufsize)
+
+    def _fold(self, w, s, acc) -> None:
         k = max(1, min(self.T, _PRODUCT_BLOCK // acc.size))
         prod = np.empty((k,) + acc.shape)
         for t0 in range(0, self.T, k):
@@ -562,9 +633,9 @@ class _RunVnni(_Run):
     @staticmethod
     def products(w, s, out) -> None:
         # mul, mul, add in f64: the interpreter's reshape(vlen, 2) pair
-        # product exactly
-        np.multiply(w[..., 0::2], s[..., :1], out=out)
-        out += w[..., 1::2] * s[..., 1:]
+        # product exactly (axis 2 holds the lanes and the pair)
+        np.multiply(w[:, :, 0::2], s[:, :, :1], out=out)
+        out += w[:, :, 1::2] * s[:, :, 1:]
 
 
 class _EAcc:
@@ -572,35 +643,49 @@ class _EAcc:
     accumulator -- the interpreter's per-µop ``acc += w*b`` left fold,
     with the same rounding sequence."""
 
-    __slots__ = ("init", "runs", "integer", "elements")
+    __slots__ = ("init", "runs", "integer", "m", "n", "elements")
 
     def __init__(self, init, runs: list, integer: bool, m: int, n: int):
         self.init = init
         self.runs = runs
         self.integer = integer
+        self.m = m
+        self.n = n
         # the accumulator plus each run's gathered operands
         self.elements = m * n + sum(r.elements for r in runs)
 
     def eval(self, ctx: _Ctx) -> np.ndarray:
         # every eval returns a new array, so the fold may overwrite it
         acc = self.init.eval(ctx)
+        g, h = ctx.grid
+        if acc.shape != (g, self.n, h, self.m):
+            # an init that is the same for a whole grid row or column
+            acc = np.broadcast_to(acc, (g, self.n, h, self.m)).copy()
         for run in self.runs:
             run.fold(acc, ctx)
         return acc
 
 
 class _EStore:
-    __slots__ = ("tensor", "idx", "node")
+    """Scatter a store group's ``(G, n, H, m)`` values."""
+
+    __slots__ = ("tensor", "lanes", "node")
 
     def __init__(self, tensor: str, offs: np.ndarray, n: int, node) -> None:
         self.tensor = tensor
-        self.idx = offs[:, None] + np.arange(n)  # (m, n)
+        self.lanes = _lanes(offs, n)
         self.node = node
+
+    @property
+    def idx(self) -> np.ndarray:
+        """The ``(m, n)`` element offsets the members store, one row
+        each."""
+        return self.lanes[:, 0].T
 
     def execute(self, ctx: _Ctx) -> None:
         val = self.node.eval(ctx)
         buf = ctx.buffers[self.tensor]
-        buf[self.idx + ctx.base(self.tensor, 2)] = val
+        buf[self.lanes + ctx.base(self.tensor)] = val
 
 
 class _Plan:
@@ -617,7 +702,9 @@ class _Plan:
         self.batch_cap = max(1, _BATCH_BUDGET // max(1, est))
 
     def run(self, buffers, bases, scale, batch) -> None:
-        ctx = _Ctx(buffers, bases, scale, batch)
+        """Evaluate ``batch`` calls at once: a ``(G, H)`` grid, ``G * H ==
+        batch``, whose shape the ``bases`` carry (see :class:`_Ctx`)."""
+        ctx = _Ctx(buffers, bases, scale)
         for st in self.stores:
             st.execute(ctx)
 
@@ -734,6 +821,20 @@ def _build_plan(final_stores, vlen: int, widths: dict) -> _Plan:
     return _Plan(stores, store_tensors, est)
 
 
+def _grid_shape(arrs) -> tuple[int, int]:
+    """The ``(G, H)`` grid three 2-D offset arrays broadcast to."""
+    shapes = [a.shape for a in arrs]
+    if all(len(sh) == 2 for sh in shapes):
+        try:
+            return np.broadcast_shapes(*shapes)
+        except ValueError:
+            pass
+    raise ShapeError(
+        "run_round takes 2-D offset arrays that broadcast to one (G, H) "
+        f"grid, got shapes {shapes}"
+    )
+
+
 class _CompiledBound:
     """A compiled kernel bound to concrete buffers; replay-callable."""
 
@@ -768,14 +869,34 @@ class _CompiledBound:
 
     def run_round(self, i_arr, w_arr, o_arr) -> None:
         """Run one dependency round -- calls that store to pairwise
-        distinct blocks, given as offset arrays -- at most ``batch_cap``
-        calls per evaluation.  Stream replay dispatches the groups of
-        :meth:`~repro.streams.stream.FrozenStream.schedule` here."""
+        distinct blocks -- given as 2-D offset arrays that broadcast to
+        one ``(G, H)`` grid of calls.
+
+        :func:`~repro.streams.stream.round_grid` lays a round out as a
+        cross product -- ``(1, H)`` inputs, ``(G, 1)`` rows, ``(G, H)``
+        stores -- or as ``(B, 1)`` columns; stream replay dispatches the
+        groups of :meth:`~repro.streams.stream.FrozenStream.schedule`
+        here.  One evaluation takes at most ``batch_cap`` calls: a wider
+        grid is cut into blocks of up to ``batch_cap`` columns and as
+        many rows as the cap leaves.  Raises :class:`ShapeError` when the
+        arrays are not 2-D or do not broadcast together.
+        """
+        arrs = [np.asarray(a) for a in (i_arr, w_arr, o_arr)]
+        rows, cols = _grid_shape(arrs)
         cap = self.plan.batch_cap
-        for lo in range(0, len(i_arr), cap):
-            part = i_arr[lo : lo + cap]
-            self._run(part, w_arr[lo : lo + cap], o_arr[lo : lo + cap],
-                      len(part))
+        h = max(1, min(cols, cap))
+        g = max(1, min(rows, cap // h))
+        whole = slice(None)  # a broadcast axis spans every block
+        for r in range(0, rows, g):
+            rs = slice(r, r + g)
+            for c in range(0, cols, h):
+                cs = slice(c, c + h)
+                part = [
+                    a[rs if a.shape[0] > 1 else whole,
+                      cs if a.shape[1] > 1 else whole]
+                    for a in arrs
+                ]
+                self._run(*part, min(g, rows - r) * min(h, cols - c))
 
     def batch(self, i_arr, w_arr, o_arr) -> None:
         """Run any streak of calls at once, bitwise equal to calling them
@@ -787,15 +908,18 @@ class _CompiledBound:
         holds every call that is the ``r``-th in the streak to store to
         its offset (:func:`~repro.streams.stream.store_rounds`, the helper
         stream schedules are built with); rounds run in order through
-        :meth:`run_round`, so each chain keeps its sequential order.  When
-        no single offset argument selects every store, each call is its
-        own round.
+        :meth:`run_round`, each laid out by
+        :func:`~repro.streams.stream.round_grid`, so each chain keeps its
+        sequential order.  When no single offset argument selects every
+        store, each call is its own round.  Raises :class:`ShapeError`
+        unless the offsets are three equal-length 1-D arrays.
         """
-        arrs = (
-            np.asarray(i_arr, dtype=np.int64),
-            np.asarray(w_arr, dtype=np.int64),
-            np.asarray(o_arr, dtype=np.int64),
-        )
+        arrs = [np.asarray(a, dtype=np.int64) for a in (i_arr, w_arr, o_arr)]
+        if any(a.ndim != 1 for a in arrs) or len({a.size for a in arrs}) > 1:
+            raise ShapeError(
+                "batch takes three equal-length 1-D offset arrays, got "
+                f"shapes {[a.shape for a in arrs]}"
+            )
         n = arrs[0].size
         if self.store_arg is None:
             rounds = np.arange(n)
@@ -804,7 +928,9 @@ class _CompiledBound:
         # stable: calls keep their streak order inside a round
         perm = np.argsort(rounds, kind="stable")
         for idx in np.split(perm, np.flatnonzero(np.diff(rounds[perm])) + 1):
-            self.run_round(*(a[idx] for a in arrs))
+            self.run_round(
+                *round_grid(*(a[idx] for a in arrs), self.store_arg)
+            )
 
 
 class _InterpretBound:

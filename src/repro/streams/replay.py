@@ -17,16 +17,21 @@ to freeze time: :class:`~repro.streams.stream.FrozenStream` precomputes the
 store argument, the schedule of every CONV-STREAK
 (:meth:`~repro.streams.stream.FrozenStream.schedule`): calls grouped by
 (dependency round, variant), where a call's round is the number of earlier
-calls in the streak that store to its block.
+calls in the streak that store to its block.  A group whose calls are the
+cross product of its weight-side blocks and input rows is laid out as that
+grid -- ``(1, H)`` input, ``(G, 1)`` row and ``(G, H)`` store offsets,
+row-major -- and any other group as ``(B, 1)`` columns in recorded order
+(:func:`~repro.streams.stream.round_grid`).
 
 When every kernel of the table can run a round at once -- the compiled
 execution tier's binds (:mod:`repro.jit.compile`), which name the offset
 argument they store through as ``store_arg`` -- each group is one batched
 ``run_round`` dispatch, across variants (a ``c_b``-outer streak alternates
 its zero-init and accumulate variants).  Groups run in order, so each
-block's read-modify-write chain keeps its recorded order; a call reads the
-stored tensor only inside its own block, so the result is bitwise that of
-recorded-order replay.  Any other table (the interpreter, trace-observed
+block's read-modify-write chain keeps its recorded order; the calls of a
+group store to distinct blocks and read the stored tensor only inside
+their own, so neither batching nor the grid's row-major order changes a
+bit of recorded-order replay.  Any other table (the interpreter, trace-observed
 binds, a compile fallback) replays the streak call by call in recorded
 order with its prefetch arguments, so memory traces are exact.
 """

@@ -15,7 +15,9 @@ import numpy as np
 
 from repro.types import ReproError
 
-__all__ = ["KernelStream", "CONV_CALL", "APPLY_CALL", "store_rounds"]
+__all__ = [
+    "KernelStream", "CONV_CALL", "APPLY_CALL", "store_rounds", "round_grid",
+]
 
 #: sentinel kernel ids; real conv variants are numbered 0..N-1
 CONV_CALL = 0
@@ -107,6 +109,42 @@ def store_rounds(keys: np.ndarray) -> np.ndarray:
     return rounds
 
 
+#: the offset argument that indexes a grid's rows, by store argument: the
+#: weight block when a bind stores through ``o_off`` (forward, backward),
+#: the output-gradient block when it stores through ``w_off`` (update)
+_ROW_ARG = {2: 1, 1: 2}
+
+
+def round_grid(i_off, w_off, o_off, store_arg) -> tuple:
+    """Lay out one dependency round's calls (equal-length 1-D offset
+    arrays) for a batched dispatch.
+
+    Rows are the distinct offsets of the argument other than ``i_off``
+    and the store argument ``store_arg``; columns are the distinct
+    ``i_off``.  When the calls are exactly the cross product of rows and
+    columns, each pair once, they are ordered row-major and returned as
+    a ``(1, H)`` input array, a ``(G, 1)`` row array and a ``(G, H)``
+    store array, so a kernel gathers each row's and each column's
+    operands once.  Otherwise every array is a ``(B, 1)`` column in call
+    order.  Reordering is safe because the calls of one round store to
+    pairwise distinct blocks."""
+    arrs = [i_off, w_off, o_off]
+    row_arg = _ROW_ARG.get(store_arg)
+    if row_arg is not None:
+        rows, r = np.unique(arrs[row_arg], return_inverse=True)
+        cols, c = np.unique(i_off, return_inverse=True)
+        cell = r * cols.size + c
+        if (cell.size == rows.size * cols.size
+                and np.unique(cell).size == cell.size):
+            grid = [cols[None, :], None, None]
+            grid[row_arg] = rows[:, None]
+            grid[store_arg] = arrs[store_arg][np.argsort(cell)].reshape(
+                rows.size, cols.size
+            )
+            return tuple(grid)
+    return tuple(a[:, None] for a in arrs)
+
+
 @dataclass(frozen=True)
 class FrozenStream:
     """Immutable, array-backed form used by replay.
@@ -183,8 +221,10 @@ class FrozenStream:
         call's round is the number of earlier calls in its streak that
         store to the same block (:func:`store_rounds`).  A streak's
         groups are ``(variant, i_off, w_off, o_off)``, one per (round,
-        variant), rounds in order and calls in streak order inside a
-        group.  Running the groups in order keeps every block's
+        variant), rounds in order.  Each group is laid out by
+        :func:`round_grid`: a weight-block x input-row grid when its
+        calls are that cross product, else ``(B, 1)`` columns in streak
+        order.  Running the groups in order keeps every block's
         read-modify-write chain in recorded order, and the calls of one
         group store to pairwise distinct blocks.
         """
@@ -196,26 +236,26 @@ class FrozenStream:
         if got is None:
             from repro.streams.rle import SegmentKind
 
-            store = (self.i_off, self.w_off, self.o_off)[store_arg]
             got = cache[store_arg] = {
                 seg.start: self._streak_groups(
-                    store, seg.start, seg.start + seg.info
+                    store_arg, seg.start, seg.start + seg.info
                 )
                 for seg in self.segments()
                 if seg.kind is SegmentKind.CONV_STREAK
             }
         return got
 
-    def _streak_groups(self, store: np.ndarray, lo: int, hi: int) -> tuple:
+    def _streak_groups(self, store_arg: int, lo: int, hi: int) -> tuple:
+        offs = (self.i_off, self.w_off, self.o_off)
         kinds = self.kinds[lo:hi]
-        rounds = store_rounds(store[lo:hi])
+        rounds = store_rounds(offs[store_arg][lo:hi])
         order = np.lexsort((kinds, rounds))  # stable: call order last
         cut = np.flatnonzero(
             (np.diff(rounds[order]) != 0) | (np.diff(kinds[order]) != 0)
         )
         return tuple(
-            (int(self.kinds[idx[0]]), self.i_off[idx], self.w_off[idx],
-             self.o_off[idx])
+            (int(self.kinds[idx[0]]),)
+            + round_grid(*(a[idx] for a in offs), store_arg)
             for idx in np.split(order + lo, cut + 1)
         )
 

@@ -33,8 +33,10 @@ from repro.models.resnet50 import resnet50_layer
 from repro.quant.qconv_engine import QuantConvForward
 from repro.quant.qtensor import quantize
 from repro.conv.reference import conv2d_forward
+from repro.streams.replay import replay
+from repro.streams.stream import KernelStream
 from repro.tensor.blocked import block_activations, block_weights
-from repro.types import ReproError
+from repro.types import ReproError, ShapeError
 from tests.conftest import TINY, assert_close, rand_conv_tensors
 
 #: layer shapes exercising every µop generator feature on the VLEN=4 machine:
@@ -75,6 +77,28 @@ def _bound_calls(ck, buffers, args, stored, calls):
                 execute_kernel(ck.program, bufs, dict(zip(args, (i, w, o))))
         results.append(bufs[stored])
     return results
+
+
+def _grid_round(ck, buffers, args, stored, i_off, w_off, o_off):
+    """Run one round laid out as a grid (``(1, H)``, ``(G, 1)`` and
+    ``(G, H)`` offsets for ``args``); return the stored tensor, and the
+    same calls run one at a time by the interpreter."""
+    grid = np.broadcast_arrays(*(np.asarray(a) for a in
+                                 (i_off, w_off, o_off)))
+    results = []
+    for mode in ("grid", "interpret"):
+        bufs = dict(buffers, **{stored: buffers[stored].copy()})
+        if mode == "grid":
+            ck.bind(bufs, args=args).run_round(i_off, w_off, o_off)
+        else:
+            for call in zip(*(a.ravel().tolist() for a in grid)):
+                execute_kernel(ck.program, bufs, dict(zip(args, call)))
+        results.append(bufs[stored])
+    return results
+
+
+def _same_bits(a, b):
+    return np.array_equal(a.view(np.uint32), b.view(np.uint32))
 
 
 class TestForwardTiers:
@@ -239,11 +263,84 @@ class TestCompiledKernelStandalone:
         }
         calls = [(0, 0, 0), (5, 8, 8), (2, 4, 16)]
         got, single, ref = _bound_calls(
-            ck, dict(buffers, O=np.zeros(24, np.float32)), ("I", "W", "O"),
+            ck, dict(buffers, O=np.zeros(32, np.float32)), ("I", "W", "O"),
             "O", calls,
         )
         assert np.array_equal(got.view(np.uint32), ref.view(np.uint32))
         assert np.array_equal(single.view(np.uint32), ref.view(np.uint32))
+        # the same program over a 2x2 grid: per-member weights gathered
+        # once per row
+        got, ref = _grid_round(
+            ck, dict(buffers, O=np.zeros(32, np.float32)), ("I", "W", "O"),
+            "O", np.array([[0, 5]]), np.array([[0], [8]]),
+            np.array([[0, 8], [16, 24]]),
+        )
+        assert _same_bits(got, ref)
+
+    def test_vbcast_reaches_add_and_store(self, rng):
+        """A broadcast register stored as is and added to a weight
+        vector (the scalar-broadcast node), next to a chain seeded from
+        a weight vector -- a value that is the same for a whole grid
+        row -- run as single calls and as a 2x2 grid round."""
+        uops = [
+            Uop(Op.VBCAST, dst=0, tensor="I", offset=1),
+            Uop(Op.VLOAD, dst=1, tensor="W", offset=0),
+            Uop(Op.VADD, dst=2, src1=0, src2=1),
+            Uop(Op.VLOAD, dst=3, tensor="W", offset=4),
+            Uop(Op.VFMA_MEM, dst=3, src1=1, tensor="I", offset=2),
+            Uop(Op.VSTORE, src1=2, tensor="O", offset=0),
+            Uop(Op.VSTORE, src1=0, tensor="O", offset=4),
+            Uop(Op.VSTORE, src1=3, tensor="O", offset=8),
+        ]
+        ck = compile_kernel(KernelProgram(name="bcast", vlen=4, uops=uops))
+        buffers = {
+            "I": rng.standard_normal(16).astype(np.float32),
+            "W": rng.standard_normal(16).astype(np.float32),
+            "O": np.zeros(48, np.float32),
+        }
+        calls = [(0, 0, 0), (3, 0, 12), (0, 8, 24), (3, 8, 36)]
+        got, single, ref = _bound_calls(ck, buffers, ("I", "W", "O"), "O",
+                                        calls)
+        assert _same_bits(got, ref) and _same_bits(single, ref)
+        got, ref = _grid_round(
+            ck, buffers, ("I", "W", "O"), "O", np.array([[0, 3]]),
+            np.array([[0], [8]]), np.array([[0, 12], [24, 36]]),
+        )
+        assert _same_bits(got, ref)
+        assert ref[4:8].tolist() == [buffers["I"][1]] * 4
+
+
+class TestBindErrors:
+    """A compiled bind rejects malformed offset arrays with a typed
+    error instead of an index failure deep in numpy."""
+
+    def _bind(self, rng):
+        p = ConvParams(N=1, C=4, K=4, H=4, W=4, R=1, S=1, stride=1)
+        eng = DirectConvForward(p, machine=TINY)
+        x, w, _ = rand_conv_tensors(p, rng)
+        buffers = {
+            "I": block_activations(x, 4).data,
+            "W": block_weights(w, 4).data,
+            "O": np.zeros(eng.out_layout.size, dtype=np.float32),
+        }
+        return eng.compiled[0].bind(buffers)
+
+    def test_batch_needs_equal_length_1d_arrays(self, rng):
+        fn = self._bind(rng)
+        with pytest.raises(ShapeError, match="equal-length 1-D"):
+            fn.batch([0, 0], [0], [0, 0])
+        with pytest.raises(ShapeError, match="equal-length 1-D"):
+            fn.batch([[0]], [[0]], [[0]])
+
+    def test_run_round_needs_one_grid(self, rng):
+        fn = self._bind(rng)
+        with pytest.raises(ShapeError, match=r"\(G, H\) grid"):
+            fn.run_round(np.zeros((1, 3), np.int64),
+                         np.zeros((2, 1), np.int64),
+                         np.zeros((2, 2), np.int64))
+        with pytest.raises(ShapeError, match=r"\(G, H\) grid"):
+            fn.run_round(np.zeros(2, np.int64), np.zeros(2, np.int64),
+                         np.zeros(2, np.int64))
 
 
 class TestBatchRounds:
@@ -443,6 +540,81 @@ class TestStreakSchedule:
             got = eng(bx, bw).data
             assert sizes == [12, 12]
             assert np.array_equal(got.view(np.uint32), ref.view(np.uint32))
+
+    def test_rounds_are_weight_by_input_grids(self, rng):
+        """Each group of the dispatch-count engine is the cross product
+        of 2 weight blocks and 6 input rows."""
+        p = ConvParams(N=2, C=8, K=8, H=6, W=6, R=3, S=3, stride=1,
+                       pad_h=1, pad_w=1)
+        eng, outs = _fwd_tiers(p, rng)
+        (groups,) = eng.streams[0].schedule(2).values()
+        assert len(groups) == 2
+        for _variant, i, w, o in groups:
+            assert (i.shape, w.shape, o.shape) == ((1, 6), (2, 1), (2, 6))
+            assert len(np.unique(o)) == o.size
+        _assert_bitwise(outs)
+
+    def test_partial_cross_product_runs_as_columns(self, rng):
+        """A round that is a 2x2 cross product minus one call keeps one
+        ``(B, 1)`` column per offset, in recorded order."""
+        p = ConvParams(N=1, C=4, K=8, H=4, W=4, R=1, S=1, stride=1)
+        eng = DirectConvForward(p, machine=TINY)
+        st = eng.streams[0]
+        i0, i1 = sorted(set(st.i_off.tolist()))[:2]
+        w0, w1 = sorted(set(st.w_off.tolist()))[:2]
+        o_of = {(int(st.i_off[t]), int(st.w_off[t])): int(st.o_off[t])
+                for t in range(len(st))}
+        rec = KernelStream()
+        for i, w in ((i1, w0), (i0, w1), (i0, w0)):
+            rec.record_conv(0, i, w, o_of[(i, w)])
+        stream = rec.freeze()
+        (groups,) = stream.schedule(2).values()
+        ((_v, i, w, o),) = groups
+        assert i.shape == w.shape == o.shape == (3, 1)
+        assert i.ravel().tolist() == [i1, i0, i0]
+        x, wt, _ = rand_conv_tensors(p, rng)
+        buffers = {"I": block_activations(x, 4).data,
+                   "W": block_weights(wt, 4).data}
+        outs = {}
+        for tier in ("compiled", "interpret"):
+            bufs = dict(buffers, O=np.zeros(eng.out_layout.size, np.float32))
+            if tier == "compiled":
+                kernels = [eng.compiled[0].bind(bufs)]
+            else:
+                kernels = [eng._interp_kernel(0, bufs, 1.0)]
+            replay(stream, stream.segments(), kernels, [])
+            outs[tier] = bufs["O"]
+        _assert_bitwise(outs)
+
+    def test_grid_wider_than_the_cap_is_cut_both_ways(self, rng,
+                                                      monkeypatch):
+        p = ConvParams(N=2, C=8, K=8, H=6, W=6, R=3, S=3, stride=1,
+                       pad_h=1, pad_w=1)
+        eng = DirectConvForward(p, machine=TINY)
+        x, w, _ = rand_conv_tensors(p, rng)
+        bx = block_activations(x, 4, pad_h=1, pad_w=1)
+        bw = block_weights(w, 4)
+        ref = eng.execute_uops(bx, bw).data
+        buffers = {"I": bx.data, "W": bw.data,
+                   "O": np.zeros(1, np.float32)}
+        for ck in eng.compiled:
+            monkeypatch.setattr(ck._plan_for(buffers), "batch_cap", 4)
+        blocks = []
+        run = jit_compile._Plan.run
+
+        def counting(plan, buffers, bases, scale, batch):
+            g, h = np.broadcast_shapes(*(np.shape(b) for b in (
+                bases["I"], bases["W"], bases["O"])))
+            blocks.append((g, h, batch))
+            run(plan, buffers, bases, scale, batch)
+
+        monkeypatch.setattr(jit_compile._Plan, "run", counting)
+        got = eng(bx, bw).data
+        assert np.array_equal(got.view(np.uint32), ref.view(np.uint32))
+        assert all(g * h == batch <= 4 for g, h, batch in blocks)
+        assert sum(batch for *_, batch in blocks) == 24
+        # 2 x 6 grids cut into 1 x 4 and 1 x 2 blocks
+        assert {(g, h) for g, h, _ in blocks} == {(1, 4), (1, 2)}
 
     def test_stored_tensor_reads_stay_in_own_block(self):
         engines = [
