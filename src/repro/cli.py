@@ -86,10 +86,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="real OS processes per replica (self-healing "
                         "all-reduce) instead of in-process sharding")
     p.add_argument("--allreduce", default="ring",
-                   choices=["ring", "tree", "root"],
+                   choices=["ring", "root"],
                    help="gradient exchange under --process-parallel: "
-                        "overlapped peer-to-peer ring (default), "
-                        "binomial tree, or the blocking root fold")
+                        "overlapped peer-to-peer ring (default) or the "
+                        "blocking root fold")
     p.add_argument("--checkpoint-every", type=int, default=0,
                    help="autosave a full training checkpoint (weights + "
                         "SGD velocity + step) every N steps; requires "

@@ -4,7 +4,7 @@ The paper's multi-node pillar (SS-GxM/MLSL, Georganas et al., SC'18):
 data-parallel training where the gradient all-reduce *overlaps* the
 remaining backward/update work instead of blocking after it.  This
 package provides the peer-to-peer machinery behind
-``ProcessParallelTrainer(allreduce="ring"|"tree")``:
+``ProcessParallelTrainer(allreduce="ring")``:
 
 * :mod:`~repro.collective.channels` -- dedicated ``AF_UNIX`` peer
   connections (:class:`PeerHub`) and the framed, CRC-guarded hop format
@@ -12,17 +12,17 @@ package provides the peer-to-peer machinery behind
 * :mod:`~repro.collective.bucketing` -- deterministic landing-order
   gradient buckets (:class:`GradBucketer`) cut as each layer's UPD task
   fires the ETG ``grad_hook``;
-* :mod:`~repro.collective.ring` / :mod:`~repro.collective.tree` -- the
-  pipelined chain-ring (rank-order fold, bitwise identical to the
-  root fold) and binomial-tree engines, each with a root-side fold
-  emulation (``fold_ring`` / ``fold_tree``) used by degraded steps;
-* :mod:`~repro.collective.engine` -- the shared threaded engine core
+* :mod:`~repro.collective.ring` -- the pipelined chain-ring topology
+  (rank-order fold, bitwise identical to the root fold) and
+  ``fold_ring``, the root fold that healthy ring steps match and
+  degraded steps use;
+* :mod:`~repro.collective.engine` -- the threaded :class:`RingEngine`
   (per-edge rx threads, per-hop timeouts, fault site
   ``collective.hop``);
 * :mod:`~repro.collective.errors` -- typed :class:`CollectiveError`
   rejection of corrupt/stale/late/lost hops with culprit attribution;
-* :mod:`~repro.collective.repair` -- membership/epoch bookkeeping and
-  the mode-aware fold behind the ring-repair protocol.
+* :mod:`~repro.collective.repair` -- membership/epoch bookkeeping
+  behind the ring-repair protocol.
 """
 
 from repro.collective.bucketing import (
@@ -31,7 +31,7 @@ from repro.collective.bucketing import (
     layer_param_indices,
 )
 from repro.collective.channels import PeerHub, decode_bucket, send_bucket
-from repro.collective.engine import AllReduceEngine, PeerReceiver
+from repro.collective.engine import PeerReceiver, RingEngine
 from repro.collective.errors import (
     CollectiveError,
     CorruptBucket,
@@ -40,19 +40,11 @@ from repro.collective.errors import (
     RingBuildError,
     StaleBucket,
 )
-from repro.collective.repair import Membership, fold_gradients, peers_for
-from repro.collective.ring import RingEngine, fold_ring, ring_peers
-from repro.collective.tree import (
-    TreeEngine,
-    fold_tree,
-    tree_children,
-    tree_parent,
-    tree_peers,
-)
+from repro.collective.repair import Membership
+from repro.collective.ring import fold_ring, ring_peers
 from repro.collective.worker import CollectiveStepRunner
 
 __all__ = [
-    "AllReduceEngine",
     "BucketSpec",
     "CollectiveError",
     "CollectiveStepRunner",
@@ -66,16 +58,9 @@ __all__ = [
     "RingBuildError",
     "RingEngine",
     "StaleBucket",
-    "TreeEngine",
     "decode_bucket",
-    "fold_gradients",
     "fold_ring",
-    "fold_tree",
     "layer_param_indices",
-    "peers_for",
     "ring_peers",
     "send_bucket",
-    "tree_children",
-    "tree_parent",
-    "tree_peers",
 ]

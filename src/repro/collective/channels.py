@@ -1,7 +1,7 @@
 """Peer channels: framed bucket messages + the per-rank connection hub.
 
 Workers talk to each other over dedicated ``AF_UNIX`` sockets (one
-full-duplex :class:`multiprocessing.connection.Connection` per ring/tree
+full-duplex :class:`multiprocessing.connection.Connection` per ring
 edge), *not* through the root pipes -- the root stays a coordinator.
 
 Wire format of one hop (a tuple, sent with ``Connection.send``)::

@@ -1,4 +1,4 @@
-"""The all-reduce engine core shared by the ring and tree topologies.
+"""The chain-ring all-reduce engine and its per-epoch receive side.
 
 Threading model inside one worker process:
 
@@ -17,15 +17,17 @@ Threading model inside one worker process:
   epoch are dropped and counted; *future* epochs raise
   :class:`StaleBucket` -- they can only mean a protocol bug, since every
   epoch gets fresh connections), EOF (:class:`PeerGone`);
-* the per-step **engine thread** executes the topology protocol
-  (:meth:`_run_protocol`), pulling local buckets from the feed queue and
-  peer buckets from the epoch inbox, each wait bounded by
+* the per-step **engine thread** runs the chain-ring protocol
+  (:mod:`repro.collective.ring`), pulling local buckets from the feed
+  queue and peer buckets from the epoch inbox, each wait bounded by
   ``hop_timeout`` (:class:`HopTimeout`).
 
 The first failure anywhere freezes the step's engine (``failed``), and
-the worker's main loop escalates it to the root as a ``cerr`` for ring
-repair.  ``abandon()`` detaches an aborted step's engine thread; the
-receiver itself is torn down only when its epoch is rewired.
+the worker's main loop -- woken by :meth:`RingEngine.wait` the moment
+the engine finishes or fails -- escalates it to the root as a ``cerr``
+for ring repair.  ``abandon()`` detaches an aborted step's engine
+thread; the receiver itself is torn down only when its epoch is
+rewired.
 
 Fault site ``collective.hop`` fires just before a rank forwards a given
 bucket (filters: ``rank``, ``bucket``, ``step``), honouring ``crash``,
@@ -49,7 +51,7 @@ from repro.collective.errors import (
     StaleBucket,
 )
 
-__all__ = ["AllReduceEngine", "PeerReceiver"]
+__all__ = ["PeerReceiver", "RingEngine"]
 
 
 class _Inbox:
@@ -171,12 +173,17 @@ class PeerReceiver:
                 return
 
 
-class AllReduceEngine:
-    """One step's bucketed all-reduce at one rank (subclassed per
-    topology).  ``peers`` maps peer rank -> duplex Connection (used for
-    sends; receives flow through the epoch's :class:`PeerReceiver`);
-    ``param_shapes`` is the flat parameter-shape list used to validate
-    every consumed bucket."""
+class RingEngine:
+    """One step's bucketed chain-ring all-reduce at one rank (hop and
+    fold order: :mod:`repro.collective.ring`).  Buckets are pipelined:
+    while a rank waits for bucket *k*'s average to come back around, it
+    keeps reducing buckets *k+1, k+2, ...* as its own backprop lands
+    them.
+
+    ``peers`` maps the two ring neighbours' ranks -> duplex Connection
+    (used for sends; receives flow through the epoch's
+    :class:`PeerReceiver`); ``param_shapes`` is the flat parameter-shape
+    list used to validate every consumed bucket."""
 
     def __init__(self, *, rank: int, nodes: int, step: int, epoch: int,
                  peers: dict, receiver: PeerReceiver, param_shapes: list,
@@ -194,7 +201,8 @@ class AllReduceEngine:
         self._corrupt_next_send = corrupt_first
         self._queue: queue.Queue = queue.Queue()
         self._stop = threading.Event()
-        self._done = threading.Event()
+        #: set when the engine thread ends, finished or failed
+        self._settled = threading.Event()
         self._error: CollectiveError | None = None
         #: flat param index -> averaged gradient array
         self.result: dict = {}
@@ -204,6 +212,8 @@ class AllReduceEngine:
         }
         self._t_finish: float | None = None
         self._t_first_send: float | None = None
+        self._nxt = (rank + 1) % nodes
+        self._prv = (rank - 1) % nodes
 
     # -- lifecycle ------------------------------------------------------
     def start(self) -> None:
@@ -230,17 +240,18 @@ class AllReduceEngine:
         self._stop.set()
         self.receiver.inbox.kick()
 
+    def wait(self, timeout: float) -> bool:
+        """Block until the engine thread has finished or failed, at most
+        ``timeout`` seconds; True once it has."""
+        return self._settled.wait(timeout)
+
     @property
     def done(self) -> bool:
-        return self._done.is_set()
+        return self._settled.is_set() and self._error is None
 
     @property
     def failed(self) -> CollectiveError | None:
         return self._error if self._error is not None else self.receiver.error
-
-    # -- subclass hooks -------------------------------------------------
-    def _run_protocol(self) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
 
     # -- threads --------------------------------------------------------
     def _fail(self, err: CollectiveError) -> None:
@@ -250,7 +261,7 @@ class AllReduceEngine:
 
     def _engine(self) -> None:
         try:
-            self._run_protocol()
+            self._run()
         except CollectiveError as err:
             self._fail(err)
         except Exception as err:  # pragma: no cover - defensive
@@ -267,7 +278,53 @@ class AllReduceEngine:
                     self.stats["overlap_ms"] = max(
                         0.0, (self._t_finish - self._t_first_send) * 1e3
                     )
-            self._done.set()
+        finally:
+            self._settled.set()
+
+    def _run(self) -> None:
+        last = self.nodes - 1
+        pending = []  # buckets whose broadcast copy is still in flight
+        while True:
+            item = self._next_local()
+            if item is None:
+                break
+            spec, own = item
+            self._fire_fault(spec)
+            if self.rank == 0:
+                self._send(self._nxt, "red", spec, own)
+                pending.append(spec)
+            else:
+                part = self._take("red", spec, self._prv)
+                self._validate(spec, part, self._prv)
+                for a, g in zip(part, own):
+                    a += g
+                if self.rank < last:
+                    self._send(self._nxt, "red", spec, part)
+                    pending.append(spec)
+                else:
+                    for a in part:
+                        a /= self.nodes
+                    self._store(spec, part)
+                    self._send(self._nxt, "avg", spec, part)
+            self._drain_pending(pending, block=False)
+        self._drain_pending(pending, block=True)
+
+    def _drain_pending(self, pending: list, block: bool) -> None:
+        # the broadcast dies out at rank N-2 (its successor is N-1, the
+        # averaging rank, which already holds every average)
+        forward = self.rank < self.nodes - 2
+        for spec in list(pending):
+            if block:
+                arrays = self._take("avg", spec, self._prv)
+            else:
+                arrays = self._try_take("avg", spec, self._prv)
+                if arrays is None:
+                    continue
+            self._validate(spec, arrays, self._prv)
+            self._store(spec, arrays)
+            if forward:
+                self._send(self._nxt, "avg", spec, arrays)
+            pending.remove(spec)
 
     # -- engine-thread helpers -----------------------------------------
     def _error_now(self) -> CollectiveError | None:

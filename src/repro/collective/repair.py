@@ -1,5 +1,5 @@
-"""Ring repair: the root-side membership/epoch bookkeeping plus the
-mode-aware fold used to complete an aborted step.
+"""Ring repair: the root-side membership/epoch bookkeeping behind the
+repair that completes an aborted step.
 
 The repair protocol (driven by ``ProcessParallelTrainer``):
 
@@ -11,10 +11,9 @@ The repair protocol (driven by ``ProcessParallelTrainer``):
 3. the attributed culprit is killed (its state is untrusted), every
    survivor is sent an ``abort`` and returns its *local* shard
    gradients over its root pipe;
-4. the step completes under the existing degrade policies --
-   ``recompute`` re-runs lost shards on the root replica and folds all
-   N shards with this mode's deterministic fold (bit-identical to a
-   healthy step), ``rescale`` folds survivors only;
+4. the root re-runs every lost shard on its own replica and folds all N
+   shards in rank order (:func:`~repro.collective.ring.fold_ring`), so
+   the step is bit-identical to a healthy one;
 5. the root broadcasts the folded average (``commit_degraded``) so the
    survivors' optimizer replicas stay bitwise in lockstep, respawns the
    dead (bounded), and marks the mesh stale -- the next step rewires
@@ -28,36 +27,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.collective.ring import fold_ring, ring_peers
-from repro.collective.tree import fold_tree, tree_peers
-from repro.types import ReproError
-
-__all__ = ["Membership", "fold_gradients", "peers_for"]
-
-MODES = ("ring", "tree", "root")
-
-
-def peers_for(mode: str, rank: int, nodes: int) -> set[int]:
-    """The peer-channel edges touching ``rank`` under ``mode``."""
-    if mode == "ring":
-        return ring_peers(rank, nodes)
-    if mode == "tree":
-        return tree_peers(rank, nodes)
-    raise ReproError(f"mode {mode!r} has no peer topology")
-
-
-def fold_gradients(mode: str, shard_grads: list[list], divisor: int) -> list:
-    """Fold per-rank gradient lists exactly as a healthy ``mode``
-    collective would, divided by ``divisor``."""
-    if mode == "tree":
-        return fold_tree(shard_grads, divisor)
-    # ring and root-fold share the sequential rank-order fold
-    return fold_ring(shard_grads, divisor)
+__all__ = ["Membership"]
 
 
 @dataclass
 class Membership:
-    """Root-side view of the worker mesh for the collective modes."""
+    """Root-side view of the ring workers' mesh."""
 
     nodes: int
     #: bumped on every repair/rewire; stale-epoch traffic is dropped

@@ -1,27 +1,22 @@
-"""The pipelined chain-ring all-reduce.
+"""The chain-ring topology and its root-side fold.
 
 Per bucket, the reduce phase travels rank 0 -> 1 -> ... -> N-1, each rank
 adding its own gradients to the incoming partial sum; the last rank
 divides by N and the broadcast phase carries the average N-1 -> 0 -> 1
--> ... -> N-2.  Like the classic ring, every link carries each bucket at
-most twice (2N-2 hops per bucket); unlike the classic ring's
-reduce-scatter rotation, the per-element fold order here is exactly rank
-order -- ``(((g0 + g1) + g2) ... ) / N`` -- which is bitwise identical
-to the root-mode sequential fold *and* to the in-process
+-> ... -> N-2 (:class:`~repro.collective.engine.RingEngine` runs it).
+Like the classic ring, every link carries each bucket at most twice
+(2N-2 hops per bucket); unlike the classic ring's reduce-scatter
+rotation, the per-element fold order here is exactly rank order --
+``(((g0 + g1) + g2) ... ) / N`` -- which is bitwise identical to the
+root fold (:func:`fold_ring`) *and* to the in-process
 ``Trainer(nodes=k)`` data-parallel fold.  That is what lets a degraded
 step (failed rank recomputed at the root) reproduce a healthy step's
 weights bit-for-bit.
-
-Buckets are pipelined: while a rank waits for bucket *k*'s average to
-come back around, it keeps reducing buckets *k+1, k+2, ...* as its own
-backprop lands them.
 """
 
 from __future__ import annotations
 
-from repro.collective.engine import AllReduceEngine
-
-__all__ = ["RingEngine", "fold_ring", "ring_peers"]
+__all__ = ["fold_ring", "ring_peers"]
 
 
 def ring_peers(rank: int, nodes: int) -> set[int]:
@@ -30,9 +25,10 @@ def ring_peers(rank: int, nodes: int) -> set[int]:
 
 
 def fold_ring(shard_grads: list[list], divisor: int) -> list:
-    """Root-side emulation of the chain-ring fold: sequential rank-order
-    accumulation, one division at the end.  Bitwise identical to what
-    :class:`RingEngine` produces across real processes."""
+    """The root fold: sequential rank-order accumulation, one division
+    at the end.  Bitwise identical to what
+    :class:`~repro.collective.engine.RingEngine` produces across real
+    processes."""
     acc = [g.copy() for g in shard_grads[0]]
     for grads in shard_grads[1:]:
         for a, g in zip(acc, grads):
@@ -40,57 +36,3 @@ def fold_ring(shard_grads: list[list], divisor: int) -> list:
     for a in acc:
         a /= divisor
     return acc
-
-
-class RingEngine(AllReduceEngine):
-    """Chain-ring engine at one rank (see module docstring)."""
-
-    def __init__(self, **kw):
-        super().__init__(**kw)
-        self._nxt = (self.rank + 1) % self.nodes
-        self._prv = (self.rank - 1) % self.nodes
-
-    def _run_protocol(self) -> None:
-        last = self.nodes - 1
-        pending = []  # buckets whose broadcast copy is still in flight
-        while True:
-            item = self._next_local()
-            if item is None:
-                break
-            spec, own = item
-            self._fire_fault(spec)
-            if self.rank == 0:
-                self._send(self._nxt, "red", spec, own)
-                pending.append(spec)
-            else:
-                part = self._take("red", spec, self._prv)
-                self._validate(spec, part, self._prv)
-                for a, g in zip(part, own):
-                    a += g
-                if self.rank < last:
-                    self._send(self._nxt, "red", spec, part)
-                    pending.append(spec)
-                else:
-                    for a in part:
-                        a /= self.nodes
-                    self._store(spec, part)
-                    self._send(self._nxt, "avg", spec, part)
-            self._drain_pending(pending, block=False)
-        self._drain_pending(pending, block=True)
-
-    def _drain_pending(self, pending: list, block: bool) -> None:
-        # the broadcast dies out at rank N-2 (its successor is N-1, the
-        # averaging rank, which already holds every average)
-        forward = self.rank < self.nodes - 2
-        for spec in list(pending):
-            if block:
-                arrays = self._take("avg", spec, self._prv)
-            else:
-                arrays = self._try_take("avg", spec, self._prv)
-                if arrays is None:
-                    continue
-            self._validate(spec, arrays, self._prv)
-            self._store(spec, arrays)
-            if forward:
-                self._send(self._nxt, "avg", spec, arrays)
-            pending.remove(spec)

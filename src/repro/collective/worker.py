@@ -3,14 +3,15 @@
 ``CollectiveStepRunner`` glues the three collective pieces together for
 one (step, epoch): it hangs a :class:`GradBucketer` off the ETG's
 ``grad_hook`` so buckets are cut the moment each layer's UPD lands, and
-feeds them to a running ring/tree engine -- communication overlaps the
+feeds them to a running ring engine -- communication overlaps the
 rest of backprop.  The worker main loop drives it::
 
     runner = CollectiveStepRunner(...)   # engine threads start now
     runner.attach()
     loss = etg.train_step(x, y)          # buckets stream out mid-step
     runner.detach_and_finish()           # leftovers + compute-done mark
-    ... poll runner.engine.done / .failed and the root pipe ...
+    runner.engine.wait(t)                # wakes as it finishes or fails
+    ... runner.engine.done / .failed and the root pipe ...
     avg = runner.engine.result_list()    # after done
 
 On abort (ring repair) the runner is ``abandon()``'d: the engine's
@@ -21,17 +22,14 @@ epoch's connections.
 from __future__ import annotations
 
 from repro.collective.bucketing import GradBucketer
-from repro.collective.repair import peers_for
-from repro.collective.ring import RingEngine
-from repro.collective.tree import TreeEngine
+from repro.collective.engine import RingEngine
+from repro.collective.ring import ring_peers
 
 __all__ = ["CollectiveStepRunner"]
 
-_ENGINES = {"ring": RingEngine, "tree": TreeEngine}
-
 
 class CollectiveStepRunner:
-    def __init__(self, *, mode: str, rank: int, nodes: int, step: int,
+    def __init__(self, *, rank: int, nodes: int, step: int,
                  epoch: int, conns: dict, receiver, etg,
                  layer_indices: dict, bucket_bytes: int,
                  hop_timeout: float, injector=None,
@@ -41,9 +39,9 @@ class CollectiveStepRunner:
         self._bucketer = GradBucketer(
             layer_indices, [p.nbytes for p in params], bucket_bytes
         )
-        self.engine = _ENGINES[mode](
+        self.engine = RingEngine(
             rank=rank, nodes=nodes, step=step, epoch=epoch,
-            peers={p: conns[p] for p in peers_for(mode, rank, nodes)},
+            peers={p: conns[p] for p in ring_peers(rank, nodes)},
             receiver=receiver,
             param_shapes=[p.shape for p in params],
             hop_timeout=hop_timeout, injector=injector,

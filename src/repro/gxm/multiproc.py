@@ -10,9 +10,9 @@ pattern is MLSL's *overlapped* data parallelism (section II-L):
 2. each step, workers run FWD/BWD/UPD on their minibatch shard; as every
    layer's dW lands, a deterministic gradient bucket is cut and pushed
    into a peer-to-peer all-reduce (:mod:`repro.collective`) that runs
-   *while the rest of backprop continues* -- ``allreduce="ring"`` (the
+   *while the rest of backprop continues* -- ``allreduce="ring"``, the
    pipelined chain-ring, whose fold order is bitwise identical to the
-   root fold) or ``"tree"`` (binomial);
+   root fold;
 3. when every worker reports its finished average, the root commits: an
    all-or-nothing barrier where workers and the root replica take the
    *same* SGD step on the *same* averaged gradients -- replicas stay
@@ -31,11 +31,9 @@ hang, corruption) triggers **ring repair**: the first rank to notice
 reports a ``cerr`` to the root, the root bumps the epoch (straggling
 buckets of the old epoch become stale everywhere), kills the attributed
 culprit, collects the survivors' local shard gradients over the root
-pipes, and completes the step under the existing degrade policies --
-``"recompute"`` re-runs lost shards on the root replica and folds all N
-shards with the mode's deterministic fold, so recovered weights are
-**bit-identical** to a healthy run; ``"rescale"`` averages survivors
-only.  The folded average is re-broadcast (``commit_degraded``) so
+pipes, re-runs the lost shards on the root replica and folds all N
+shards in rank order, so recovered weights are **bit-identical** to a
+healthy run.  The folded average is re-broadcast (``commit_degraded``) so
 surviving replicas stay in lockstep; failed ranks are respawned
 (bounded by ``max_respawns``) and resynchronized at the next mesh
 rewire.  No step is ever half-applied: weights only move inside the
@@ -52,6 +50,7 @@ survive a root crash.  Faults are injectable deterministically via a
 from __future__ import annotations
 
 import multiprocessing as mp
+import multiprocessing.connection
 import os
 import shutil
 import tempfile
@@ -60,7 +59,8 @@ from typing import Optional
 
 import numpy as np
 
-from repro.collective.repair import Membership, fold_gradients, peers_for
+from repro.collective.repair import Membership
+from repro.collective.ring import fold_ring, ring_peers
 from repro.forensics.bundle import IncidentWriter
 from repro.forensics.recorder import get_recorder
 from repro.forensics.recorder import enable as _recorder_enable
@@ -76,8 +76,8 @@ from repro.types import ReproError
 
 __all__ = ["ProcessParallelTrainer", "WorkerFailure"]
 
-#: pipe-poll granularity while waiting on a worker (also bounds how
-#: stale a dead-process check can be)
+#: longest a wait on worker pipes blocks before re-checking deadlines
+#: and liveness (a reply or a worker's death wakes it at once)
 _POLL_S = 0.05
 
 #: root-pipe reply tags a stale (older step/epoch) copy of which may be
@@ -120,7 +120,7 @@ def _worker_main(
     root -> worker                         worker -> root
     =====================================  ============================
     ``("sync", weights, velocity)``        --
-    ``("ring", epoch, mode, addresses)``   ``("ringok", epoch)`` or
+    ``("ring", epoch, addresses)``         ``("ringok", epoch)`` or
                                            ``("ringfail", epoch, why)``
     ``("step", step, epoch, x, y)``        ``("done", step, loss, acc,
                                            payload, stats, avg|None)``
@@ -170,7 +170,6 @@ def _worker_main(
     conns: dict = {}
     receiver = None
     epoch = -1
-    mode = None
     tracer = get_tracer()
 
     def reply_fault(step):
@@ -191,22 +190,22 @@ def _worker_main(
                 for v, w in zip(opt._velocity, velocity):
                     v[...] = w
             elif tag == "ring":
-                _, new_epoch, new_mode, addresses = msg
+                _, new_epoch, addresses = msg
                 try:
                     if receiver is not None:
                         receiver.stop()  # before rewire closes its conns
                         receiver = None
-                    peers = peers_for(new_mode, rank, collective["nodes"])
+                    peers = ring_peers(rank, collective["nodes"])
                     conns = hub.rewire(
                         rank, peers, addresses, new_epoch,
                         timeout=collective["ring_timeout"],
                     )
                     receiver = PeerReceiver(conns, new_epoch)
-                    epoch, mode = new_epoch, new_mode
+                    epoch = new_epoch
                     if recorder.enabled:
                         recorder.record(
                             "collective.rewire", epoch=new_epoch,
-                            mode=new_mode, rank=rank,
+                            rank=rank,
                         )
                     conn.send(("ringok", new_epoch))
                 except Exception as err:
@@ -242,7 +241,7 @@ def _worker_main(
                 _, step, sepoch, x, labels = msg
                 if recorder.enabled:
                     recorder.record("mp.step", step=step, rank=rank,
-                                    mode=mode, epoch=sepoch,
+                                    mode="ring", epoch=sepoch,
                                     n=len(labels))
                 fault = injector.fire("mp.worker.step", step=step, rank=rank)
                 if fault is not None and fault.kind == "crash":
@@ -258,7 +257,7 @@ def _worker_main(
                 runner = None
                 if not poison:
                     runner = CollectiveStepRunner(
-                        mode=mode, rank=rank, nodes=collective["nodes"],
+                        rank=rank, nodes=collective["nodes"],
                         step=step, epoch=sepoch, conns=conns,
                         receiver=receiver, etg=etg,
                         layer_indices=layer_idx,
@@ -269,7 +268,7 @@ def _worker_main(
                     runner.attach()
                 if tracer.enabled:
                     with tracer.span("collective.step", step=step,
-                                     mode=mode or "detached", rank=rank):
+                                     rank=rank):
                         loss = etg.train_step(x, labels)
                 else:
                     loss = etg.train_step(x, labels)
@@ -325,9 +324,12 @@ def _finish_collective_step(conn, runner, tracer, trace, rank,
     if tracer.enabled and runner is not None:
         span = tracer.span("collective.exposed", step=step, rank=rank)
         span.__enter__()
+    engine = runner.engine if runner is not None else None
     try:
         while True:
-            engine = runner.engine if runner is not None else None
+            # wait on the engine while it runs (it wakes us the moment it
+            # finishes or fails), then on the root pipe
+            running = engine is not None and not engine.wait(0.02)
             if engine is not None and engine.done and not done_sent:
                 if span is not None:
                     span.__exit__(None, None, None)
@@ -344,7 +346,7 @@ def _finish_collective_step(conn, runner, tracer, trace, rank,
                 conn.send(("cerr", step, epoch, err.kind, err.culprit,
                            str(err)))
                 cerr_sent = True
-            if conn.poll(0.02):
+            if conn.poll(0 if running else 0.02):
                 msg = conn.recv()
                 if msg is None:
                     raise EOFError  # shutdown mid-step
@@ -379,11 +381,12 @@ class ProcessParallelTrainer:
     -----------------------------------------
     allreduce:
         ``"ring"`` (default) -- overlapped bucketed chain-ring all-reduce
-        between the workers; ``"tree"`` -- binomial tree; ``"root"`` --
-        the legacy blocking scatter/gather through the root.  With
-        ``nodes=1`` there is nothing to reduce and ``"root"`` is used.
+        between the workers; ``"root"`` -- the blocking scatter/gather
+        that folds the shard gradients at the root in rank order (the
+        reference ring steps match bitwise).  With ``nodes=1`` there is
+        nothing to reduce and ``"root"`` is used.
     bucket_bytes:
-        Gradient-bucket threshold for the collective modes; smaller
+        Gradient-bucket threshold for the ring all-reduce; smaller
         buckets start communicating earlier (more overlap) at more
         per-hop overhead.
     step_timeout:
@@ -393,12 +396,9 @@ class ProcessParallelTrainer:
     max_respawns:
         Total worker respawns allowed across the run; a rank whose
         budget is exhausted stays down (every later step degrades
-        through the root-fold fallback).
-    degrade_policy:
-        ``"recompute"`` (default) -- a failed worker's shard is re-run on
-        the root's replica and folded with the active mode's
-        deterministic fold, keeping training numerics bit-identical to a
-        healthy run; ``"rescale"`` -- average over survivors only.
+        through the root-fold fallback, its shard re-run on the root's
+        replica so training numerics stay bit-identical to a healthy
+        run).
     nan_policy:
         Numerics-watchdog policy: ``"raise"``/``"skip"``/``"off"``.
     fault_plan:
@@ -431,7 +431,6 @@ class ProcessParallelTrainer:
         trace: bool | None = None,
         step_timeout: float = 30.0,
         max_respawns: int = 2,
-        degrade_policy: str = "recompute",
         nan_policy: str = "raise",
         fault_plan: FaultPlan | None = None,
         checkpoint_path: str | None = None,
@@ -443,15 +442,10 @@ class ProcessParallelTrainer:
     ):
         if nodes < 1:
             raise ReproError("need at least one worker node")
-        if degrade_policy not in ("recompute", "rescale"):
+        if allreduce not in ("ring", "root"):
             raise ReproError(
-                f"unknown degrade_policy {degrade_policy!r}; expected "
-                f"'recompute' or 'rescale'"
-            )
-        if allreduce not in ("ring", "tree", "root"):
-            raise ReproError(
-                f"unknown allreduce {allreduce!r}; expected 'ring', "
-                f"'tree' or 'root'"
+                f"unknown allreduce {allreduce!r}; expected 'ring' or "
+                f"'root'"
             )
         if nodes == 1:
             allreduce = "root"  # degenerate: nothing to reduce
@@ -462,10 +456,10 @@ class ProcessParallelTrainer:
         self._topo_text = topo.to_text()
         self._input_shape = input_shape
         self._seed = seed
-        # the root keeps a replica purely to own the parameter arrays --
-        # and, under the recompute policy, to re-run a failed worker's
-        # shard.  It is built from the same topology *text* the workers
-        # parse, so a recomputed shard is bit-identical to the lost one.
+        # the root keeps a replica to own the parameter arrays and to
+        # re-run a failed worker's shard.  It is built from the same
+        # topology *text* the workers parse, so a recomputed shard is
+        # bit-identical to the lost one.
         self.root = ExecutionTaskGraph(
             parse_topology_text(self._topo_text), input_shape,
             engine="fast", seed=seed,
@@ -477,7 +471,6 @@ class ProcessParallelTrainer:
         self.allreduce = allreduce
         self.bucket_bytes = bucket_bytes
         self.step_timeout = step_timeout
-        self.degrade_policy = degrade_policy
         self.watchdog = NumericsWatchdog(nan_policy)
         self.fault_plan = fault_plan
         #: root-side injector: only root-owned sites (``checkpoint.save``)
@@ -526,7 +519,6 @@ class ProcessParallelTrainer:
             self._spawn_gen += 1
             self._mesh.addresses[rank] = address
             collective = {
-                "mode": self.allreduce,
                 "nodes": self.nodes,
                 "address": address,
                 "authkey": self._authkey,
@@ -568,8 +560,8 @@ class ProcessParallelTrainer:
 
     def _respawn(self, rank: int) -> bool:
         """Bounded replacement of a failed worker.  The fresh process
-        resynchronizes through the next mesh rewire (collective modes)
-        or the per-step weight scatter (root mode)."""
+        resynchronizes through the next mesh rewire (ring mode) or the
+        per-step weight scatter (root mode)."""
         self._kill(rank)
         self._mesh.stale = True
         if self._respawn_budget <= 0:
@@ -732,14 +724,14 @@ class ProcessParallelTrainer:
         return [g.copy() for g in self.root.grads()], float(loss), float(acc)
 
     def train_step(self, x: np.ndarray, labels: np.ndarray) -> float:
-        """One data-parallel step.  Collective modes: dispatch ->
+        """One data-parallel step.  Ring mode: dispatch ->
         overlapped all-reduce -> commit barrier; ring repair + degraded
         completion on any failure.  Root mode (and the fallback when the
         mesh cannot cover every rank): scatter -> compute -> root fold.
 
         Survives worker failures mid-step: the step completes degraded
-        (recompute or rescale), failed ranks are respawned afterwards,
-        and ``resilience.degraded_steps`` counts the event.
+        (lost shards recomputed at the root), failed ranks are respawned
+        afterwards, and ``resilience.degraded_steps`` counts the event.
         """
         step = self.iteration
         shards = np.array_split(np.arange(len(labels)), self.nodes)
@@ -748,8 +740,8 @@ class ProcessParallelTrainer:
         if len(self._live_ranks()) < self.nodes:
             # a rank is down (respawn budget exhausted, or it died since
             # last step): the mesh cannot cover every shard, so fall
-            # back to the blocking root fold -- same mode-aware fold,
-            # so a recompute-policy run stays bit-identical
+            # back to the blocking root fold -- the same rank-order
+            # fold, so the run stays bit-identical
             get_metrics().inc("collective.rootsteps")
             return self._train_step_root(step, x, labels, shards)
         failed: dict[int, WorkerFailure] = {}
@@ -777,9 +769,7 @@ class ProcessParallelTrainer:
             mesh.needs_sync = set()
             epoch = mesh.epoch + 1
             for rank in range(self.nodes):
-                self._send(
-                    rank, ("ring", epoch, self.allreduce, mesh.addresses)
-                )
+                self._send(rank, ("ring", epoch, mesh.addresses))
             for rank in range(self.nodes):
                 ack = self._recv(
                     rank, want=(("ringok", "ringfail"), epoch),
@@ -875,7 +865,13 @@ class ProcessParallelTrainer:
                         )
                     pending.clear()
                     break
-                time.sleep(_POLL_S)
+                # sleep until a pending worker replies or dies, at most
+                # _POLL_S so the deadlines above are still checked
+                mp.connection.wait(
+                    [obj for rank in pending for obj in
+                     (self._conns[rank], self._procs[rank].sentinel)],
+                    timeout=_POLL_S,
+                )
         if culprits or cerrs:
             return self._repair_and_complete(
                 step, x, labels, shards, culprits, cerrs, dones
@@ -1048,15 +1044,15 @@ class ProcessParallelTrainer:
     # -- shared degraded/root completion --------------------------------
     def _complete_degraded(self, step, x, labels, shards, results, failed,
                            *, count_degraded, broadcast) -> float:
-        """Finish a step from per-rank shard gradients: degrade policy,
-        numerics watchdog (per-rank attribution), the mode's
-        deterministic fold, the optimizer commit, respawns."""
+        """Finish a step from per-rank shard gradients: lost shards
+        recomputed at the root, numerics watchdog (per-rank
+        attribution), the rank-order fold, the optimizer commit,
+        respawns."""
         # a rank can die *unblamed*: the wait loop stops at the first
         # detected culprit, so a simultaneous casualty elsewhere in the
         # ring shows up only as a missing result here.  It must still be
-        # failed -- recompute covers its shard (bit-identity), rescale
-        # excludes it *explicitly* -- never silently dropped from the
-        # fold divisor and the loss weighting
+        # failed, so its shard is recomputed (bit-identity) and the
+        # failure counted and respawned
         for rank, res in enumerate(results):
             if res is None and rank not in failed:
                 failed[rank] = WorkerFailure(
@@ -1067,11 +1063,10 @@ class ProcessParallelTrainer:
         if failed and count_degraded:
             get_metrics().inc("resilience.degraded_steps")
             self.failures.extend(failed[rank] for rank in sorted(failed))
-        if failed and self.degrade_policy == "recompute":
-            for rank in sorted(failed):
-                results[rank] = self._recompute_shard(
-                    x[shards[rank]], labels[shards[rank]]
-                )
+        for rank in sorted(failed):
+            results[rank] = self._recompute_shard(
+                x[shards[rank]], labels[shards[rank]]
+            )
         if failed and count_degraded and self.incidents.enabled:
             # the root's params still hold the step-start weights (the
             # optimizer commit is below), so the bundle freezes exactly
@@ -1082,36 +1077,16 @@ class ProcessParallelTrainer:
         # numerics watchdog: attribute divergence to the worker rank
         ok = True
         for rank, res in enumerate(results):
-            if res is not None:
-                ok = self.watchdog.check(
-                    res[0], node=f"worker{rank}", step=step
-                ) and ok
-        shard_grads = []
-        contributors: dict[int, tuple] = {}
-        for rank, res in enumerate(results):
-            if res is None:
-                continue
-            shard_grads.append(res[0])
-            contributors[rank] = (res[1], res[2])
-        if not shard_grads:
-            # every worker failed: heal (bounded) *before* propagating,
-            # otherwise the fleet stays permanently dead and every
-            # subsequent step is doomed
-            for rank in sorted(failed):
-                self._respawn(rank)
-            raise WorkerFailure(
-                -1, f"step {step}: every worker failed "
-                f"({[str(f) for f in failed.values()]})"
-            )
+            ok = self.watchdog.check(
+                res[0], node=f"worker{rank}", step=step
+            ) and ok
         if ok:
-            avg = fold_gradients(
-                self.allreduce, shard_grads, len(shard_grads)
-            )
+            avg = fold_ring([res[0] for res in results], self.nodes)
             self.opt.step(avg)
             if broadcast:
                 # keep the surviving replicas' weights in lockstep: they
                 # apply the same average inside the same barrier
-                for rank in list(contributors):
+                for rank in range(self.nodes):
                     if rank in failed or self._procs[rank] is None:
                         continue  # this shard was recomputed at the root
                     try:
@@ -1127,15 +1102,17 @@ class ProcessParallelTrainer:
                 self._mesh.stale = True
         for rank in sorted(failed):
             self._respawn(rank)
-        self._finish_step_accounting(step, shards, contributors)
+        self._finish_step_accounting(step, shards, {
+            rank: (res[1], res[2]) for rank, res in enumerate(results)
+        })
         return self.metrics.losses[-1]
 
     def _capture_train_incident(self, step, x, labels, shards, results,
                                 failed) -> None:
         """One incident bundle for a degraded step: the first failed
-        rank's shard, the step-start weights, and (under ``recompute``)
-        the digests of the bit-identically recomputed gradients the
-        replay must reproduce."""
+        rank's shard, the step-start weights, and the digests of the
+        bit-identically recomputed gradients the replay must
+        reproduce."""
         rank = sorted(failed)[0]
         err = failed[rank]
         tensors = {
@@ -1144,13 +1121,7 @@ class ProcessParallelTrainer:
         }
         for i, p in enumerate(self.params):
             tensors[f"weights__{i}"] = p.copy()
-        expect = {}
-        if self.degrade_policy == "recompute" and results[rank] is not None:
-            grads, loss_r, _acc = results[rank]
-            expect = {
-                "grads": digest_tensor_list(grads),
-                "loss": float(loss_r),
-            }
+        grads, loss_r, _acc = results[rank]
         machine = getattr(self.root, "machine", None)
         self.incidents.capture(
             "train",
@@ -1174,13 +1145,15 @@ class ProcessParallelTrainer:
                 "batches_consumed": self.iteration,
             },
             tensors=tensors,
-            expect=expect,
+            expect={
+                "grads": digest_tensor_list(grads),
+                "loss": float(loss_r),
+            },
             extra={
                 "failed_rank": rank,
                 "failures": {
                     r: str(f) for r, f in sorted(failed.items())
                 },
-                "degrade_policy": self.degrade_policy,
                 "allreduce": self.allreduce,
                 "nodes": self.nodes,
             },

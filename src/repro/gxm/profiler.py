@@ -17,7 +17,6 @@ branch-cheap.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,11 +76,9 @@ class TaskProfiler:
     def __init__(
         self,
         etg: ExecutionTaskGraph,
-        clock=time.perf_counter,
         tracer: Tracer | None = None,
     ):
         self.etg = etg
-        self.clock = clock  # kept for API compatibility; spans self-time
         if tracer is None:
             tracer = get_tracer()
             if not tracer.enabled:

@@ -20,16 +20,15 @@ faults such runs meet first-class and testable:
 The systems wired to survive these faults:
 
 * :class:`~repro.gxm.multiproc.ProcessParallelTrainer` -- timeout-guarded
-  pipes, dead-worker detection, per-step degradation (recompute lost
-  shards at the root for bit-identical numerics, or rescale over the
-  survivors), bounded respawn with implicit weight re-broadcast.
-* :mod:`repro.collective` -- the overlapped ring/tree all-reduce those
+  pipes, dead-worker detection, per-step degradation (lost shards
+  recomputed at the root for bit-identical numerics), bounded respawn
+  with implicit weight re-broadcast.
+* :mod:`repro.collective` -- the overlapped ring all-reduce those
   workers run: CRC'd epoch-stamped hops rejected with typed
   :class:`~repro.collective.CollectiveError`\\ s, hop-level fault
   injection (site ``collective.hop``, targetable per rank *and*
   bucket), and ring repair that completes a step degraded -- still
-  bit-identical under ``recompute`` -- when a worker is lost
-  mid-collective.
+  bit-identical -- when a worker is lost mid-collective.
 * :class:`~repro.gxm.trainer.Trainer` / ``ProcessParallelTrainer`` --
   atomic :func:`~repro.gxm.checkpoint.save_training_checkpoint`
   autosave (weights + SGD velocity + step + metrics) and exact-to-the-

@@ -59,7 +59,7 @@ site                    kinds honoured there
                         (:mod:`repro.collective`), filtered by ``rank``
                         **and** ``bucket`` -- the fault fires just
                         before the chosen rank forwards the chosen
-                        gradient bucket, so any ring/tree position x
+                        gradient bucket, so any ring position x
                         early/late-bucket combination is reachable
 ``mp.worker.reply``     ``crash`` -- the training worker exits
                         immediately *after* its reply is queued on the

@@ -271,11 +271,28 @@ def _replica_main(
             "payload": payload, "etype": etype, "msg": msg_,
         })
 
+    def push_health() -> None:
+        try:
+            h = server.health()
+            h["replica_id"] = replica_id
+            replicas = server._replicas
+            h["bucket_tiers"] = (
+                replicas[0].bucket_tiers() if replicas else {}
+            )
+            send({"kind": "health", "payload": h})
+        except Exception:  # never let a health report kill the loop
+            pass
+
     def handle_op(op_id, fn) -> None:
         try:
-            rep(op_id, True, fn())
+            reply = (True, fn(), "", "")
         except BaseException as err:
-            rep(op_id, False, etype=type(err).__name__, msg_=str(err))
+            reply = (False, None, type(err).__name__, str(err))
+        # sent ahead of the reply on the same pipe, so when the parent's
+        # call returns its cached health already shows the outcome (a
+        # poll answered mid-drain would otherwise linger until the next)
+        push_health()
+        rep(op_id, *reply)
 
     try:
         while True:
@@ -316,20 +333,7 @@ def _replica_main(
                 else:
                     pending.put((msg, req))
             elif op == "poll":
-
-                def _health():
-                    h = server.health()
-                    h["replica_id"] = replica_id
-                    replicas = server._replicas
-                    h["bucket_tiers"] = (
-                        replicas[0].bucket_tiers() if replicas else {}
-                    )
-                    return h
-
-                try:
-                    send({"kind": "health", "payload": _health()})
-                except BaseException:  # never let a poll kill the loop
-                    pass
+                push_health()
             elif op == "stats":
                 handle_op(msg["id"], lambda: {
                     "stats": server.stats(),
@@ -400,7 +404,7 @@ class ReplicaHandle:
         self.warm_ms: float | None = None
         self.pid: int | None = None
         self.restarts = 0
-        # router inputs, refreshed by health polls
+        # router inputs, refreshed by health polls and admin-op replies
         self.est_wait_ms = 0.0
         self.queue_depth = 0
         self.degraded_buckets: tuple = ()

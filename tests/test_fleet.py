@@ -427,6 +427,27 @@ class TestFleetLifecycle:
             assert fleet.health()["status"] == "ok"
             fleet.predict(xs[0])
 
+    def test_ops_return_with_fresh_replica_health(self, tmp_path):
+        # no health poll after the first: what each replica's cached
+        # health says when an op returns must come from the op itself
+        cfg = tiny_config()
+        ck = str(tmp_path / "b.npz")
+        save_checkpoint(replace(cfg, seed=99).build_etg(1), ck)
+
+        def per_replica(fleet, key):
+            per = fleet.health()["per_replica"]
+            return [per[i][key] for i in (0, 1)]
+
+        with InferenceFleet(cfg, replicas=2,
+                            health_period_ms=3.6e6) as fleet:
+            fleet.drain(timeout_s=10.0)
+            assert per_replica(fleet, "status") == ["degraded"] * 2
+            fleet.resume()
+            assert per_replica(fleet, "status") == ["ok"] * 2
+            assert fleet.health()["status"] == "ok"
+            fleet.reload_checkpoint(ck)
+            assert per_replica(fleet, "checkpoint") == [ck] * 2
+
     def test_rolling_reload_canary_first(self, tmp_path):
         cfg = tiny_config()
         ck = str(tmp_path / "b.npz")

@@ -357,6 +357,23 @@ class TestTrainIncidentDrill:
         # and the CLI agrees
         assert cli_main(["incident", "replay", written[0]]) == 0
 
+        # bundles written by older versions carry extra keys this one
+        # no longer writes (such as the retired degrade-policy choice):
+        # they still load and replay
+        assert set(m["extra"]) == {
+            "failed_rank", "failures", "allreduce", "nodes",
+        }
+        mpath = os.path.join(written[0], "manifest.json")
+        with open(mpath) as fh:
+            manifest = json.load(fh)
+        manifest["extra"]["retired_key"] = "recompute"
+        with open(mpath, "w") as fh:
+            json.dump(manifest, fh)
+        assert [r["valid"] for r in list_incidents(inc)] == [True]
+        assert load_incident(written[0])["manifest"]["extra"][
+            "retired_key"] == "recompute"
+        assert replay_incident(written[0])["ok"]
+
     def test_replay_detects_a_tampered_expectation(self, tmp_path):
         """Flip one expected digest: the replay must refuse, and the
         CLI must exit non-zero (the bundle file digests do not cover
