@@ -1,6 +1,6 @@
 """Serving benchmark: dynamic batching vs batch-1, cold vs warm boot.
 
-Six measurements, one JSON report:
+Seven measurements, one JSON report:
 
 1. **Batching throughput** -- identical closed-loop load against two
    servers: one with dynamic batching disabled (``buckets=(1,)``, every
@@ -26,11 +26,15 @@ Six measurements, one JSON report:
    verified stream bundle at 1/2/4/8 replicas: per-replica
    ``serve.boot.warm_ms`` must stay flat as the fleet grows (the
    bundle is loaded and verified once, not once per replica).
-6. **Flight-recorder overhead** -- identical closed-loop load with the
-   :mod:`repro.forensics` recorder disabled vs enabled (admission +
-   batch events per request).  The record path is one GIL-atomic deque
-   append, so the p50 delta must stay inside noise;
-   ``--max-recorder-overhead 0.02`` gates it at 2%.
+6. **Event-recording overhead** -- identical closed-loop load with the
+   process-wide tracer (:mod:`repro.obs.tracer`) off vs in its
+   ``"events"`` state, the one an incident directory arms (an admission
+   event per request, one ``serve.batch`` span per batch).  The record
+   path is one GIL-atomic deque append, so the p50 delta must stay
+   inside noise; ``--max-recorder-overhead 0.02`` gates it at 2%.
+7. **Span-recording overhead** -- the same paired measurement in the
+   ``"spans"`` state (every ETG task, conv and stream phase as a span
+   too).  Reported, not gated.
 
 Run as a plain script (not pytest -- the timing loop is its own harness)::
 
@@ -328,10 +332,10 @@ def bench_fleet_boot(cfg: ServeConfig, replica_counts) -> dict:
     }
 
 
-def bench_recorder_overhead(
-    cfg: ServeConfig, requests: int, clients: int, rounds: int,
+def bench_tracer_overhead(
+    cfg: ServeConfig, requests: int, clients: int, rounds: int, level: str,
 ) -> dict:
-    """Identical closed-loop load, flight recorder off vs on.
+    """Identical closed-loop load, tracer off vs in state ``level``.
 
     Runs back-to-back off/on pairs for ``rounds`` rounds and takes the
     *median of the per-round paired overheads*: adjacent runs see
@@ -340,12 +344,14 @@ def bench_recorder_overhead(
     on small runners easily exceeds the effect being measured (one
     GIL-atomic deque append per recorded event).
     """
-    from dataclasses import replace
+    from repro import obs
 
-    from repro.forensics import disable, get_recorder
-
-    def _run(config: ServeConfig) -> dict:
-        server = InferenceServer(config)
+    def _run(on: bool) -> dict:
+        if on:
+            obs.enable(level)
+        else:
+            obs.disable()
+        server = InferenceServer(cfg)
         server.start()
         try:
             rep = run_closed_loop(
@@ -357,15 +363,13 @@ def bench_recorder_overhead(
 
     off_runs, on_runs = [], []
     try:
-        _run(replace(cfg, recorder=0))  # warm-up: JIT + allocator caches
+        _run(False)  # warm-up: JIT + allocator caches
         for _ in range(rounds):
-            disable()
-            off_runs.append(_run(replace(cfg, recorder=0)))
-            on_runs.append(_run(replace(cfg, recorder=4096)))
+            off_runs.append(_run(False))
+            on_runs.append(_run(True))
     finally:
-        # the recorder knob arms the process-wide singleton; put it back
-        disable()
-        get_recorder().clear()
+        # the tracer is process-wide; put it back
+        obs.disable().clear()
 
     def _paired_overhead(key: str) -> float:
         deltas = sorted(
@@ -379,6 +383,7 @@ def bench_recorder_overhead(
     off_p99 = min(r["p99"] for r in off_runs)
     on_p99 = min(r["p99"] for r in on_runs)
     row = {
+        "level": level,
         "requests": requests,
         "clients": clients,
         "rounds": rounds,
@@ -390,8 +395,9 @@ def bench_recorder_overhead(
         "p99_overhead": _paired_overhead("p99"),
     }
     print(
-        f"  recorder OFF: p50 {off_p50:6.2f}ms  p99 {off_p99:6.2f}ms\n"
-        f"  recorder ON : p50 {on_p50:6.2f}ms  p99 {on_p99:6.2f}ms  "
+        f"  tracer off{'':{len(level) - 3}}: p50 {off_p50:6.2f}ms  "
+        f"p99 {off_p99:6.2f}ms\n"
+        f"  tracer {level}: p50 {on_p50:6.2f}ms  p99 {on_p99:6.2f}ms  "
         f"(p50 {row['p50_overhead'] * 100:+.2f}%, "
         f"p99 {row['p99_overhead'] * 100:+.2f}%)"
     )
@@ -418,8 +424,9 @@ def main(argv=None) -> int:
                          "multi-core runners; bitwise identity and the "
                          "zero-copy hot path are always enforced)")
     ap.add_argument("--max-recorder-overhead", type=float, default=0.0,
-                    help="fail if the flight-recorder-enabled p50 exceeds "
-                         "the disabled p50 by more than this fraction "
+                    help="fail if the p50 with the tracer in its events "
+                         "state (incident capture armed) exceeds the "
+                         "tracer-off p50 by more than this fraction "
                          "(acceptance bar: 0.02 = 2%%)")
     args = ap.parse_args(argv)
 
@@ -477,14 +484,17 @@ def main(argv=None) -> int:
         else replica_counts,
     )
 
-    print("flight-recorder overhead (fast engine, closed loop):")
     # moderate concurrency: at heavy oversubscription on small runners
     # scheduler noise is 5-10x the effect being measured
-    recorder = bench_recorder_overhead(
-        fast_cfg, 64 if args.quick else min(requests, 128),
+    overhead = dict(
+        requests=64 if args.quick else min(requests, 128),
         clients=min(4, client_counts[-1]),
         rounds=3 if args.quick else 5,
     )
+    print("event-recording overhead (fast engine, closed loop):")
+    recorder = bench_tracer_overhead(fast_cfg, level="events", **overhead)
+    print("span-recording overhead (fast engine, closed loop, not gated):")
+    spans = bench_tracer_overhead(fast_cfg, level="spans", **overhead)
 
     import os
 
@@ -512,6 +522,7 @@ def main(argv=None) -> int:
         "fleet": fleet,
         "fleet_boot": fleet_boot,
         "recorder": recorder,
+        "spans": spans,
     }
     with open(args.out, "w") as f:
         json.dump(report, f, indent=2)
@@ -572,7 +583,7 @@ def main(argv=None) -> int:
     if (args.max_recorder_overhead
             and recorder["p50_overhead"] > args.max_recorder_overhead):
         print(
-            f"FAIL: flight-recorder p50 overhead "
+            f"FAIL: event-recording p50 overhead "
             f"{recorder['p50_overhead'] * 100:.2f}% > allowed "
             f"{args.max_recorder_overhead * 100:.2f}% "
             f"({recorder['disabled_p50_ms']:.2f}ms -> "

@@ -13,10 +13,10 @@ The public API groups into four levels:
 * **Evaluation** -- the performance models and baselines that regenerate
   every table and figure of the paper (:mod:`repro.perf`,
   :mod:`repro.baselines`, :mod:`repro.models`, :mod:`repro.cachesim`).
-* **Observability** -- tracing spans and metrics threaded through all of
-  the above (:mod:`repro.obs`; ``python -m repro profile``), plus the
-  flight recorder and incident bundles of :mod:`repro.forensics`
-  (``python -m repro incident``).
+* **Observability** -- one bounded ring of spans and events plus metrics,
+  threaded through all of the above (:mod:`repro.obs`;
+  ``python -m repro profile``), frozen into the incident bundles of
+  :mod:`repro.forensics` (``python -m repro incident``).
 
 Quick start::
 

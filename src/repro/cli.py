@@ -642,6 +642,7 @@ def _cmd_tune(args) -> int:
 
 def _cmd_incident(args) -> int:
     import json
+    from collections import Counter
 
     from repro.forensics import (
         ReplayMismatch,
@@ -679,7 +680,7 @@ def _cmd_incident(args) -> int:
         (path,) = _paths(1)
         doc = load_incident(path, verify=not args.no_verify)
         m = dict(doc["manifest"])
-        m["events"] = {k: len(v) for k, v in doc["events"].items()}
+        m["events"] = dict(Counter(e["name"] for e in doc["events"]))
         m["tensor_shapes"] = {
             k: list(v.shape) for k, v in sorted(doc["tensors"].items())
         }

@@ -42,7 +42,6 @@ import threading
 import time
 
 from repro.collective.channels import decode_bucket, send_bucket
-from repro.forensics.recorder import get_recorder
 from repro.collective.errors import (
     CollectiveError,
     CorruptBucket,
@@ -50,6 +49,7 @@ from repro.collective.errors import (
     PeerGone,
     StaleBucket,
 )
+from repro.obs.tracer import get_tracer
 
 __all__ = ["PeerReceiver", "RingEngine"]
 
@@ -384,9 +384,9 @@ class RingEngine:
             self._t_first_send = time.monotonic()
         self.stats["bytes"] += n
         self.stats["hops"] += 1
-        rec = get_recorder()
-        if rec.enabled:
-            rec.record(
+        tracer = get_tracer()
+        if tracer.recording:
+            tracer.record(
                 "collective.hop", step=self.step, epoch=self.epoch,
                 bucket=spec.bucket_id, kind=kind, rank=self.rank,
                 peer=prank, bytes=n,

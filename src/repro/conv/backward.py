@@ -32,7 +32,7 @@ from repro.jit.compile import resolve_execution_tier
 from repro.jit.gemm import GemmDesc, generate_gemm_kernel
 from repro.jit.kernel_cache import KernelCache, get_default_cache
 from repro.obs.metrics import get_metrics
-from repro.obs.tracer import Tracer, get_tracer
+from repro.obs.tracer import get_tracer
 from repro.tensor.blocked import BlockedTensor, block_activations, block_weights
 from repro.tensor.layout import ActivationLayout
 from repro.tensor.transforms import bwd_weight_transform
@@ -65,7 +65,6 @@ class DirectConvBackward:
         plan: BlockingPlan | None = None,
         prefetch: str = "both",
         kernel_cache: KernelCache | None = None,
-        tracer: Tracer | None = None,
         execution_tier: str | None = None,
     ) -> None:
         self.params = params
@@ -76,7 +75,6 @@ class DirectConvBackward:
         self.prefetch = prefetch
         self.cache = (kernel_cache if kernel_cache is not None
                       else get_default_cache())
-        self.tracer = tracer if tracer is not None else get_tracer()
         # the duality modes execute through the dual forward engine, which
         # honours the tier; the Algorithm-7 GEMM fallback is a pure-numpy
         # loop nest, so the tier is accepted but has no kernels to select.
@@ -103,7 +101,7 @@ class DirectConvBackward:
             self.engine = DirectConvForward(
                 self.fwd_params, machine, dtype=dtype, threads=threads,
                 fused_ops=self.fused_ops, plan=plan, prefetch=prefetch,
-                kernel_cache=self.cache, tracer=tracer,
+                kernel_cache=self.cache,
                 execution_tier=self.execution_tier,
             )
         elif p.is_1x1():
@@ -117,7 +115,7 @@ class DirectConvBackward:
             self.engine = DirectConvForward(
                 self.fwd_params, machine, dtype=dtype, threads=threads,
                 fused_ops=self.fused_ops, plan=plan, prefetch=prefetch,
-                kernel_cache=self.cache, tracer=tracer,
+                kernel_cache=self.cache,
                 execution_tier=self.execution_tier,
             )
         else:
@@ -164,7 +162,7 @@ class DirectConvBackward:
 
     def run_nchw(self, dy: np.ndarray, w: np.ndarray) -> np.ndarray:
         """Compute dI from logical (N,K,P,Q) gradients and (K,C,R,S) weights."""
-        tracer = self.tracer
+        tracer = get_tracer()
         if tracer.enabled:
             with tracer.span(
                 "conv.replay", pass_="bwd", mode=self.mode,

@@ -37,7 +37,6 @@ from repro.conv.forward import DirectConvForward
 from repro.conv.params import ConvParams
 from repro.conv.upd import DirectConvUpd
 from repro.jit.kernel_cache import KernelCache, get_default_cache
-from repro.obs.tracer import Tracer
 from repro.types import DType, Pass, ReproError
 
 __all__ = ["ConvEngine", "make_engine"]
@@ -136,7 +135,6 @@ def make_engine(
     plan=None,
     prefetch: str | None = None,
     kernel_cache: KernelCache | None = None,
-    tracer: Tracer | None = None,
     strategy=None,
     execution_tier: str | None = None,
     streams=None,
@@ -167,9 +165,6 @@ def make_engine(
     kernel_cache:
         A :class:`KernelCache` to share between engines (defaults to the
         process-wide cache).
-    tracer:
-        A :class:`repro.obs.Tracer` to record spans into (defaults to the
-        process-wide tracer).
     strategy:
         Update-pass only: a §II-J :class:`UpdStrategy` override.
     execution_tier:
@@ -226,25 +221,25 @@ def make_engine(
         return QuantConvForward(
             params, machine, fused_ops=fused_ops, threads=threads,
             plan=plan, prefetch=prefetch, kernel_cache=kernel_cache,
-            tracer=tracer, execution_tier=execution_tier,
+            execution_tier=execution_tier,
         )
     if p is Pass.FWD:
         return DirectConvForward(
             params, machine, dtype=dtype, fused_ops=fused_ops,
             threads=threads, plan=plan, prefetch=prefetch,
-            kernel_cache=kernel_cache, tracer=tracer,
+            kernel_cache=kernel_cache,
             execution_tier=execution_tier, streams=streams,
         )
     if p is Pass.BWD:
         return DirectConvBackward(
             params, machine, dtype=dtype, fused_ops=fused_ops,
             threads=threads, plan=plan, prefetch=prefetch,
-            kernel_cache=kernel_cache, tracer=tracer,
+            kernel_cache=kernel_cache,
             execution_tier=execution_tier,
         )
     return DirectConvUpd(
         params, machine, dtype=dtype, fused_ops=fused_ops,
         threads=threads, strategy=strategy, plan=plan, prefetch=prefetch,
-        kernel_cache=kernel_cache, tracer=tracer,
+        kernel_cache=kernel_cache,
         execution_tier=execution_tier,
     )

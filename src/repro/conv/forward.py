@@ -37,7 +37,7 @@ from repro.jit.compile import resolve_execution_tier
 from repro.jit.interpreter import execute_kernel
 from repro.jit.kernel_cache import KernelCache, get_default_cache
 from repro.obs.metrics import get_metrics
-from repro.obs.tracer import Tracer, get_tracer
+from repro.obs.tracer import get_tracer
 from repro.parallel.partition import partition_forward
 from repro.quant.qkernels import CHAIN_LIMIT_PAIRS
 from repro.streams.replay import replay
@@ -81,7 +81,6 @@ class DirectConvForward:
         plan: BlockingPlan | None = None,
         prefetch: str = "both",
         kernel_cache: KernelCache | None = None,
-        tracer: Tracer | None = None,
         execution_tier: str | None = None,
         streams: Sequence | None = None,
     ) -> None:
@@ -94,7 +93,6 @@ class DirectConvForward:
         self.prefetch = prefetch
         self.cache = (kernel_cache if kernel_cache is not None
                       else get_default_cache())
-        self.tracer = tracer if tracer is not None else get_tracer()
         self.execution_tier = resolve_execution_tier(execution_tier)
 
         p = params
@@ -114,14 +112,14 @@ class DirectConvForward:
         self._build_variants()
         metrics = get_metrics()
         if streams is not None:
-            with self.tracer.span(
+            with get_tracer().span(
                 "conv.stream_restore", pass_="fwd",
                 layer=params.describe(), threads=self.threads,
             ):
                 self._restore_streams(streams)
             metrics.inc("conv.streams_restored", len(self.streams))
         else:
-            with self.tracer.span(
+            with get_tracer().span(
                 "conv.dryrun", pass_="fwd", layer=params.describe(),
                 threads=self.threads,
             ):
@@ -330,7 +328,7 @@ class DirectConvForward:
         release the GIL), so this demonstrates genuine shared-memory
         parallelism of the recorded streams.
         """
-        tracer = self.tracer
+        tracer = get_tracer()
         if tracer.enabled:
             with tracer.span(
                 "conv.replay", pass_="fwd", layer=self.params.describe(),
@@ -431,7 +429,6 @@ class DirectConvForward:
                 futures = [
                     pool.submit(
                         replay, stream, segments, kernels, apply_ops,
-                        self.tracer,
                     )
                     for stream, segments in jobs
                 ]
@@ -439,7 +436,7 @@ class DirectConvForward:
                     f.result()
         else:
             for stream, segments in jobs:
-                replay(stream, segments, kernels, apply_ops, self.tracer)
+                replay(stream, segments, kernels, apply_ops)
 
     def _execute(
         self,

@@ -30,7 +30,7 @@ from repro.jit.interpreter import execute_kernel
 from repro.jit.kernel_cache import KernelCache, get_default_cache
 from repro.jit.upd_codegen import UpdKernelDesc, generate_upd_kernel
 from repro.obs.metrics import get_metrics
-from repro.obs.tracer import Tracer, get_tracer
+from repro.obs.tracer import get_tracer
 from repro.parallel.partition import split_range
 from repro.parallel.wu_strategies import UpdStrategy, choose_upd_strategy
 from repro.streams.replay import replay
@@ -60,7 +60,6 @@ class DirectConvUpd:
         plan: UpdBlockingPlan | None = None,
         prefetch: str = "both",
         kernel_cache: KernelCache | None = None,
-        tracer: Tracer | None = None,
         execution_tier: str | None = None,
     ) -> None:
         if fused_ops:
@@ -80,7 +79,6 @@ class DirectConvUpd:
         self.prefetch = prefetch
         self.cache = (kernel_cache if kernel_cache is not None
                       else get_default_cache())
-        self.tracer = tracer if tracer is not None else get_tracer()
         self.execution_tier = resolve_execution_tier(execution_tier)
         p = params
         vlen = self.plan.vlen
@@ -89,7 +87,7 @@ class DirectConvUpd:
         self.do_layout = ActivationLayout(n=p.N, c=p.K, h=p.P, w=p.Q, vlen=vlen)
         self.dw_layout = WeightLayout(k=p.K, c=p.C, r=p.R, s=p.S, vlen=vlen)
         self._build_kernels()
-        with self.tracer.span(
+        with get_tracer().span(
             "conv.dryrun", pass_="upd", layer=params.describe(),
             threads=self.threads,
         ):
@@ -182,7 +180,7 @@ class DirectConvUpd:
     def __call__(self, x: BlockedTensor, dy: BlockedTensor) -> BlockedTensor:
         """Replay the recorded streams into the gradient copies, then reduce
         (each simulated thread reduces 1/T of the copies -- section II-J)."""
-        tracer = self.tracer
+        tracer = get_tracer()
         get_metrics().inc("conv.upd_calls")
         if tracer.enabled:
             with tracer.span(
@@ -227,7 +225,7 @@ class DirectConvUpd:
         # per-copy accumulation order is the recorded sequential one
         for stream, gi in zip(self.streams, self.stream_group):
             kernels = self._tier_kernels(tier, xb, dyb, copies[gi])
-            replay(stream, stream.segments(), kernels, [], self.tracer)
+            replay(stream, stream.segments(), kernels, [])
         total_calls = sum(len(s) for s in self.streams)
         metrics = get_metrics()
         metrics.inc("stream.conv_calls", total_calls)

@@ -1,14 +1,13 @@
-"""repro.forensics -- the black-box flight recorder + incident replay.
+"""repro.forensics -- incident bundles + deterministic replay.
 
 Every other subsystem promises bitwise determinism; this package makes
-failures *inherit* that promise.  Three pieces:
+failures *inherit* that promise.  The recent history comes from the
+process-wide tracer's bounded ring (:mod:`repro.obs.tracer`): an
+incident directory raises it to at least its ``"events"`` state --
+admissions, batches, collective hops, tier degrades, fault firings,
+checkpoint/reload lifecycle -- and worker and replica rings drain into
+the parent's.  Two pieces:
 
-* :class:`FlightRecorder` (:mod:`.recorder`) -- a lock-cheap bounded
-  ring of recent structured events (admissions, batch compositions,
-  collective hops, tier degrades, fault firings, checkpoint/reload
-  lifecycle), one singleton per process, branch-cheap when disabled --
-  the same contract as :mod:`repro.obs`.  Worker-process rings drain to
-  the parent through the payload that already carries tracer spans.
 * :class:`IncidentWriter` (:mod:`.bundle`) -- on every typed failure
   (:class:`~repro.resilience.WorkerFailure`,
   :class:`~repro.collective.CollectiveError`,
@@ -17,8 +16,8 @@ failures *inherit* that promise.  Three pieces:
   :class:`~repro.resilience.DivergenceError`) or an explicit
   ``POST /admin/dump``, an atomic digest-verified bundle directory:
   config + fingerprints, the active fault plan, RNG/shuffle state, the
-  tuning-DB digest, the failing tensors themselves, the recorder ring
-  and merged tracer spans.
+  tuning-DB digest, the failing tensors themselves and the tracer's
+  ring as one event list.
 * :func:`replay_incident` (:mod:`.replay`) -- reconstructs the
   engine/trainer from the bundle and re-executes the failing step or
   request, asserting bitwise identity with the recorded digests
@@ -34,13 +33,6 @@ from repro.forensics.bundle import (
     tensor_digest,
     write_incident,
 )
-from repro.forensics.recorder import (
-    EventRecord,
-    FlightRecorder,
-    disable,
-    enable,
-    get_recorder,
-)
 from repro.forensics.replay import (
     ReplayMismatch,
     digest_tensor_list,
@@ -48,11 +40,6 @@ from repro.forensics.replay import (
 )
 
 __all__ = [
-    "FlightRecorder",
-    "EventRecord",
-    "get_recorder",
-    "enable",
-    "disable",
     "IncidentWriter",
     "BundleError",
     "write_incident",

@@ -17,7 +17,8 @@ later ``python -m repro incident replay`` needs into one directory:
   bundle file;
 * ``tensors.npz`` -- the small failing payload itself (the micro-batch
   or gradient-shard inputs, step-start weights, ...);
-* ``events.json`` -- the flight-recorder ring plus merged tracer spans.
+* ``events.json`` -- the process-wide tracer's ring (with every worker
+  and replica ring drained into it) as one list of records.
 
 Writes are atomic the same way checkpoints are: everything lands in a
 ``.tmp~<pid>`` sibling directory first, then one ``os.replace`` renames
@@ -38,7 +39,6 @@ from dataclasses import asdict
 
 import numpy as np
 
-from repro.forensics.recorder import get_recorder
 from repro.obs.metrics import get_metrics
 from repro.obs.tracer import get_tracer
 from repro.types import ReproError
@@ -88,18 +88,21 @@ def _plan_doc(plan) -> dict | None:
     return {"seed": plan.seed, "specs": [asdict(s) for s in plan.specs]}
 
 
-def _events_doc(events, spans) -> dict:
-    return {
-        "ring": [r.to_doc() for r in events],
-        "spans": [
-            {
-                "name": s.name, "ts_us": s.ts_us, "dur_us": s.dur_us,
-                "pid": s.pid, "tid": s.tid, "depth": s.depth,
-                "args": dict(s.args),
-            }
-            for s in spans
-        ],
-    }
+def _one_event_list(doc) -> list[dict]:
+    """``events.json`` as one list of records.  Older bundles hold two
+    lists: ``ring`` (events, named ``kind``, with no duration or thread)
+    and ``spans``."""
+    if isinstance(doc, list):
+        return doc
+    events = [
+        {"name": e["kind"], "ts_us": e["ts_us"], "dur_us": 0.0,
+         "pid": e["pid"], "tid": None, "args": e["args"]}
+        for e in doc.get("ring", [])
+    ]
+    for s in doc.get("spans", []):
+        events.append({k: s[k] for k in
+                       ("name", "ts_us", "dur_us", "pid", "tid", "args")})
+    return events
 
 
 def write_incident(
@@ -118,21 +121,18 @@ def write_incident(
     expect: dict[str, str] | None = None,
     extra: dict | None = None,
     events=None,
-    spans=None,
 ) -> str:
     """Write one incident bundle under ``root``; returns its path.
 
     ``tensors`` are the arrays stored in ``tensors.npz`` (digested
     individually into the manifest); ``expect`` maps names to digests
     the replay must reproduce bitwise (e.g. the recomputed gradient
-    digests).  ``events``/``spans`` default to the process-wide
-    recorder ring and tracer spans at call time.
+    digests).  ``events`` defaults to the process-wide tracer's ring at
+    call time.
     """
     os.makedirs(root, exist_ok=True)
     if events is None:
-        events = get_recorder().export_events()
-    if spans is None:
-        spans = get_tracer().export_events()
+        events = get_tracer().events()
     tensors = dict(tensors or {})
 
     manifest = {
@@ -163,7 +163,8 @@ def write_incident(
             with open(os.path.join(tmp, _TENSORS), "wb") as fh:
                 np.savez_compressed(fh, **tensors)
         with open(os.path.join(tmp, _EVENTS), "w") as fh:
-            json.dump(_events_doc(events, spans), fh)
+            # default=str: span args may hold any object
+            json.dump([r.to_doc() for r in events], fh, default=str)
         manifest["files"] = {
             name: _file_digest(os.path.join(tmp, name))
             for name in sorted(os.listdir(tmp))
@@ -193,7 +194,8 @@ def write_incident(
 
 
 def load_incident(path: str, verify: bool = True) -> dict:
-    """Read a bundle back: ``{"path", "manifest", "tensors", "events"}``.
+    """Read a bundle back: ``{"path", "manifest", "tensors", "events"}``
+    (``events`` is one list of record dicts, oldest first).
 
     With ``verify`` (the default) every per-file sha256 and every
     per-tensor digest recorded in the manifest is recomputed; any
@@ -243,11 +245,11 @@ def load_incident(path: str, verify: bool = True) -> dict:
                 raise BundleError(
                     f"tensor {k} digest mismatch ({got} != {want})"
                 )
-    events: dict = {"ring": [], "spans": []}
+    events: list[dict] = []
     epath = os.path.join(path, _EVENTS)
     if os.path.exists(epath):
         with open(epath) as fh:
-            events = json.load(fh)
+            events = _one_event_list(json.load(fh))
     return {
         "path": path, "manifest": manifest,
         "tensors": tensors, "events": events,

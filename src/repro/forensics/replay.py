@@ -28,6 +28,7 @@ regression test.
 from __future__ import annotations
 
 import hashlib
+from dataclasses import fields
 
 import numpy as np
 
@@ -118,12 +119,11 @@ def _replay_serve(doc: dict) -> dict:
     r = m["replay"]
     tensors = doc["tensors"]
     x = tensors["x"]
-    cdoc = dict(m["config"] or {})
-    # runtime/forensics knobs must not recurse into the replay itself
-    for k in ("replay",):
-        cdoc.pop(k, None)
+    # keys of retired fields (older bundles) are dropped, and the
+    # incident directory must not recurse into the replay itself
+    known = {f.name for f in fields(ServeConfig)}
+    cdoc = {k: v for k, v in (m["config"] or {}).items() if k in known}
     cdoc["incident_dir"] = None
-    cdoc["recorder"] = 0
     cfg = ServeConfig(**cdoc)
     n = int(x.shape[0])
     bucket = int(r.get(

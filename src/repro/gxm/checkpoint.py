@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.forensics.recorder import get_recorder
+from repro.obs.tracer import get_tracer
 from repro.gxm.etg import ExecutionTaskGraph
 from repro.gxm.nodes import ConvNode, _LayerNode
 from repro.layers.bn import BatchNorm2D
@@ -169,16 +169,13 @@ class _checkpoint_file:
 
 
 def _record_ck(event: str, path_or_file, digest: str | None) -> None:
-    """Flight-recorder checkpoint lifecycle breadcrumb (no-op when the
-    recorder is disabled)."""
-    rec = get_recorder()
-    if rec.enabled:
-        rec.record(
-            event,
-            path=(None if hasattr(path_or_file, "write")
-                  else os.fspath(path_or_file)),
-            digest=digest,
-        )
+    """Checkpoint lifecycle event (no-op with the tracer off)."""
+    get_tracer().record(
+        event,
+        path=(None if hasattr(path_or_file, "write")
+              else os.fspath(path_or_file)),
+        digest=digest,
+    )
 
 
 def save_checkpoint(etg: ExecutionTaskGraph, path_or_file,

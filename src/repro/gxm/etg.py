@@ -19,7 +19,7 @@ from repro.gxm.graph import TaskRef, compile_etg
 from repro.gxm.nodes import ConvNode, LossNode, Node, build_node, output_shape
 from repro.gxm.topology import TopologySpec
 from repro.obs.metrics import get_metrics
-from repro.obs.tracer import Tracer, get_tracer
+from repro.obs.tracer import get_tracer
 from repro.types import Pass, ReproError
 
 __all__ = ["ExecutionTaskGraph", "Task"]
@@ -71,14 +71,10 @@ class ExecutionTaskGraph:
         threads: int = 1,
         seed: int = 0,
         fuse: bool = False,
-        tracer: Tracer | None = None,
         execution_tier: str | None = None,
         conv_streams: dict | None = None,
         tuned=False,
     ):
-        #: spans (``etg.step`` / ``etg.task``) are recorded here; the
-        #: TaskProfiler swaps in its own always-enabled tracer per step.
-        self.tracer = tracer if tracer is not None else get_tracer()
         if fuse:
             from repro.gxm.fusion_pass import fuse_topology
 
@@ -166,7 +162,7 @@ class ExecutionTaskGraph:
     # ------------------------------------------------------------------
     def train_step(self, x: np.ndarray, labels: np.ndarray) -> float:
         """Run every ETG task once (FWD + BWD + UPD); returns the loss."""
-        tracer = self.tracer
+        tracer = get_tracer()
         if tracer.enabled:
             with tracer.span("etg.step", minibatch=len(labels)):
                 self._run(x, labels, training=True)
@@ -177,7 +173,7 @@ class ExecutionTaskGraph:
 
     def forward_only(self, x: np.ndarray, labels: np.ndarray | None = None):
         """Inference: only the FWD tasks (the ETG for inference, II-L)."""
-        tracer = self.tracer
+        tracer = get_tracer()
         if tracer.enabled:
             with tracer.span("etg.forward", minibatch=len(x)):
                 self._run(x, labels, training=False)
@@ -196,7 +192,7 @@ class ExecutionTaskGraph:
         grads: dict[str, np.ndarray] = {}
         for ln in self._loss_nodes:
             ln.labels = labels
-        tracer = self.tracer
+        tracer = get_tracer()
         for task in self.tasks:
             layer = self.enl.layer(task.layer)
             node = self.nodes[task.layer]

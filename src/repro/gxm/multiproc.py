@@ -45,6 +45,12 @@ training-checkpoint autosave plus :meth:`ProcessParallelTrainer.resume`
 survive a root crash.  Faults are injectable deterministically via a
 :class:`~repro.resilience.FaultPlan` (sites ``"mp.worker.step"``,
 ``"mp.worker.reply"`` and ``"collective.hop"``).
+
+Observability.  Every worker runs its tracer (:mod:`repro.obs.tracer`)
+in the root's state at spawn time and ships its ring back with each
+reply -- plus its metrics when spans are on -- so the root's ring, and
+every incident bundle it freezes, holds the workers' records under
+their pids, even for a worker that dies right after replying.
 """
 
 from __future__ import annotations
@@ -62,8 +68,6 @@ import numpy as np
 from repro.collective.repair import Membership
 from repro.collective.ring import fold_ring, ring_peers
 from repro.forensics.bundle import IncidentWriter
-from repro.forensics.recorder import get_recorder
-from repro.forensics.recorder import enable as _recorder_enable
 from repro.forensics.replay import digest_tensor_list
 from repro.gxm.etg import ExecutionTaskGraph
 from repro.gxm.topology import TopologySpec
@@ -86,19 +90,18 @@ _POLL_S = 0.05
 _KNOWN_REPLIES = ("done", "cerr", "grads", "ringok", "ringfail")
 
 
-def _drain_obs(trace: bool):
-    """Everything a worker ships back with each reply: tracer spans,
-    metrics and the flight-recorder ring -- so the parent's merged view
-    (and any incident bundle it writes) includes the children's recent
-    history, even for workers that die right after replying."""
-    rec = get_recorder()
-    if not trace and not rec.enabled:
+def _drain_obs():
+    """What a worker ships back with each reply: its ring, plus its
+    metrics when spans are on (``None`` with the tracer off)."""
+    tracer = get_tracer()
+    if not tracer.recording:
         return None
     return {
         "pid": os.getpid(),
-        "events": get_tracer().export_events(clear=True) if trace else [],
-        "metrics": get_metrics().snapshot(clear=True) if trace else {},
-        "ring": rec.export_events(clear=True) if rec.enabled else [],
+        "events": tracer.export_events(clear=True),
+        "metrics": (
+            get_metrics().snapshot(clear=True) if tracer.enabled else {}
+        ),
     }
 
 
@@ -107,11 +110,10 @@ def _worker_main(
     topo_text: str,
     input_shape,
     seed: int,
-    trace: bool = False,
+    level: str = "off",
     rank: int = 0,
     fault_plan: FaultPlan | None = None,
     collective: dict | None = None,
-    record: bool = False,
 ) -> None:
     """Worker loop.  Root-pipe protocol (all messages are tagged tuples;
     ``None`` = shutdown):
@@ -141,18 +143,12 @@ def _worker_main(
     from repro.collective.bucketing import layer_param_indices
 
     injector = FaultInjector(fault_plan)
-    if trace:
-        obs.enable()
-        # per-process observability: this worker's spans/counters are
-        # drained after every step and merged at the root
-        get_tracer().clear()
+    # follow the root's state; this worker's records (and, with spans
+    # on, its counters) are drained after every step into the root's
+    tracer = obs.enable(level)
+    tracer.clear()
+    if tracer.enabled:
         get_metrics().clear()
-    if record:
-        # this worker's flight-recorder ring rides the same per-reply
-        # payload as the tracer spans and lands in the parent's ring
-        _recorder_enable()
-        get_recorder().clear()
-    recorder = get_recorder()
     hub = None
     opt = None
     layer_idx = None
@@ -170,7 +166,6 @@ def _worker_main(
     conns: dict = {}
     receiver = None
     epoch = -1
-    tracer = get_tracer()
 
     def reply_fault(step):
         f = injector.fire("mp.worker.reply", step=step, rank=rank)
@@ -202,20 +197,18 @@ def _worker_main(
                     )
                     receiver = PeerReceiver(conns, new_epoch)
                     epoch = new_epoch
-                    if recorder.enabled:
-                        recorder.record(
-                            "collective.rewire", epoch=new_epoch,
-                            rank=rank,
-                        )
+                    tracer.record(
+                        "collective.rewire", epoch=new_epoch, rank=rank,
+                    )
                     conn.send(("ringok", new_epoch))
                 except Exception as err:
                     conn.send(("ringfail", new_epoch, repr(err)))
             elif tag == "wstep":
                 # stateless legacy step: weights in, local grads out
                 _, step, weights, x, labels = msg
-                if recorder.enabled:
-                    recorder.record("mp.step", step=step, rank=rank,
-                                    mode="root", n=len(labels))
+                if tracer.recording:
+                    tracer.record("mp.step", step=step, rank=rank,
+                                  mode="root", n=len(labels))
                 fault = injector.fire("mp.worker.step", step=step, rank=rank)
                 if fault is not None and fault.kind == "crash":
                     os._exit(17)  # simulated SIGKILL: no cleanup
@@ -227,7 +220,7 @@ def _worker_main(
                     p[...] = w
                 loss = etg.train_step(x, labels)
                 acc = etg.accuracy()
-                payload = _drain_obs(trace)
+                payload = _drain_obs()
                 grads = [g.copy() for g in etg.grads()]
                 if fault is not None and fault.kind == "nan_grad":
                     grads[fault.param % len(grads)].flat[0] = np.nan
@@ -239,10 +232,10 @@ def _worker_main(
                 reply_fault(step)
             elif tag == "step":
                 _, step, sepoch, x, labels = msg
-                if recorder.enabled:
-                    recorder.record("mp.step", step=step, rank=rank,
-                                    mode="ring", epoch=sepoch,
-                                    n=len(labels))
+                if tracer.recording:
+                    tracer.record("mp.step", step=step, rank=rank,
+                                  mode="ring", epoch=sepoch,
+                                  n=len(labels))
                 fault = injector.fire("mp.worker.step", step=step, rank=rank)
                 if fault is not None and fault.kind == "crash":
                     os._exit(17)
@@ -276,7 +269,7 @@ def _worker_main(
                 if runner is not None:
                     runner.detach_and_finish()
                 _finish_collective_step(
-                    conn, runner, tracer, trace, rank, step,
+                    conn, runner, tracer, rank, step,
                     epoch, opt, etg, float(loss), float(acc),
                     poison_param=(fault.param if poison else None),
                     reply_fault=reply_fault,
@@ -300,7 +293,7 @@ def _worker_main(
             pass
 
 
-def _finish_collective_step(conn, runner, tracer, trace, rank,
+def _finish_collective_step(conn, runner, tracer, rank,
                             step, epoch, opt, etg, loss, acc, *,
                             poison_param, reply_fault) -> None:
     """Post-compute worker state machine: wait for the all-reduce while
@@ -335,7 +328,7 @@ def _finish_collective_step(conn, runner, tracer, trace, rank,
                     span.__exit__(None, None, None)
                     span = None
                 avg = engine.result_list()
-                conn.send(("done", step, loss, acc, _drain_obs(trace),
+                conn.send(("done", step, loss, acc, _drain_obs(),
                            runner.step_stats(),
                            avg if rank == 0 else None))
                 done_sent = True
@@ -358,7 +351,7 @@ def _finish_collective_step(conn, runner, tracer, trace, rank,
                     if runner is not None:
                         runner.abandon()
                     conn.send(("grads", step, local_grads(), loss, acc,
-                               _drain_obs(trace)))
+                               _drain_obs()))
                     return
                 # stale control traffic for an older step: ignore
     finally:
@@ -409,12 +402,12 @@ class ProcessParallelTrainer:
         Training-checkpoint autosave every N steps (atomic write);
         :meth:`resume` restores it exact-to-the-step.
     incident_dir:
-        When set, arms the forensics layer: the flight recorder is
-        enabled in the root *and* every worker (rings drain back with
-        each reply), and every degraded step writes one
-        :mod:`repro.forensics` incident bundle there -- the failing
-        shard, the step-start weights and the digests of the gradients
-        the root recomputed bit-identically, replayable via
+        When set, arms the forensics layer: the tracer is raised to at
+        least its ``"events"`` state in the root *and* every worker
+        (rings drain back with each reply), and every degraded step
+        writes one :mod:`repro.forensics` incident bundle there -- the
+        failing shard, the step-start weights and the digests of the
+        gradients the root recomputed bit-identically, replayable via
         ``python -m repro incident replay``.
     """
 
@@ -428,7 +421,6 @@ class ProcessParallelTrainer:
         weight_decay: float = 0.0,
         seed: int = 0,
         start_method: str = "fork",
-        trace: bool | None = None,
         step_timeout: float = 30.0,
         max_respawns: int = 2,
         nan_policy: str = "raise",
@@ -449,10 +441,6 @@ class ProcessParallelTrainer:
             )
         if nodes == 1:
             allreduce = "root"  # degenerate: nothing to reduce
-        # per-process tracer merge: workers record their own spans/metrics
-        # and the root folds them in after every step (default: follow the
-        # root tracer's enabled state at construction time)
-        self.trace = get_tracer().enabled if trace is None else trace
         self._topo_text = topo.to_text()
         self._input_shape = input_shape
         self._seed = seed
@@ -478,10 +466,7 @@ class ProcessParallelTrainer:
         self._injector = FaultInjector(fault_plan) if fault_plan else None
         self.incidents = IncidentWriter(incident_dir)
         if incident_dir is not None:
-            _recorder_enable()
-        #: workers enable their own recorder ring when the parent's is
-        #: armed (incident_dir, or recording already on at construction)
-        self.record = get_recorder().enabled
+            get_tracer().enable("events")
         self.checkpoint_path = checkpoint_path
         self.checkpoint_every = checkpoint_every
         self.shuffle_seed = shuffle_seed
@@ -532,8 +517,7 @@ class ProcessParallelTrainer:
         proc = self._ctx.Process(
             target=_worker_main,
             args=(child, self._topo_text, self._input_shape, self._seed,
-                  self.trace, rank, self.fault_plan, collective,
-                  self.record),
+                  get_tracer().level, rank, self.fault_plan, collective),
             daemon=True,
         )
         proc.start()
@@ -709,9 +693,6 @@ class ProcessParallelTrainer:
         if payload is not None:
             get_tracer().ingest(payload["events"], pid=payload["pid"])
             get_metrics().merge(payload["metrics"])
-            get_recorder().ingest(
-                payload.get("ring", ()), pid=payload["pid"]
-            )
 
     # ------------------------------------------------------------------
     def _recompute_shard(self, x: np.ndarray, labels: np.ndarray):

@@ -4,26 +4,26 @@ The artifact appendix: "The GxM framework reports time per iteration and
 img/s as console output ... the most important performance figures in case
 of CNN training."  :class:`TaskProfiler` produces that per-iteration report
 -- total time, img/s, per-pass and per-layer-type breakdowns -- by reading
-the ``etg.step`` / ``etg.task`` spans the ETG itself records through
-:mod:`repro.obs` (the profiler is a *view* over the tracing layer, not a
-second instrumented task walk).
+the ``etg.step`` / ``etg.task`` records the ETG itself writes into the
+process-wide tracer's ring (:mod:`repro.obs.tracer`): the profiler is a
+*query* over that ring, not a second instrumented task walk.
 
-If the process-wide tracer is enabled (``repro.obs.enable()``), the
-profiler aggregates from it, so profiled steps also land in the exported
-chrome trace.  Otherwise it swaps a private always-enabled tracer into the
-ETG for the duration of each step, keeping the global disabled path
-branch-cheap.
+Profiling a step raises the tracer to its ``"spans"`` state (and, like
+every arming, never lowers it), so profiled steps also land in the
+exported chrome trace.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.gxm.etg import ExecutionTaskGraph
 from repro.obs.metrics import get_metrics
-from repro.obs.tracer import Tracer, get_tracer
+from repro.obs.tracer import enable, now_us
 
 __all__ = ["TaskProfiler", "IterationProfile"]
 
@@ -64,7 +64,7 @@ class IterationProfile:
 
 
 class TaskProfiler:
-    """Profile ETG steps from the spans the ETG records per task.
+    """Profile ETG steps from the records the ETG writes per task.
 
     Usage::
 
@@ -73,33 +73,25 @@ class TaskProfiler:
         print(prof.last.report())
     """
 
-    def __init__(
-        self,
-        etg: ExecutionTaskGraph,
-        tracer: Tracer | None = None,
-    ):
+    def __init__(self, etg: ExecutionTaskGraph):
         self.etg = etg
-        if tracer is None:
-            tracer = get_tracer()
-            if not tracer.enabled:
-                # private recorder so profiling works with tracing off
-                tracer = Tracer(enabled=True)
-        self.tracer = tracer
         self.last: IterationProfile | None = None
         self.history: list[IterationProfile] = []
 
     def step(self, x: np.ndarray, labels: np.ndarray) -> float:
         """One profiled train step (functionally identical to
         ``etg.train_step`` -- it *is* ``etg.train_step``, observed)."""
-        etg = self.etg
-        prev_tracer = etg.tracer
-        etg.tracer = self.tracer
-        mark = len(self.tracer.events)
-        try:
-            loss = etg.train_step(x, labels)
-        finally:
-            etg.tracer = prev_tracer
-        prof = self._aggregate(self.tracer.events[mark:], len(labels))
+        tracer = enable("spans")
+        t0 = now_us()
+        loss = self.etg.train_step(x, labels)
+        # this step's records: this thread's, opened since t0 -- found by
+        # time, not by ring position, so a full ring that wraps is fine
+        pid, tid = os.getpid(), threading.get_ident()
+        prof = self._aggregate(
+            [r for r in tracer.events()
+             if r.ts_us >= t0 and r.tid == tid and r.pid == pid],
+            len(labels),
+        )
         self.last = prof
         self.history.append(prof)
         get_metrics().set_gauge("train.imgs_per_s", prof.imgs_per_s)

@@ -3,10 +3,15 @@
 A zero-dependency tracing + metrics subsystem threaded through the
 library's hot paths:
 
-* :class:`Tracer` (:mod:`repro.obs.tracer`) -- nestable wall-clock spans
-  (``jit.codegen``, ``conv.dryrun``, ``stream.replay``, ``etg.task`` ...),
-  recorded into one process-wide singleton that is disabled by default and
-  branch-cheap when off.
+* :class:`Tracer` (:mod:`repro.obs.tracer`) -- one process-wide bounded
+  ring of :class:`Record`\\ s: wall-clock spans (``jit.codegen``,
+  ``conv.dryrun``, ``stream.replay``, ``etg.task`` ...) and the
+  structured events incident bundles freeze (``serve.admit``,
+  ``serve.batch``, ``collective.hop``, ``fault.fire`` ...).  One setting
+  with three states -- ``"off"`` (default), ``"events"`` (armed by an
+  incident directory) and ``"spans"`` (:func:`enable`) -- and
+  branch-cheap when off.  Worker processes and fleet replicas drain
+  their rings into the parent's.
 * :class:`MetricsRegistry` (:mod:`repro.obs.metrics`) -- named counters and
   gauges (kernels generated, cache hits/misses, stream conv calls, µops
   executed, img/s ...), thread-safe and mergeable across processes.
@@ -35,7 +40,7 @@ Quick start::
 
     from repro import obs
 
-    obs.enable()                      # start recording spans
+    obs.enable()                      # record spans (and events)
     ...  # build engines, train steps
     obs.dump_chrome_trace("trace.json")
     print(obs.flat_report()["counters"])
@@ -54,8 +59,9 @@ from repro.obs.export import (
 from repro.obs.instrument import instrument_codegen
 from repro.obs.metrics import MetricsRegistry, get_metrics
 from repro.obs.tracer import (
+    CAPACITY,
     NULL_SPAN,
-    SpanRecord,
+    Record,
     Tracer,
     disable,
     enable,
@@ -64,7 +70,8 @@ from repro.obs.tracer import (
 
 __all__ = [
     "Tracer",
-    "SpanRecord",
+    "Record",
+    "CAPACITY",
     "get_tracer",
     "enable",
     "disable",

@@ -1,8 +1,9 @@
 """Trace/metrics exporters: ``chrome://tracing`` JSON and flat JSON.
 
 The chrome-trace form is the Trace Event Format's complete-event (``"X"``)
-flavour: one object per span with microsecond ``ts``/``dur``, ``pid``/``tid``
-identity, and the span's attributes under ``args``.  Load the file in
+flavour: one object per ring record (an event is a zero-length span) with
+microsecond ``ts``/``dur``, ``pid``/``tid`` identity, and the record's
+attributes under ``args``.  Load the file in
 ``chrome://tracing`` / Perfetto to see the nested phases per thread and
 process.  The flat form aggregates spans by name (count, total/mean wall
 time) next to every counter and gauge -- the machine-readable summary the
@@ -28,8 +29,8 @@ __all__ = [
 def chrome_trace(
     tracer: Tracer | None = None, metrics: MetricsRegistry | None = None
 ) -> dict[str, Any]:
-    """The tracer's events as a Trace Event Format document (a dict)."""
-    tracer = tracer or get_tracer()
+    """The tracer's ring as a Trace Event Format document (a dict)."""
+    tracer = tracer if tracer is not None else get_tracer()
     metrics = metrics or get_metrics()
     events = [
         {
@@ -42,7 +43,7 @@ def chrome_trace(
             "tid": r.tid,
             "args": {k: _jsonable(v) for k, v in r.args.items()},
         }
-        for r in tracer.events
+        for r in tracer.events()
     ]
     return {
         "traceEvents": events,
@@ -50,6 +51,7 @@ def chrome_trace(
         # summary form, not snapshot(): raw distribution windows would
         # bloat the trace file with thousands of samples
         "otherData": {
+            "dropped_events": tracer.dropped,
             "counters": metrics.counters(),
             "gauges": metrics.gauges(),
             "distributions": metrics.distributions(),
@@ -73,10 +75,10 @@ def flat_report(
     tracer: Tracer | None = None, metrics: MetricsRegistry | None = None
 ) -> dict[str, Any]:
     """Aggregated ``{"spans": ..., "counters": ..., "gauges": ...}``."""
-    tracer = tracer or get_tracer()
+    tracer = tracer if tracer is not None else get_tracer()
     metrics = metrics or get_metrics()
     spans: dict[str, dict[str, float]] = {}
-    for r in tracer.events:
+    for r in tracer.events():
         agg = spans.setdefault(
             r.name, {"count": 0, "total_us": 0.0, "max_us": 0.0}
         )

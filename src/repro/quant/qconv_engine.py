@@ -25,7 +25,6 @@ from repro.conv.forward import DirectConvForward
 from repro.conv.fusion import FusedOp
 from repro.conv.params import ConvParams
 from repro.jit.kernel_cache import KernelCache
-from repro.obs.tracer import Tracer
 from repro.quant.qtensor import QuantTensor, quantize
 from repro.tensor.blocked import BlockedTensor, block_activations, block_weights
 from repro.tensor.transforms import vnni_pack_weights
@@ -48,7 +47,6 @@ class QuantConvForward(DirectConvForward):
         plan: BlockingPlan | None = None,
         prefetch: str = "both",
         kernel_cache: KernelCache | None = None,
-        tracer: Tracer | None = None,
         execution_tier: str | None = None,
     ) -> None:
         if dtype is not DType.QI16F32:
@@ -71,7 +69,6 @@ class QuantConvForward(DirectConvForward):
             plan=plan,
             prefetch=prefetch,
             kernel_cache=kernel_cache,
-            tracer=tracer,
             execution_tier=execution_tier,
         )
         self._scale = 1.0  # set per invocation from the quantized operands

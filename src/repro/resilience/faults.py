@@ -73,10 +73,9 @@ site                    kinds honoured there
 ======================  ====================================================
 
 Injected faults count into ``resilience.faults_injected`` and every
-firing is recorded into the process's
-:class:`~repro.forensics.FlightRecorder` ring (``fault.fire`` events),
-so an incident bundle shows exactly which injected faults preceded the
-failure.
+firing is recorded into the process's tracer ring (``fault.fire``
+events, :mod:`repro.obs.tracer`), so an incident bundle shows exactly
+which injected faults preceded the failure.
 :func:`corrupt_file` deterministically flips bytes of an on-disk
 artifact -- the "artifact corruption" fault for checkpoint/stream tests.
 """
@@ -88,8 +87,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.forensics.recorder import get_recorder
 from repro.obs.metrics import get_metrics
+from repro.obs.tracer import get_tracer
 from repro.types import ReproError
 
 __all__ = [
@@ -226,9 +225,9 @@ class FaultInjector:
                     continue
                 self._remaining[i] -= 1
                 self._metrics.inc("resilience.faults_injected")
-                rec = get_recorder()
-                if rec.enabled:
-                    rec.record(
+                tracer = get_tracer()
+                if tracer.recording:
+                    tracer.record(
                         "fault.fire", site=site, kind=spec.kind,
                         step=step, rank=rank, bucket=bucket,
                     )

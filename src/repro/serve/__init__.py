@@ -66,9 +66,12 @@ Request lifecycle (this layer is what makes the server operable):
   ``/admin/reload`` expose the same over HTTP.  Lifecycle operations
   never interleave: a second drain/resume/reload while one is in flight
   is refused deterministically (:class:`LifecycleBusy`, HTTP 409).
-* **forensics** -- with ``ServeConfig.incident_dir`` set, the flight
-  recorder (:mod:`repro.forensics`) logs admissions, batch compositions,
-  tier degrades and lifecycle transitions; canary rollbacks,
+* **forensics** -- with ``ServeConfig.incident_dir`` set, the
+  process-wide tracer records at least its ``"events"`` state
+  (:mod:`repro.obs.tracer`): admissions, one ``serve.batch`` span per
+  batch with its request ids, tier degrades and lifecycle transitions
+  (a fleet's replicas drain theirs into the parent's ring through the
+  ``stats`` op); canary rollbacks,
   shared-memory slot corruption and ``POST /admin/dump`` each freeze a
   digest-verified incident bundle replayable bitwise via
   ``python -m repro incident replay``.

@@ -78,15 +78,12 @@ class ServeConfig:
         caches recorded under different tuned plans are refused at boot.
     incident_dir:
         Directory for :mod:`repro.forensics` incident bundles.  When
-        set, the server arms the process-wide flight recorder and every
-        typed failure (canary rollback, shared-memory slot corruption)
-        plus ``POST /admin/dump`` freezes an atomic, digest-verified
-        bundle here.  ``None`` (default) disables capture entirely.
-    recorder:
-        Flight-recorder ring capacity (events).  ``0`` leaves the
-        recorder alone; a positive value enables it with this capacity
-        even without an ``incident_dir``.  Neither knob affects recorded
-        streams, so both stay out of the fingerprint.
+        set, the server raises the process-wide tracer to at least its
+        ``"events"`` state (:mod:`repro.obs.tracer`) and every typed
+        failure (canary rollback, shared-memory slot corruption) plus
+        ``POST /admin/dump`` freezes an atomic, digest-verified bundle
+        here.  ``None`` (default) disables capture entirely.  It does
+        not affect recorded streams, so it stays out of the fingerprint.
     """
 
     model: str = "resnet_mini"
@@ -106,7 +103,6 @@ class ServeConfig:
     checkpoint: str | None = field(default=None, compare=False)
     tune_db: str | None = None
     incident_dir: str | None = field(default=None, compare=False)
-    recorder: int = 0
 
     def __post_init__(self) -> None:
         if self.model not in _MODELS:
@@ -164,11 +160,6 @@ class ServeConfig:
                 f"max_queue_wait_ms must be positive (or None to disable "
                 f"adaptive backpressure), got {self.max_queue_wait_ms}"
             )
-        if self.recorder < 0:
-            raise ServeConfigError(
-                f"recorder (flight-recorder ring capacity) must be >= 0, "
-                f"got {self.recorder}"
-            )
 
     # ------------------------------------------------------------------
     @property
@@ -180,8 +171,7 @@ class ServeConfig:
         doc = asdict(self)
         # runtime-only knobs do not change the streams an engine records
         for k in ("workers", "queue_capacity", "batch_window_ms",
-                  "max_queue_wait_ms", "checkpoint",
-                  "incident_dir", "recorder"):
+                  "max_queue_wait_ms", "checkpoint", "incident_dir"):
             doc.pop(k)
         # the tuning DB changes blocking plans, hence recorded streams --
         # fold in its *content* digest: two paths to identical databases
@@ -217,8 +207,7 @@ class ServeConfig:
         )
 
     def build_etg(
-        self, bucket: int, conv_streams=None, tracer=None,
-        execution_tier=_UNSET,
+        self, bucket: int, conv_streams=None, execution_tier=_UNSET,
     ):
         """One :class:`~repro.gxm.etg.ExecutionTaskGraph` sized for a
         batch bucket (the blocked engine records streams per fixed N).
@@ -234,7 +223,6 @@ class ServeConfig:
             machine=machine_by_name(self.machine),
             threads=self.threads,
             seed=self.seed,
-            tracer=tracer,
             execution_tier=(
                 self.execution_tier
                 if execution_tier is _UNSET

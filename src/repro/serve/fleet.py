@@ -67,9 +67,8 @@ from contextlib import contextmanager
 import numpy as np
 
 from repro.forensics.bundle import IncidentWriter
-from repro.forensics.recorder import enable as _recorder_enable
-from repro.forensics.recorder import get_recorder
 from repro.obs.metrics import MetricsRegistry, merge_snapshots
+from repro.obs.tracer import get_tracer
 from repro.resilience.faults import FaultInjector, FaultPlan
 from repro.serve.config import ServeConfig
 from repro.serve.request import (
@@ -182,11 +181,9 @@ def _replica_main(
     answered promptly unless the process is genuinely hung or dead,
     which is exactly what the parent's hang detection should see."""
     _reinit_shared_locks()
-    if config.recorder or config.incident_dir:
-        # fresh ring per replica: the fork copied the parent's events,
-        # and this process's ring is drained back via the stats op
-        _recorder_enable(config.recorder or None)
-        get_recorder().clear()
+    # the fork copied the parent's tracer state and records: start an
+    # empty ring, drained back to the parent through the stats op
+    get_tracer().clear()
     from repro.serve.server import CanaryError, InferenceServer
 
     injector = FaultInjector(plan) if plan is not None else None
@@ -338,10 +335,7 @@ def _replica_main(
                 handle_op(msg["id"], lambda: {
                     "stats": server.stats(),
                     "snapshot": server.metrics.snapshot(),
-                    "ring": (
-                        get_recorder().export_events(clear=True)
-                        if get_recorder().enabled else []
-                    ),
+                    "events": get_tracer().export_events(clear=True),
                 })
             elif op == "drain":
                 handle_op(
@@ -482,8 +476,8 @@ class InferenceFleet:
         self._supervisor: threading.Thread | None = None
         self._stopping = threading.Event()
         self._lifecycle = threading.Lock()
-        if config.recorder or config.incident_dir:
-            _recorder_enable(config.recorder or None)
+        if config.incident_dir:
+            get_tracer().enable("events")
         self._incidents = IncidentWriter(config.incident_dir)
         self.boot_stats: dict = {}
         self._started = False
@@ -686,15 +680,13 @@ class InferenceFleet:
         replica pipe: the failing request tensor is read back from the
         slot's *request* region (the replica scribbled the header, the
         parent-written request bytes are intact) and only the parent's
-        flight-recorder ring rides along."""
+        ring rides along."""
         if not self._incidents.enabled:
             return
-        rec = get_recorder()
-        if rec.enabled:
-            rec.record(
-                "fleet.slot_corruption", replica=handle.id,
-                slot=disp.lease.slot, req=disp.req.id,
-            )
+        get_tracer().record(
+            "fleet.slot_corruption", replica=handle.id,
+            slot=disp.lease.slot, req=disp.req.id,
+        )
         x = np.array(
             self._shm.request_view(disp.lease.slot), dtype=np.float32
         )
@@ -954,9 +946,7 @@ class InferenceFleet:
                 f"retry {name} after it completes"
             )
         try:
-            rec = get_recorder()
-            if rec.enabled:
-                rec.record(f"fleet.{name}")
+            get_tracer().record(f"fleet.{name}")
             yield
         finally:
             self._lifecycle.release()
@@ -1109,11 +1099,9 @@ class InferenceFleet:
                 continue
             per_replica[handle.id] = payload["stats"]
             snapshots.append(payload["snapshot"])
-            ring = payload.get("ring")
-            if ring:
-                # replica flight-recorder events drain into the
-                # parent's ring, tagged with the replica's pid
-                get_recorder().ingest(ring, pid=handle.pid)
+            # the replica's records drain into the parent's ring,
+            # tagged with the replica's pid
+            get_tracer().ingest(payload["events"], pid=handle.pid)
         return {
             "counters": self.metrics.counters(),
             "gauges": self.metrics.gauges(),
@@ -1128,9 +1116,9 @@ class InferenceFleet:
 
     def dump_incident(self) -> str:
         """Operator capture (``POST /admin/dump``): drain every live
-        replica's flight-recorder ring into the parent, then freeze
-        config + merged rings + a replayable canary request into one
-        bundle.  Returns the bundle path."""
+        replica's ring into the parent's, then freeze config + the
+        merged ring + a replayable canary request into one bundle.
+        Returns the bundle path."""
         if not self._started:
             raise ServerClosed("fleet not started")
         if not self._incidents.enabled:
@@ -1138,10 +1126,8 @@ class InferenceFleet:
                 "no incident directory configured; set "
                 "ServeConfig.incident_dir to enable /admin/dump"
             )
-        self.stats()  # pulls replica rings into the parent recorder
-        rec = get_recorder()
-        if rec.enabled:
-            rec.record("fleet.dump")
+        self.stats()  # pulls replica rings into the parent's
+        get_tracer().record("fleet.dump")
         bucket = self.config.buckets[0]
         rng = np.random.default_rng(self.config.seed)
         x = rng.standard_normal(

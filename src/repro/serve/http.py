@@ -18,7 +18,7 @@ Endpoints, JSON in/out:
   on swap; ``409`` when the canary failed and the old weights kept
   serving.
 * ``POST /admin/dump`` -- freeze a :mod:`repro.forensics` incident
-  bundle of the running server (flight-recorder ring, config, live
+  bundle of the running server (the tracer's ring, config, live
   weights, a replayable canary request); response ``{"bundle": path}``.
   ``500`` when no ``incident_dir`` is configured.
 

@@ -40,11 +40,13 @@ refused *deterministically* with :class:`LifecycleBusy` (HTTP 409)
 instead of queueing behind it -- an operator script that fires a reload
 during a drain gets a typed refusal, not an arbitrary interleaving.
 
-Forensics: with :attr:`ServeConfig.incident_dir` set the server arms
-the process-wide :mod:`repro.forensics` flight recorder (admissions,
-batch compositions, tier degrades, lifecycle transitions) and freezes
-an atomic, digest-verified incident bundle on every canary rollback and
-on ``POST /admin/dump`` (:meth:`dump_incident`) -- each bundle replays
+Forensics: with :attr:`ServeConfig.incident_dir` set the server raises
+the process-wide tracer (:mod:`repro.obs.tracer`) to at least its
+``"events"`` state, so its ring records admissions, batches (one
+``serve.batch`` span each, carrying the request ids), tier degrades and
+lifecycle transitions, and freezes that ring into an atomic,
+digest-verified incident bundle on every canary rollback and on
+``POST /admin/dump`` (:meth:`dump_incident`) -- each bundle replays
 bitwise via ``python -m repro incident replay``.
 """
 
@@ -58,9 +60,8 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from repro.forensics.bundle import IncidentWriter, tensor_digest
-from repro.forensics.recorder import enable as _recorder_enable
-from repro.forensics.recorder import get_recorder
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.tracer import get_tracer
 from repro.resilience.faults import FaultInjector
 from repro.serve.admission import AdmissionQueue
 from repro.serve.batcher import MicroBatcher
@@ -146,8 +147,8 @@ class InferenceServer:
         self._stopping = threading.Event()
         #: serializes lifecycle operations (drain/resume/reload/stop)
         self._lifecycle = threading.Lock()
-        if config.recorder or config.incident_dir:
-            _recorder_enable(config.recorder or None)
+        if config.incident_dir:
+            get_tracer().enable("events")
         self._incidents = IncidentWriter(config.incident_dir)
         self.boot_stats: dict = {}
         self._started = False
@@ -292,9 +293,9 @@ class InferenceServer:
             )
         req = InferenceRequest(x, deadline=deadline)
         self.queue.put(req)
-        rec = get_recorder()
-        if rec.enabled:
-            rec.record("serve.admit", req=req.id)
+        tracer = get_tracer()
+        if tracer.recording:
+            tracer.record("serve.admit", req=req.id)
         return req
 
     def predict(
@@ -318,9 +319,7 @@ class InferenceServer:
                 f"{name} after it completes"
             )
         try:
-            rec = get_recorder()
-            if rec.enabled:
-                rec.record(f"serve.{name}")
+            get_tracer().record(f"serve.{name}")
             yield
         finally:
             self._lifecycle.release()
@@ -497,12 +496,9 @@ class InferenceServer:
         the shadows.  The bundle carries the *new* config (checkpoint =
         the rejected path), so a replay rebuilds exactly the engine the
         canary ran on."""
-        rec = get_recorder()
-        if rec.enabled:
-            rec.record(
-                "serve.reload.rollback", bucket=int(bucket),
-                checkpoint=path,
-            )
+        get_tracer().record(
+            "serve.reload.rollback", bucket=int(bucket), checkpoint=path,
+        )
         if not self._incidents.enabled:
             return
         self._incidents.capture(
@@ -521,7 +517,7 @@ class InferenceServer:
 
     def dump_incident(self) -> str:
         """Operator-triggered capture (``POST /admin/dump``): freeze the
-        flight-recorder ring, config and a deterministic canary request
+        tracer's ring, config and a deterministic canary request
         -- together with the live weights and the current output digest
         -- into one replayable bundle.  Returns the bundle path."""
         if not self._started:
@@ -531,9 +527,7 @@ class InferenceServer:
                 "no incident directory configured; set "
                 "ServeConfig.incident_dir to enable /admin/dump"
             )
-        rec = get_recorder()
-        if rec.enabled:
-            rec.record("serve.dump")
+        get_tracer().record("serve.dump")
         bucket = self.config.buckets[0]
         rng = np.random.default_rng(self.config.seed)
         x = rng.standard_normal(

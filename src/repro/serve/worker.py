@@ -47,7 +47,6 @@ import threading
 import time
 from contextlib import contextmanager
 
-from repro.forensics.recorder import get_recorder
 from repro.gxm.inference import InferenceSession
 from repro.jit.compile import resolve_execution_tier
 from repro.jit.tiers import ExecutionTier
@@ -222,13 +221,11 @@ class EngineReplica:
                 self.degraded_buckets.append(bucket)
             self.metrics.inc("serve.tier_degraded")
             self.metrics.inc(f"serve.tier_degraded.{cur}_to_{nxt}")
-            rec = get_recorder()
-            if rec.enabled:
-                rec.record(
-                    "serve.tier_degrade", bucket=bucket,
-                    frm=str(cur), to=str(nxt),
-                    error=f"{type(err).__name__}: {err}",
-                )
+            get_tracer().record(
+                "serve.tier_degrade", bucket=bucket,
+                frm=str(cur), to=str(nxt),
+                error=f"{type(err).__name__}: {err}",
+            )
         return self._sessions[bucket].predict(batch)
 
     def bucket_tiers(self) -> dict[int, str]:
@@ -366,15 +363,11 @@ class Worker(threading.Thread):
         self, requests: list[InferenceRequest], metrics, tracer
     ) -> None:
         batch, n, bucket = self.batcher.build(requests)
-        rec = get_recorder()
-        if rec.enabled:
-            rec.record(
-                "serve.batch", bucket=bucket, n=n,
-                reqs=[r.id for r in requests],
-            )
         t0 = time.perf_counter()
-        if tracer.enabled:
-            with tracer.span("serve.batch", bucket=bucket, n=n):
+        if tracer.recording:
+            # in the ring from the start, so a dump mid-batch shows it
+            with tracer.record("serve.batch", bucket=bucket, n=n,
+                               reqs=[r.id for r in requests]):
                 probs = self._run_gated(batch, bucket)
         else:
             probs = self._run_gated(batch, bucket)

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from repro.obs.tracer import Tracer, get_tracer
+from repro.obs.tracer import get_tracer
 from repro.streams.rle import Segment, SegmentKind
 from repro.streams.stream import FrozenStream
 
@@ -55,13 +55,11 @@ def replay(
     segments: Sequence[Segment],
     kernels: Sequence[ConvKernel],
     apply_ops: Sequence[ApplyOp],
-    tracer: Tracer | None = None,
 ) -> int:
     """Execute one thread's recorded stream inside one ``stream.replay``
-    span (on ``tracer``, default the process tracer); returns the number
-    of conv calls.  ``segments`` is the stream's RLE
+    span; returns the number of conv calls.  ``segments`` is the stream's RLE
     (:meth:`~repro.streams.stream.FrozenStream.segments`)."""
-    tracer = tracer if tracer is not None else get_tracer()
+    tracer = get_tracer()
     if tracer.enabled:
         with tracer.span("stream.replay", calls=len(stream)):
             return _replay(stream, segments, kernels, apply_ops)

@@ -7,11 +7,21 @@ import pytest
 
 from repro.arch.machine import MachineConfig
 from repro.conv.params import ConvParams
+from repro.obs.tracer import get_tracer
 
 
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(1234)
+
+
+@pytest.fixture(autouse=True)
+def _quiet_tracer():
+    """Incident directories, ``TaskProfiler`` and ``obs.enable`` raise
+    the process-wide tracer; turn it off and empty its ring after each
+    test so no state or record leaks into the next one."""
+    yield
+    get_tracer().disable().clear()
 
 
 #: a VLEN=4 machine so µop-level tests stay small

@@ -258,10 +258,11 @@ class TestHealthyCollective:
         assert t.failures == []
 
     def test_overlap_spans_reach_the_root_tracer(self, clean_metrics):
-        tracer = get_tracer()
+        # workers follow the root's tracer state
+        tracer = get_tracer().enable("spans")
         tracer.clear()
         ds = tiny_dataset(n=12)
-        run_trainer(ds, allreduce="ring", trace=True, nodes=2,
+        run_trainer(ds, allreduce="ring", nodes=2,
                     bucket_bytes=TINY_BUCKET)
         names = tracer.span_names()
         assert "collective.step" in names

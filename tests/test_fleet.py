@@ -27,6 +27,7 @@ import pytest
 from repro.gxm.checkpoint import load_checkpoint, save_checkpoint
 from repro.gxm.inference import InferenceSession
 from repro.obs.metrics import get_metrics, merge_snapshots
+from repro.obs.tracer import get_tracer
 from repro.resilience.faults import FaultPlan, FaultSpec
 from repro.serve import (
     CanaryError,
@@ -302,6 +303,25 @@ class TestFleetServing:
         assert merged["counters"].get("serve.responses", 0) == 8
         assert len(stats["per_replica"]) == 2
         assert stats["replicas"] == 2
+
+    def test_replica_records_reach_the_parent_ring(self):
+        """With spans on, the replicas' ``serve.batch`` and ``etg.task``
+        records drain into the parent's ring through ``stats()``,
+        tagged with the replica pids."""
+        tracer = get_tracer().enable("spans")
+        tracer.clear()
+        with InferenceFleet(tiny_config(), replicas=2) as fleet:
+            reqs = [fleet.submit(x) for x in images(6, seed=5)]
+            for r in reqs:
+                r.result(30.0)
+            fleet.stats()
+            replica_pids = {h.pid for h in fleet._handles}
+        for name in ("serve.batch", "etg.task"):
+            pids = {r.pid for r in tracer.events(name)}
+            assert pids and pids <= replica_pids, name
+        assert sum(
+            len(r.args["reqs"]) for r in tracer.events("serve.batch")
+        ) == 6
 
     def test_merge_snapshots_sums_counters(self):
         a = {"counters": {"c": 2}, "gauges": {"g": 1.0},

@@ -1,10 +1,8 @@
-"""repro.forensics: flight recorder, incident bundles, deterministic
-replay.
+"""repro.forensics: incident bundles, deterministic replay.
 
-The load-bearing guarantees, each tested here:
+The load-bearing guarantees, each tested here (the bounded ring the
+bundles freeze is tested with the tracer, in ``test_obs.py``):
 
-* **lock-cheap recorder** -- a bounded ring, branch-cheap when disabled,
-  whose events survive cross-process drains with the sender's pid;
 * **atomic, tamper-evident bundles** -- a capture either fully exists
   under its final name or not at all, and any bit flipped after the
   write is detected at load time (:class:`BundleError`), never replayed;
@@ -26,12 +24,10 @@ import pytest
 from repro.cli import main as cli_main
 from repro.forensics import (
     BundleError,
-    FlightRecorder,
     IncidentWriter,
     ReplayMismatch,
     diff_incidents,
     digest_tensor_list,
-    get_recorder,
     list_incidents,
     load_incident,
     replay_incident,
@@ -49,6 +45,7 @@ from repro.gxm.multiproc import ProcessParallelTrainer
 from repro.gxm.trainer import SGD
 from repro.models.resnet50 import resnet_mini_topology
 from repro.obs.metrics import get_metrics
+from repro.obs.tracer import get_tracer
 from repro.resilience.faults import (
     FaultInjector,
     FaultPlan,
@@ -68,18 +65,6 @@ pytestmark = pytest.mark.timeout(180)
 SHAPE = (3, 8, 8)
 
 
-@pytest.fixture(autouse=True)
-def _pristine_recorder():
-    """Trainer/server construction arms the process-wide recorder;
-    restore its state so tests cannot leak into each other."""
-    rec = get_recorder()
-    enabled, capacity = rec.enabled, rec.capacity
-    yield
-    rec.enabled = enabled
-    rec.resize(capacity)
-    rec.clear()
-
-
 def _etg(seed=0):
     return ExecutionTaskGraph(
         resnet_mini_topology(num_classes=4, width=8), (2, *SHAPE),
@@ -93,66 +78,6 @@ def serve_images(n, seed=0):
 
 
 # ---------------------------------------------------------------------------
-class TestFlightRecorder:
-    def test_disabled_is_a_no_op(self):
-        rec = FlightRecorder(enabled=False, capacity=8)
-        rec.record("serve.admit", req=1)
-        assert len(rec) == 0 and rec.events() == []
-
-    def test_bounded_ring_drops_oldest(self):
-        rec = FlightRecorder(enabled=True, capacity=4)
-        for i in range(10):
-            rec.record("tick", i=i)
-        assert len(rec) == 4
-        assert [r.args["i"] for r in rec.events()] == [6, 7, 8, 9]
-
-    def test_payload_may_carry_a_kind_key(self):
-        """The event name is positional-only, so a fault's own ``kind``
-        rides in the payload without a TypeError (regression: the fleet
-        reaper thread died on exactly this collision)."""
-        rec = FlightRecorder(enabled=True, capacity=4)
-        rec.record("fault.fire", site="collective.hop", kind="crash")
-        (r,) = rec.events("fault.fire")
-        assert r.kind == "fault.fire" and r.args["kind"] == "crash"
-
-    def test_kind_filter_and_clear(self):
-        rec = FlightRecorder(enabled=True, capacity=8)
-        rec.record("a")
-        rec.record("b")
-        rec.record("a")
-        assert len(rec.events("a")) == 2
-        rec.clear()
-        assert len(rec) == 0
-
-    def test_export_ingest_rewrites_pid(self):
-        child = FlightRecorder(enabled=True, capacity=8)
-        child.record("mp.step", step=3)
-        shipped = child.export_events(clear=True)
-        assert len(child) == 0
-        parent = FlightRecorder(enabled=True, capacity=8)
-        parent.ingest(shipped, pid=4242)
-        (r,) = parent.events()
-        assert r.pid == 4242 and r.args["step"] == 3
-
-    def test_resize_keeps_newest(self):
-        rec = FlightRecorder(enabled=True, capacity=8)
-        for i in range(8):
-            rec.record("tick", i=i)
-        rec.resize(2)
-        assert rec.capacity == 2
-        assert [r.args["i"] for r in rec.events()] == [6, 7]
-
-    def test_singleton_identity_survives_enable_disable(self):
-        from repro.forensics import disable, enable
-
-        rec = get_recorder()
-        assert enable(capacity=rec.capacity) is rec
-        assert rec.enabled
-        assert disable() is rec
-        assert not rec.enabled
-
-
-# ---------------------------------------------------------------------------
 class TestBundle:
     def _write(self, tmp_path, **kw):
         kw.setdefault("kind", "serve")
@@ -161,7 +86,6 @@ class TestBundle:
             "x": np.arange(6, dtype=np.float32).reshape(2, 3),
         })
         kw.setdefault("events", [])
-        kw.setdefault("spans", [])
         return write_incident(str(tmp_path), **kw)
 
     def test_write_load_roundtrip(self, tmp_path):
@@ -236,6 +160,19 @@ class TestBundle:
         rep = replay_incident(path)
         assert rep == {"ok": True, "mode": None, "replayed": False}
 
+    def test_batch_in_flight_is_frozen(self, tmp_path):
+        """A batch's record enters the ring when the batch starts, so a
+        bundle frozen while it runs holds it, request ids included."""
+        from repro import obs
+
+        tracer = obs.enable("events")
+        with tracer.record("serve.batch", bucket=2, n=2, reqs=[7, 8]):
+            path = write_incident(str(tmp_path), kind="manual")
+        (batch,) = [e for e in load_incident(path)["events"]
+                    if e["name"] == "serve.batch"]
+        assert batch["args"]["reqs"] == [7, 8]
+        assert batch["dur_us"] == 0.0 and batch["pid"] == os.getpid()
+
 
 # ---------------------------------------------------------------------------
 class TestCheckpointTornWrite:
@@ -293,9 +230,9 @@ class TestCheckpointTornWrite:
         )
 
     def test_recorder_breadcrumbs_for_checkpoint_and_fault(self, tmp_path):
-        from repro.forensics import enable
+        from repro import obs
 
-        rec = enable(capacity=64)
+        rec = obs.enable("events")
         rec.clear()
         path = str(tmp_path / "ck.npz")
         etg = _etg()
@@ -303,7 +240,7 @@ class TestCheckpointTornWrite:
         load_checkpoint(etg, path)
         with pytest.raises(InjectedFault):
             save_checkpoint(etg, path, injector=self._crash_injector())
-        kinds = [r.kind for r in rec.events()]
+        kinds = [r.name for r in rec.events()]
         assert "checkpoint.save" in kinds and "checkpoint.load" in kinds
         (fire,) = rec.events("fault.fire")
         assert fire.args["site"] == "checkpoint.save"
@@ -346,6 +283,9 @@ class TestTrainIncidentDrill:
         assert m["error"]["type"] == "WorkerFailure"
         assert m["extra"]["failed_rank"] == 1
         assert m["replay"]["mode"] == "train" and m["replay"]["step"] == 2
+        # the worker rings drained into the root's before the freeze
+        hops = [e for e in doc["events"] if e["name"] == "collective.hop"]
+        assert any(e["pid"] != os.getpid() for e in hops)
         # the recorded expectation is the digest of the bit-identically
         # recomputed gradients -- the replay must reproduce it
         assert m["expect"]["grads"]
@@ -419,7 +359,7 @@ class TestServeIncidentDrill:
                       rank=0),
         ))
         cfg = ServeConfig(buckets=(1, 2), batch_window_ms=1.0, workers=1,
-                          incident_dir=inc, recorder=256)
+                          incident_dir=inc)
         xs = serve_images(6, seed=8)
         with InferenceFleet(cfg, replicas=2, fault_plan=plan) as fleet:
             reqs = [fleet.submit(x) for x in xs]
@@ -431,7 +371,7 @@ class TestServeIncidentDrill:
                     failures += 1
             assert failures == 1
             written = list(fleet._incidents.written)
-            ring_kinds = {r.kind for r in get_recorder().events()}
+            ring_kinds = {r.name for r in get_tracer().events()}
 
         assert len(written) == 1, "exactly one bundle per corruption"
         assert "fleet.slot_corruption" in ring_kinds
@@ -453,7 +393,7 @@ class TestServeIncidentDrill:
 
         inc = str(tmp_path / "incidents")
         cfg = ServeConfig(buckets=(1, 2), batch_window_ms=1.0,
-                          incident_dir=inc, recorder=256)
+                          incident_dir=inc)
         ck_a = str(tmp_path / "a.npz")
         ck_b = str(tmp_path / "b.npz")
         save_checkpoint(replace(cfg, seed=11).build_etg(1), ck_a)
@@ -471,7 +411,7 @@ class TestServeIncidentDrill:
                 server.reload_checkpoint(ck_b)
             (path,) = server._incidents.written
             assert "serve.reload.rollback" in {
-                r.kind for r in get_recorder().events()
+                r.name for r in get_tracer().events()
             }
         finally:
             server.stop()
@@ -486,7 +426,7 @@ class TestServeIncidentDrill:
 
     def test_dump_incident_records_and_replays(self, tmp_path):
         inc = str(tmp_path / "incidents")
-        cfg = ServeConfig(buckets=(1, 2), incident_dir=inc, recorder=128)
+        cfg = ServeConfig(buckets=(1, 2), incident_dir=inc)
         with InferenceServer(cfg) as server:
             server.predict(serve_images(1)[0], timeout=30.0)
             path = server.dump_incident()
@@ -495,7 +435,7 @@ class TestServeIncidentDrill:
         m = doc["manifest"]
         assert m["kind"] == "manual" and m["extra"]["trigger"] == "dump"
         # the admission and batch of the served request are in the ring
-        kinds = {e["kind"] for e in doc["events"]["ring"]}
+        kinds = {e["name"] for e in doc["events"]}
         assert {"serve.admit", "serve.batch", "serve.dump"} <= kinds
         rep = replay_incident(path)
         assert rep["ok"] and rep["digests"]["y"] == m["expect"]["y"]
@@ -509,20 +449,15 @@ class TestServeIncidentDrill:
 
     def test_config_fingerprint_ignores_forensics_knobs(self, tmp_path):
         base = ServeConfig(buckets=(1, 2))
-        armed = ServeConfig(buckets=(1, 2),
-                            incident_dir=str(tmp_path), recorder=64)
+        armed = ServeConfig(buckets=(1, 2), incident_dir=str(tmp_path))
         assert base.fingerprint() == armed.fingerprint()
-
-    def test_recorder_knob_validated(self):
-        with pytest.raises(ValueError, match="recorder"):
-            ServeConfig(recorder=-1)
 
 
 # ---------------------------------------------------------------------------
 class TestIncidentCLI:
     def _dump_bundle(self, tmp_path):
         inc = str(tmp_path / "incidents")
-        cfg = ServeConfig(buckets=(1,), incident_dir=inc, recorder=64)
+        cfg = ServeConfig(buckets=(1,), incident_dir=inc)
         with InferenceServer(cfg) as server:
             path = server.dump_incident()
         return inc, path
@@ -537,6 +472,49 @@ class TestIncidentCLI:
         assert shown["kind"] == "manual" and shown["tensor_shapes"]
         assert cli_main(["incident", "diff", path, path]) == 0
         assert json.loads(capsys.readouterr().out)["same"]
+
+    def test_two_list_layout_still_lists_shows_and_replays(
+        self, tmp_path, capsys
+    ):
+        """Older bundles hold ``events.json`` as two lists (``ring``
+        events and ``spans``) and a config with the retired
+        ring-capacity field; they still list, show and replay."""
+        import hashlib
+
+        inc, path = self._dump_bundle(tmp_path)
+        old = {
+            "ring": [
+                {"kind": e["name"], "ts_us": int(e["ts_us"]),
+                 "pid": e["pid"], "args": e["args"]}
+                for e in load_incident(path)["events"]
+            ],
+            "spans": [
+                {"name": "etg.task", "ts_us": 1.0, "dur_us": 2.0, "pid": 1,
+                 "tid": 2, "depth": 0, "args": {"layer": "fc"}},
+            ],
+        }
+        epath = os.path.join(path, "events.json")
+        with open(epath, "w") as fh:
+            json.dump(old, fh)
+        mpath = os.path.join(path, "manifest.json")
+        with open(mpath) as fh:
+            manifest = json.load(fh)
+        manifest["config"]["recorder"] = 64
+        with open(epath, "rb") as fh:
+            manifest["files"]["events.json"] = hashlib.sha256(
+                fh.read()
+            ).hexdigest()[:16]
+        with open(mpath, "w") as fh:
+            json.dump(manifest, fh)
+
+        assert cli_main(["incident", "list", "--dir", inc]) == 0
+        out = capsys.readouterr().out
+        assert "BAD" not in out and "kind=manual" in out
+        assert cli_main(["incident", "show", path]) == 0
+        shown = json.loads(capsys.readouterr().out)
+        assert shown["events"] == {"serve.dump": 1, "etg.task": 1}
+        assert cli_main(["incident", "replay", path]) == 0
+        assert json.loads(capsys.readouterr().out)["ok"]
 
     def test_list_empty_dir(self, tmp_path, capsys):
         assert cli_main(

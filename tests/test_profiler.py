@@ -83,3 +83,24 @@ class TestProfiler:
         loss = prof.step(x, y)
         assert np.isfinite(loss)
         assert "Eltwise" in prof.last.by_type
+
+    def test_wrapped_ring_gives_same_task_keys(self, rng):
+        """The profiler finds its step's records by time and thread, not
+        by ring position: on a full ring that wraps during the step it
+        reports the same tasks as on an empty one."""
+        from repro.obs.tracer import CAPACITY, get_tracer
+
+        x = rng.standard_normal((8, 16, 8, 8)).astype(np.float32)
+        y = rng.integers(0, 4, 8)
+        prof = TaskProfiler(ExecutionTaskGraph(topo(), (8, 16, 8, 8), seed=0))
+        tracer = get_tracer()
+        tracer.clear()
+        prof.step(x, y)
+        fresh = prof.last
+        for i in range(CAPACITY):
+            tracer.record("filler", i=i)
+        assert len(tracer) == CAPACITY
+        prof.step(x, y)
+        assert tracer.dropped > 0
+        assert set(prof.last.by_task) == set(fresh.by_task)
+        assert prof.last.total_s > 0

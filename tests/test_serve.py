@@ -611,7 +611,7 @@ class TestSessionSatellites:
                 server.predict(images(1)[0])
             names = tracer.span_names()
             assert "serve.batch" in names
-            (span,) = tracer.spans("serve.batch")
+            (span,) = tracer.events("serve.batch")
             assert span.args["n"] == 1 and span.args["bucket"] == 1
         finally:
             obs.disable()

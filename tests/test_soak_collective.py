@@ -1,8 +1,8 @@
 """Collective chaos soak: sustained data-parallel training through a
 drumbeat of mid-ring faults.
 
-Gated behind ``REPRO_SOAK=1`` (CI's ``allreduce-smoke`` job may run it;
-a plain ``pytest`` does not).  For ~30 seconds (``REPRO_SOAK_S``), one
+Gated behind ``REPRO_SOAK=1`` (CI's ``allreduce-smoke`` job runs it; a
+plain ``pytest`` does not).  For ~30 seconds (``REPRO_SOAK_S``), one
 ring trainer fits epoch after epoch while a probabilistic fault plan
 keeps killing, hanging and corrupting workers mid-collective, and an
 external chaos thread SIGKILLs a random worker between steps.
@@ -12,8 +12,8 @@ sustained chaos rather than in one-shot tests:
 
 * every step terminates -- degraded or healthy, never wedged (the fit
   loop keeps advancing until time is up);
-* under the default ``recompute`` policy the final weights are
-  *bitwise identical* to an undisturbed run over the same batches --
+* the final weights are *bitwise identical* to an undisturbed run over
+  the same batches (a lost shard is always recomputed at the root) --
   no injected fault may perturb training numerics;
 * every loss stays finite and every fault is accounted for in the
   ``collective.*`` / ``resilience.*`` counters;
@@ -140,10 +140,10 @@ def test_collective_chaos_soak(tmp_path):
     # the trainer came out of the soak alive, not wedged
     assert t.live_workers == 0  # closed cleanly
 
-    # bitwise: replay the same number of epochs undisturbed -- under
-    # ``recompute`` no injected fault may perturb training numerics, so
-    # the chaos run's full loss trajectory and final weights must match
-    # the healthy run exactly
+    # bitwise: replay the same number of epochs undisturbed -- with
+    # every lost shard recomputed no injected fault may perturb training
+    # numerics, so the chaos run's full loss trajectory and final
+    # weights must match the healthy run exactly
     ref_losses: list[float] = []
     ref = _trainer()
     try:

@@ -96,8 +96,7 @@ def test_lifecycle_chaos_soak(tmp_path):
                   count=ROLLBACKS),
     ))
     server = InferenceServer(
-        replace(cfg, checkpoint=ck_a, incident_dir=inc_dir,
-                recorder=4096),
+        replace(cfg, checkpoint=ck_a, incident_dir=inc_dir),
         fault_injector=FaultInjector(plan),
     )
     server.start()
