@@ -2,19 +2,25 @@
 
 One sweep, one JSON report: data-parallel training of the mini-ResNet
 at 2/4/8 worker processes under each ``--allreduce`` mode, measuring
-per-step wall-clock at the root.  ``root`` is the blocking baseline
-(scatter weights, gather gradients, fold at the root in rank order);
-``ring`` streams gradient buckets between workers layer-by-layer while
-the backward pass is still producing them, so the communication the
-root baseline serializes can overlap the rest of backprop.
+per-step wall-clock at the root.  In both modes every worker keeps a
+weight replica.  ``root`` is the blocking baseline (gather the shard
+gradients, fold them at the root in rank order, broadcast the
+average); ``ring`` streams gradient buckets between workers
+layer-by-layer while the backward pass is still producing them, so the
+communication the root baseline serializes can overlap the rest of
+backprop.
 
-Every ring cell re-checks the headline invariant -- its final weights
-and losses are *bitwise identical* to the root fold over the same
-batches -- and records the workers' own overlap accounting
-(``collective.overlap_ms`` vs ``collective.exposed_ms``) next to the
-gradient buckets cut per step: a step whose whole gradient fits in one
-``bucket_bytes`` bucket cuts it at the end of backprop, so nothing is
-left to overlap.
+Each worker count runs two ring cells.  One uses the default
+``bucket_bytes``, which holds the whole gradient of this model, so
+every step cuts one bucket at the end of backprop and nothing is left
+to overlap.  The other derives ``bucket_bytes`` from the model's
+gradient size so that each step cuts several buckets
+(``split_bucket_bytes``).  Every ring cell re-checks the headline
+invariant -- its final weights and losses are *bitwise identical* to
+the root fold over the same batches -- and records the workers' own
+overlap accounting (``collective.overlap_ms`` vs
+``collective.exposed_ms``) next to the gradient buckets cut per step.
+The scaling gate compares the default-bucket ring cell with root.
 
 Scaling is core-bound: ``workers`` processes plus the root must fit on
 the host for overlap to show up as wall-clock, so the report records
@@ -40,7 +46,9 @@ import numpy as np
 
 from repro.arch.machine import SKX
 from repro.gxm.data import SyntheticImageDataset
+from repro.gxm.etg import ExecutionTaskGraph
 from repro.gxm.multiproc import ProcessParallelTrainer
+from repro.gxm.parser import parse_topology
 from repro.models.resnet50 import resnet_mini_topology
 from repro.obs.metrics import get_metrics
 
@@ -50,6 +58,12 @@ CLASSES = 8
 GATE_WORKERS = 4
 #: below this many usable cores the gate is noise: skip with a notice
 GATE_MIN_CPUS = 4
+#: the trainer's default bucket threshold (the gate's ring cell)
+DEFAULT_BUCKET_BYTES = 1 << 20
+#: the second ring cell's threshold is the gradient size over this.  A
+#: bucket closes once it reaches the threshold and never splits a
+#: layer, so at width 24 each step cuts 5 buckets (``buckets_per_step``)
+SPLIT_BUCKETS = 8
 
 
 def _usable_cpus() -> int:
@@ -65,8 +79,18 @@ def _topology(width: int):
     return resnet_mini_topology(num_classes=CLASSES, width=width)
 
 
+def split_bucket_bytes(width: int, batch_per_worker: int) -> int:
+    """The model's gradient bytes per worker over ``SPLIT_BUCKETS``."""
+    etg = ExecutionTaskGraph(
+        parse_topology(_topology(width).to_text()),
+        (batch_per_worker, *SHAPE), engine="fast", seed=0,
+    )
+    return sum(p.nbytes for p in etg.params()) // SPLIT_BUCKETS
+
+
 def bench_cell(mode: str, nodes: int, width: int, steps: int,
-               batch_per_worker: int) -> dict:
+               batch_per_worker: int,
+               bucket_bytes: int = DEFAULT_BUCKET_BYTES) -> dict:
     """Train ``steps`` batches under ``mode``; per-step wall-clock is
     the median of the steady-state steps (the first is warmup: worker
     spawn, mesh build, first-touch)."""
@@ -78,6 +102,7 @@ def bench_cell(mode: str, nodes: int, width: int, steps: int,
     t = ProcessParallelTrainer(
         _topology(width), (batch_per_worker, *SHAPE), nodes=nodes,
         seed=0, allreduce=mode, step_timeout=120.0,
+        bucket_bytes=bucket_bytes,
     )
     try:
         wall_ms = []
@@ -86,7 +111,7 @@ def bench_cell(mode: str, nodes: int, width: int, steps: int,
             t0 = time.perf_counter()
             t.train_step(x, labels)
             wall_ms.append((time.perf_counter() - t0) * 1e3)
-        weights = [p.copy() for p in t.root.params()]
+        weights = [p.copy() for p in t.etg.params()]
         losses = list(t.metrics.losses)
     finally:
         t.close()
@@ -97,6 +122,7 @@ def bench_cell(mode: str, nodes: int, width: int, steps: int,
     return {
         "mode": mode,
         "workers": nodes,
+        "bucket_bytes": bucket_bytes if mode == "ring" else None,
         "steps": len(wall_ms),
         "step_ms_median": float(np.median(steady)),
         "step_ms_first": wall_ms[0],
@@ -122,43 +148,51 @@ def bench_cell(mode: str, nodes: int, width: int, steps: int,
 
 def bench_sweep(worker_counts, modes, width: int, steps: int,
                 batch_per_worker: int) -> dict:
+    split = split_bucket_bytes(width, batch_per_worker)
     rows = []
     bitwise_ok = True
     for nodes in worker_counts:
         ref = None
         for mode in modes:
-            cell = bench_cell(mode, nodes, width, steps, batch_per_worker)
-            if mode == "root":
-                ref = cell
-            elif ref is not None:
-                # ring's chain fold is rank-order, exactly the root
-                # fold: bitwise identity is the acceptance bar
-                exact = (
-                    cell["_losses"] == ref["_losses"]
-                    and all(np.array_equal(a, b) for a, b in
-                            zip(cell["_weights"], ref["_weights"]))
-                )
-                cell["bitwise_vs_root"] = exact
-                bitwise_ok = bitwise_ok and exact
-            if ref is not None and mode != "root":
-                ratio = ref["step_ms_median"] / cell["step_ms_median"]
-                speed = f"  ({ratio:.2f}x vs root)"
-            else:
-                speed = ""
-            print(f"  {mode:>4} x{nodes}: "
-                  f"{cell['step_ms_median']:8.1f} ms/step{speed}")
-            rows.append(cell)
+            buckets = ([DEFAULT_BUCKET_BYTES, split] if mode == "ring"
+                       else [DEFAULT_BUCKET_BYTES])
+            for bucket_bytes in buckets:
+                cell = bench_cell(mode, nodes, width, steps,
+                                  batch_per_worker, bucket_bytes)
+                if mode == "root":
+                    ref = cell
+                elif ref is not None:
+                    # ring's chain fold is rank-order, exactly the root
+                    # fold: bitwise identity is the acceptance bar
+                    exact = (
+                        cell["_losses"] == ref["_losses"]
+                        and all(np.array_equal(a, b) for a, b in
+                                zip(cell["_weights"], ref["_weights"]))
+                    )
+                    cell["bitwise_vs_root"] = exact
+                    bitwise_ok = bitwise_ok and exact
+                if ref is not None and mode != "root":
+                    ratio = ref["step_ms_median"] / cell["step_ms_median"]
+                    speed = (f"  ({ratio:.2f}x vs root, "
+                             f"{cell['buckets_per_step']:.1f} buckets, "
+                             f"{cell['overlap_ms_mean']:.1f} ms overlap)")
+                else:
+                    speed = ""
+                print(f"  {mode:>4} x{nodes}: "
+                      f"{cell['step_ms_median']:8.1f} ms/step{speed}")
+                rows.append(cell)
     for row in rows:
         row.pop("_weights")
         row.pop("_losses")
-    by = {(r["mode"], r["workers"]): r for r in rows}
-    gate_cell = by.get(("ring", GATE_WORKERS))
-    gate_base = by.get(("root", GATE_WORKERS))
+    by = {(r["mode"], r["workers"], r["bucket_bytes"]): r for r in rows}
+    gate_cell = by.get(("ring", GATE_WORKERS, DEFAULT_BUCKET_BYTES))
+    gate_base = by.get(("root", GATE_WORKERS, None))
     return {
         "host": {"cpus": os.cpu_count(), "usable_cpus": _usable_cpus()},
         "machine_fingerprint": SKX.fingerprint(),
         "width": width,
         "batch_per_worker": batch_per_worker,
+        "split_bucket_bytes": split,
         "rows": rows,
         "bitwise_ok": bitwise_ok,
         "ring_speedup_at_4": (

@@ -329,7 +329,7 @@ def _cmd_train(args) -> int:
             checkpoint_path=autosave,
             checkpoint_every=args.checkpoint_every,
         )
-        etg = tr.root
+        etg = tr.etg
     else:
         from repro.gxm.etg import ExecutionTaskGraph
         from repro.gxm.trainer import Trainer

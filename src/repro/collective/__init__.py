@@ -21,8 +21,13 @@ package provides the peer-to-peer machinery behind
   ``collective.hop``);
 * :mod:`~repro.collective.errors` -- typed :class:`CollectiveError`
   rejection of corrupt/stale/late/lost hops with culprit attribution;
-* :mod:`~repro.collective.repair` -- membership/epoch bookkeeping
-  behind the ring-repair protocol.
+* :mod:`~repro.collective.repair` -- replica-sync, membership and
+  epoch bookkeeping behind the ring-repair protocol.
+
+Workers keep weight replicas in both ``allreduce`` modes; a ring step
+that cannot finish completes like a root-mode step (the root folds the
+shard gradients and broadcasts the average), so one completion serves
+root mode, the ring's fallback and ring repair.
 """
 
 from repro.collective.bucketing import (

@@ -1,5 +1,5 @@
-"""Ring repair: the root-side membership/epoch bookkeeping behind the
-repair that completes an aborted step.
+"""Ring repair: the root-side replica, membership and epoch
+bookkeeping behind the repair that completes an aborted step.
 
 The repair protocol (driven by ``ProcessParallelTrainer``):
 
@@ -11,13 +11,15 @@ The repair protocol (driven by ``ProcessParallelTrainer``):
 3. the attributed culprit is killed (its state is untrusted), every
    survivor is sent an ``abort`` and returns its *local* shard
    gradients over its root pipe;
-4. the root re-runs every lost shard on its own replica and folds all N
-   shards in rank order (:func:`~repro.collective.ring.fold_ring`), so
-   the step is bit-identical to a healthy one;
-5. the root broadcasts the folded average (``commit_degraded``) so the
-   survivors' optimizer replicas stay bitwise in lockstep, respawns the
-   dead (bounded), and marks the mesh stale -- the next step rewires
-   fresh connections for the new epoch.
+4. the step then completes exactly like a root-mode step: the root
+   re-runs every lost shard on its own replica and folds all N shards
+   in rank order (:func:`~repro.collective.ring.fold_ring`), so the
+   step is bit-identical to a healthy one, and broadcasts the folded
+   average (``fold``) so the survivors' replicas stay bitwise in
+   lockstep;
+5. the dead are respawned (bounded) and marked in ``needs_sync``; the
+   mesh is marked stale, so the next step syncs the fresh replicas and
+   rewires fresh connections for the new epoch.
 
 No step is ever half-applied: workers only touch their weights on an
 explicit commit, and the root commits its replica in the same barrier.
@@ -32,7 +34,7 @@ __all__ = ["Membership"]
 
 @dataclass
 class Membership:
-    """Root-side view of the ring workers' mesh."""
+    """Root-side view of the workers' replicas and peer mesh."""
 
     nodes: int
     #: bumped on every repair/rewire; stale-epoch traffic is dropped

@@ -2,26 +2,28 @@
 
 :class:`ProcessParallelTrainer` runs one *real* OS process per simulated
 node -- the closest a pure-Python, no-MPI environment gets to the paper's
-multi-node setup.  Since the collective rework the default communication
-pattern is MLSL's *overlapped* data parallelism (section II-L):
+multi-node setup.  It is a :class:`~repro.gxm.trainer.Trainer` whose
+shards run in workers; the fit loop, checkpoints, SGD and watchdog are
+the base class's.  Like MLSL's data parallelism (section II-L), every
+worker keeps a weight replica and only gradients move:
 
-1. the root broadcasts the initial weights + optimizer velocity once
-   (``sync``), then acts as a **coordinator**, not a gradient funnel;
-2. each step, workers run FWD/BWD/UPD on their minibatch shard; as every
-   layer's dW lands, a deterministic gradient bucket is cut and pushed
-   into a peer-to-peer all-reduce (:mod:`repro.collective`) that runs
-   *while the rest of backprop continues* -- ``allreduce="ring"``, the
-   pipelined chain-ring, whose fold order is bitwise identical to the
-   root fold;
-3. when every worker reports its finished average, the root commits: an
-   all-or-nothing barrier where workers and the root replica take the
-   *same* SGD step on the *same* averaged gradients -- replicas stay
-   bitwise in lockstep with no per-step weight scatter;
-4. ``allreduce="root"`` keeps the legacy blocking scatter/gather through
-   the root (stateless workers, per-step weight broadcast) -- the
-   baseline ``benchmarks/bench_allreduce.py`` measures against, and the
-   fallback path whenever the mesh cannot be built (a rank is down and
-   out of respawn budget), so training always makes progress.
+1. the root sends each replica the weights and optimizer velocity once
+   (``sync``: at start, after a respawn and after :meth:`resume`);
+2. each step, workers run FWD/BWD/UPD on their minibatch shard;
+3. ``allreduce="ring"`` (default): as every layer's dW lands, a
+   deterministic gradient bucket is cut and pushed into a peer-to-peer
+   chain-ring all-reduce (:mod:`repro.collective`) that runs *while the
+   rest of backprop continues*; when every worker reports its finished
+   average, the root commits -- an all-or-nothing barrier where workers
+   and the root replica take the *same* SGD step on the *same* averaged
+   gradients;
+4. ``allreduce="root"``, and the ring's fallback whenever the mesh
+   cannot be built (a rank is down and out of respawn budget): workers
+   reply with their shard gradients at once, the root folds them in rank
+   order and broadcasts the average (``fold``), which every replica
+   applies.  The ring's fold order is exactly this rank order, so both
+   modes -- and the in-process ``Trainer(nodes=n)`` -- are bitwise
+   identical.
 
 Fault tolerance.  Every pipe *and* peer-channel operation is
 timeout-guarded; peer hops carry (step, epoch, bucket) headers plus a
@@ -31,20 +33,19 @@ hang, corruption) triggers **ring repair**: the first rank to notice
 reports a ``cerr`` to the root, the root bumps the epoch (straggling
 buckets of the old epoch become stale everywhere), kills the attributed
 culprit, collects the survivors' local shard gradients over the root
-pipes, re-runs the lost shards on the root replica and folds all N
-shards in rank order, so recovered weights are **bit-identical** to a
-healthy run.  The folded average is re-broadcast (``commit_degraded``) so
-surviving replicas stay in lockstep; failed ranks are respawned
-(bounded by ``max_respawns``) and resynchronized at the next mesh
-rewire.  No step is ever half-applied: weights only move inside the
-commit barrier.  A :class:`~repro.resilience.NumericsWatchdog` screens
-gradients with per-rank attribution even in collective mode (a worker
+pipes and finishes the step like a root-fold step.  That one completion
+serves every path: lost shards are re-run on the root replica and all N
+shards folded in rank order, so recovered weights are **bit-identical**
+to a healthy run; the surviving replicas apply the broadcast average;
+failed ranks are respawned (bounded by ``max_respawns``) and re-synced
+at the next step.  No step is ever half-applied: weights only move
+inside the commit.  The :class:`~repro.resilience.NumericsWatchdog`
+screens gradients with per-rank attribution even in ring mode (a worker
 that detects local NaN withholds its buckets and reports ``cerr
-numerics``; the root re-checks every collected shard), and periodic
-training-checkpoint autosave plus :meth:`ProcessParallelTrainer.resume`
-survive a root crash.  Faults are injectable deterministically via a
-:class:`~repro.resilience.FaultPlan` (sites ``"mp.worker.step"``,
-``"mp.worker.reply"`` and ``"collective.hop"``).
+numerics``; the root re-checks every collected shard).  Faults are
+injectable deterministically via a :class:`~repro.resilience.FaultPlan`
+(sites ``"mp.worker.step"``, ``"mp.worker.reply"`` and
+``"collective.hop"``).
 
 Observability.  Every worker runs its tracer (:mod:`repro.obs.tracer`)
 in the root's state at spawn time and ships its ring back with each
@@ -66,16 +67,15 @@ from typing import Optional
 import numpy as np
 
 from repro.collective.repair import Membership
-from repro.collective.ring import fold_ring, ring_peers
+from repro.collective.ring import ring_peers
 from repro.forensics.bundle import IncidentWriter
 from repro.forensics.replay import digest_tensor_list
 from repro.gxm.etg import ExecutionTaskGraph
 from repro.gxm.topology import TopologySpec
-from repro.gxm.trainer import SGD, TrainMetrics
+from repro.gxm.trainer import SGD, Trainer, shard_mean
 from repro.obs.metrics import get_metrics
 from repro.obs.tracer import get_tracer
 from repro.resilience.faults import FaultInjector, FaultPlan, WorkerFailure
-from repro.resilience.watchdog import NumericsWatchdog
 from repro.types import ReproError
 
 __all__ = ["ProcessParallelTrainer", "WorkerFailure"]
@@ -105,18 +105,29 @@ def _drain_obs():
     }
 
 
+def _local_grads(etg, poison_param):
+    """A copy of this shard's gradients; the ``nan_grad`` fault poisons
+    one element."""
+    grads = [g.copy() for g in etg.grads()]
+    if poison_param is not None:
+        grads[poison_param % len(grads)].flat[0] = np.nan
+    return grads
+
+
 def _worker_main(
     conn,
     topo_text: str,
     input_shape,
     seed: int,
+    sgd: tuple,
     level: str = "off",
     rank: int = 0,
     fault_plan: FaultPlan | None = None,
     collective: dict | None = None,
 ) -> None:
-    """Worker loop.  Root-pipe protocol (all messages are tagged tuples;
-    ``None`` = shutdown):
+    """Worker loop.  The worker keeps a weight and velocity replica and
+    applies every committed average to it.  Root-pipe protocol (all
+    messages are tagged tuples; ``None`` = shutdown):
 
     =====================================  ============================
     root -> worker                         worker -> root
@@ -124,17 +135,20 @@ def _worker_main(
     ``("sync", weights, velocity)``        --
     ``("ring", epoch, addresses)``         ``("ringok", epoch)`` or
                                            ``("ringfail", epoch, why)``
+    ``("step", step, None, x, y)``         ``("grads", step, grads,
+                                           loss, acc, payload)``
     ``("step", step, epoch, x, y)``        ``("done", step, loss, acc,
                                            payload, stats, avg|None)``
                                            or ``("cerr", step, epoch,
                                            kind, culprit, detail)``
-    ``("commit", step)``                   -- (applies the average)
+    ``("commit", step)``                   -- (applies its ring average)
     ``("abort", step)``                    ``("grads", step, grads,
                                            loss, acc, payload)``
-    ``("commit_degraded", step, avg)``     -- (applies the average)
-    ``("wstep", step, weights, x, y)``     ``("grads", step, grads,
-                                           loss, acc, payload)``
+    ``("fold", step, avg)``                -- (applies the root's fold)
     =====================================  ============================
+
+    A ``step`` without an epoch runs with no mesh: the shard gradients
+    go straight back to the root, which folds them.
     """
     from repro import obs
     from repro.collective.channels import PeerHub
@@ -150,7 +164,6 @@ def _worker_main(
     if tracer.enabled:
         get_metrics().clear()
     hub = None
-    opt = None
     layer_idx = None
     if collective is not None:
         # listen before the (slow) ETG build so peers can start dialing
@@ -159,9 +172,8 @@ def _worker_main(
         parse_topology_text(topo_text), input_shape, engine="fast", seed=seed
     )
     params = etg.params()
+    opt = SGD(params, *sgd)
     if collective is not None:
-        opt = SGD(params, collective["lr"], collective["momentum"],
-                  collective["weight_decay"])
         layer_idx = layer_param_indices(etg)
     conns: dict = {}
     receiver = None
@@ -203,52 +215,32 @@ def _worker_main(
                     conn.send(("ringok", new_epoch))
                 except Exception as err:
                     conn.send(("ringfail", new_epoch, repr(err)))
-            elif tag == "wstep":
-                # stateless legacy step: weights in, local grads out
-                _, step, weights, x, labels = msg
-                if tracer.recording:
-                    tracer.record("mp.step", step=step, rank=rank,
-                                  mode="root", n=len(labels))
-                fault = injector.fire("mp.worker.step", step=step, rank=rank)
-                if fault is not None and fault.kind == "crash":
-                    os._exit(17)  # simulated SIGKILL: no cleanup
-                if fault is not None and fault.kind == "hang":
-                    time.sleep(3600)  # the root's timeout reaps us
-                if fault is not None and fault.kind == "slow":
-                    time.sleep(fault.delay_s)  # latency, not death
-                for p, w in zip(params, weights):
-                    p[...] = w
-                loss = etg.train_step(x, labels)
-                acc = etg.accuracy()
-                payload = _drain_obs()
-                grads = [g.copy() for g in etg.grads()]
-                if fault is not None and fault.kind == "nan_grad":
-                    grads[fault.param % len(grads)].flat[0] = np.nan
-                reply = ("grads", step, grads, float(loss), float(acc),
-                         payload)
-                if fault is not None and fault.kind == "corrupt_message":
-                    reply = ("corrupt", step)
-                conn.send(reply)
-                reply_fault(step)
             elif tag == "step":
                 _, step, sepoch, x, labels = msg
                 if tracer.recording:
                     tracer.record("mp.step", step=step, rank=rank,
-                                  mode="ring", epoch=sepoch,
-                                  n=len(labels))
+                                  epoch=sepoch, n=len(labels))
                 fault = injector.fire("mp.worker.step", step=step, rank=rank)
-                if fault is not None and fault.kind == "crash":
-                    os._exit(17)
-                if fault is not None and fault.kind == "hang":
-                    time.sleep(3600)
-                if fault is not None and fault.kind == "slow":
-                    time.sleep(fault.delay_s)
-                poison = fault is not None and fault.kind == "nan_grad"
-                corrupt = (
-                    fault is not None and fault.kind == "corrupt_message"
-                )
+                kind = fault.kind if fault is not None else None
+                if kind == "crash":
+                    os._exit(17)  # simulated SIGKILL: no cleanup
+                if kind == "hang":
+                    time.sleep(3600)  # the root's timeout reaps us
+                if kind == "slow":
+                    time.sleep(fault.delay_s)  # latency, not death
+                poison = fault.param if kind == "nan_grad" else None
+                corrupt = kind == "corrupt_message"
+                if sepoch is None:
+                    # no mesh: the shard gradients go straight back
+                    loss = etg.train_step(x, labels)
+                    acc = etg.accuracy()
+                    reply = ("grads", step, _local_grads(etg, poison),
+                             float(loss), float(acc), _drain_obs())
+                    conn.send(("corrupt", step) if corrupt else reply)
+                    reply_fault(step)
+                    continue
                 runner = None
-                if not poison:
+                if poison is None:
                     runner = CollectiveStepRunner(
                         rank=rank, nodes=collective["nodes"],
                         step=step, epoch=sepoch, conns=conns,
@@ -271,13 +263,11 @@ def _worker_main(
                 _finish_collective_step(
                     conn, runner, tracer, rank, step,
                     epoch, opt, etg, float(loss), float(acc),
-                    poison_param=(fault.param if poison else None),
-                    reply_fault=reply_fault,
+                    poison_param=poison, reply_fault=reply_fault,
                 )
-            elif tag == "commit_degraded":
-                # a repaired step's folded average, arriving after this
-                # worker already returned its local grads: apply it so
-                # the replica stays in lockstep with the root
+            elif tag == "fold":
+                # the root folded this step's shard gradients: apply
+                # the average so the replica stays in lockstep
                 opt.step(msg[2])
             # stale "commit"/"abort" and unknown tags are ignored
     except (EOFError, OSError, KeyboardInterrupt):
@@ -298,13 +288,6 @@ def _finish_collective_step(conn, runner, tracer, rank,
                             poison_param, reply_fault) -> None:
     """Post-compute worker state machine: wait for the all-reduce while
     obeying the root (commit / abort), and escalate engine failures."""
-
-    def local_grads():
-        g = [a.copy() for a in etg.grads()]
-        if poison_param is not None:
-            g[poison_param % len(g)].flat[0] = np.nan
-        return g
-
     if poison_param is not None:
         # never feed poisoned gradients to peers: withhold buckets and
         # self-report so the root keeps per-rank NaN attribution
@@ -350,8 +333,9 @@ def _finish_collective_step(conn, runner, tracer, rank,
                 if tag == "abort" and msg[1] == step:
                     if runner is not None:
                         runner.abandon()
-                    conn.send(("grads", step, local_grads(), loss, acc,
-                               _drain_obs()))
+                    conn.send(("grads", step,
+                               _local_grads(etg, poison_param), loss,
+                               acc, _drain_obs()))
                     return
                 # stale control traffic for an older step: ignore
     finally:
@@ -365,19 +349,21 @@ def parse_topology_text(text: str):
     return parse_topology(text)
 
 
-class ProcessParallelTrainer:
-    """Data-parallel SGD over ``nodes`` worker processes.
+class ProcessParallelTrainer(Trainer):
+    """Data-parallel SGD over ``nodes`` worker processes: a
+    :class:`~repro.gxm.trainer.Trainer` whose shards run in workers
+    (``etg`` is the root's replica).
 
     Use as a context manager (or call :meth:`close`) so the workers exit.
 
-    Parameters (beyond the healthy-path ones)
-    -----------------------------------------
+    Parameters (beyond :class:`~repro.gxm.trainer.Trainer`'s)
+    ---------------------------------------------------------
     allreduce:
         ``"ring"`` (default) -- overlapped bucketed chain-ring all-reduce
-        between the workers; ``"root"`` -- the blocking scatter/gather
-        that folds the shard gradients at the root in rank order (the
-        reference ring steps match bitwise).  With ``nodes=1`` there is
-        nothing to reduce and ``"root"`` is used.
+        between the workers; ``"root"`` -- workers send their shard
+        gradients to the root, which folds them in rank order and
+        broadcasts the average (ring steps match it bitwise).  With
+        ``nodes=1`` there is nothing to reduce and ``"root"`` is used.
     bucket_bytes:
         Gradient-bucket threshold for the ring all-reduce; smaller
         buckets start communicating earlier (more overlap) at more
@@ -389,18 +375,13 @@ class ProcessParallelTrainer:
     max_respawns:
         Total worker respawns allowed across the run; a rank whose
         budget is exhausted stays down (every later step degrades
-        through the root-fold fallback, its shard re-run on the root's
-        replica so training numerics stay bit-identical to a healthy
-        run).
-    nan_policy:
-        Numerics-watchdog policy: ``"raise"``/``"skip"``/``"off"``.
+        through the root fold, its shard re-run on the root's replica
+        so training numerics stay bit-identical to a healthy run).
     fault_plan:
         Deterministic :class:`~repro.resilience.FaultPlan` handed to
         every worker (fault-matrix testing; sites ``mp.worker.step``,
-        ``mp.worker.reply``, ``collective.hop``).
-    checkpoint_path / checkpoint_every:
-        Training-checkpoint autosave every N steps (atomic write);
-        :meth:`resume` restores it exact-to-the-step.
+        ``mp.worker.reply``, ``collective.hop``; ``checkpoint.save``
+        fires at the root).
     incident_dir:
         When set, arms the forensics layer: the tracer is raised to at
         least its ``"events"`` state in the root *and* every worker
@@ -420,7 +401,6 @@ class ProcessParallelTrainer:
         momentum: float = 0.9,
         weight_decay: float = 0.0,
         seed: int = 0,
-        start_method: str = "fork",
         step_timeout: float = 30.0,
         max_respawns: int = 2,
         nan_policy: str = "raise",
@@ -448,34 +428,27 @@ class ProcessParallelTrainer:
         # re-run a failed worker's shard.  It is built from the same
         # topology *text* the workers parse, so a recomputed shard is
         # bit-identical to the lost one.
-        self.root = ExecutionTaskGraph(
-            parse_topology_text(self._topo_text), input_shape,
-            engine="fast", seed=seed,
+        super().__init__(
+            ExecutionTaskGraph(
+                parse_topology_text(self._topo_text), input_shape,
+                engine="fast", seed=seed,
+            ),
+            lr=lr, momentum=momentum, weight_decay=weight_decay,
+            nodes=nodes, nan_policy=nan_policy,
+            checkpoint_path=checkpoint_path,
+            checkpoint_every=checkpoint_every, shuffle_seed=shuffle_seed,
+            fault_plan=fault_plan,
         )
-        self.params = self.root.params()
-        self.opt = SGD(self.params, lr, momentum, weight_decay)
-        self.metrics = TrainMetrics()
-        self.nodes = nodes
         self.allreduce = allreduce
         self.bucket_bytes = bucket_bytes
         self.step_timeout = step_timeout
-        self.watchdog = NumericsWatchdog(nan_policy)
         self.fault_plan = fault_plan
-        #: root-side injector: only root-owned sites (``checkpoint.save``)
-        #: fire here; worker sites fire in the workers' own injectors
-        self._injector = FaultInjector(fault_plan) if fault_plan else None
         self.incidents = IncidentWriter(incident_dir)
         if incident_dir is not None:
             get_tracer().enable("events")
-        self.checkpoint_path = checkpoint_path
-        self.checkpoint_every = checkpoint_every
-        self.shuffle_seed = shuffle_seed
-        self.iteration = 0
-        self._resume_skip = 0
         self._respawn_budget = max_respawns
         #: every :class:`WorkerFailure` survived so far (step order)
         self.failures: list[WorkerFailure] = []
-        self._ctx = mp.get_context(start_method)
         self._conns: list = [None] * nodes
         self._procs: list = [None] * nodes
         self._mesh = Membership(nodes)
@@ -486,16 +459,17 @@ class ProcessParallelTrainer:
         #: a mesh (re)build may legitimately wait for a fresh worker's
         #: ETG construction -- give it more room than one step
         self.ring_build_timeout = max(step_timeout, 20.0)
-        if self.allreduce != "root":
+        if self.allreduce == "ring":
             self._sockdir = tempfile.mkdtemp(prefix="repro-ring-")
         for rank in range(nodes):
             self._spawn(rank)
 
     # -- worker lifecycle ----------------------------------------------
     def _spawn(self, rank: int) -> None:
-        parent, child = self._ctx.Pipe()
+        ctx = mp.get_context("fork")
+        parent, child = ctx.Pipe()
         collective = None
-        if self.allreduce != "root":
+        if self.allreduce == "ring":
             # fresh socket path per incarnation: a crashed predecessor's
             # bound path must never collide with the replacement's
             address = os.path.join(
@@ -507,16 +481,15 @@ class ProcessParallelTrainer:
                 "nodes": self.nodes,
                 "address": address,
                 "authkey": self._authkey,
-                "lr": self.opt.lr,
-                "momentum": self.opt.momentum,
-                "weight_decay": self.opt.weight_decay,
                 "bucket_bytes": self.bucket_bytes,
                 "hop_timeout": self.step_timeout,
                 "ring_timeout": self.ring_build_timeout,
             }
-        proc = self._ctx.Process(
+        opt = self.opt
+        proc = ctx.Process(
             target=_worker_main,
             args=(child, self._topo_text, self._input_shape, self._seed,
+                  (opt.lr, opt.momentum, opt.weight_decay),
                   get_tracer().level, rank, self.fault_plan, collective),
             daemon=True,
         )
@@ -543,9 +516,8 @@ class ProcessParallelTrainer:
         self._procs[rank] = None
 
     def _respawn(self, rank: int) -> bool:
-        """Bounded replacement of a failed worker.  The fresh process
-        resynchronizes through the next mesh rewire (ring mode) or the
-        per-step weight scatter (root mode)."""
+        """Bounded replacement of a failed worker; the fresh replica is
+        synced at the next step."""
         self._kill(rank)
         self._mesh.stale = True
         if self._respawn_budget <= 0:
@@ -602,50 +574,34 @@ class ProcessParallelTrainer:
 
     def _recv(self, rank: int, want=None, timeout: float | None = None):
         """Receive the reply matching ``want`` (``(tags, step-or-epoch)``;
-        ``None`` = first message), never blocking past the timeout and
-        detecting a dead worker in at most ``_POLL_S`` seconds.  A worker
-        that replied and *then* exited is not a failure: everything it
-        queued is drained before the death verdict."""
-        conn, proc = self._conns[rank], self._procs[rank]
-        if conn is None or proc is None:
-            raise WorkerFailure(rank, "worker is down")
+        ``None`` = first message), never blocking past the timeout.  A
+        reply or the worker's death wakes the wait at once."""
         budget = self.step_timeout if timeout is None else timeout
         deadline = time.monotonic() + budget
         while True:
+            got = self._poll_worker(rank)
+            if got is not None:
+                if got[0] == "dead":
+                    raise got[1]
+                msg = self._classify(rank, got[1], want)
+                if msg is not None:
+                    return msg
+                continue
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 raise WorkerFailure(
-                    rank,
-                    f"no reply within {budget}s (hung worker)",
+                    rank, f"no reply within {budget}s (hung worker)"
                 )
-            try:
-                if conn.poll(min(_POLL_S, remaining)):
-                    msg = self._classify(rank, conn.recv(), want)
-                    if msg is not None:
-                        return msg
-                    continue
-            except (EOFError, OSError) as err:
-                raise WorkerFailure(
-                    rank, f"pipe broke mid-step ({err})"
-                ) from err
-            if not proc.is_alive():
-                # the worker may have replied (possibly several queued
-                # messages: a stale ack plus the real reply) and then
-                # exited -- drain the whole queue before declaring death
-                try:
-                    while conn.poll(0):
-                        msg = self._classify(rank, conn.recv(), want)
-                        if msg is not None:
-                            return msg
-                except (EOFError, OSError):
-                    pass
-                raise WorkerFailure(
-                    rank, f"process died (exit code {proc.exitcode})"
-                )
+            mp.connection.wait(
+                [self._conns[rank], self._procs[rank].sentinel],
+                timeout=remaining,
+            )
 
     def _poll_worker(self, rank: int):
         """One non-blocking look at a worker: ``("msg", m)``,
-        ``("dead", WorkerFailure)`` or ``None`` (nothing yet)."""
+        ``("dead", WorkerFailure)`` or ``None`` (nothing yet).  A worker
+        that replied and *then* exited is not dead until every message
+        it queued has been taken."""
         conn, proc = self._conns[rank], self._procs[rank]
         if conn is None or proc is None:
             return ("dead", WorkerFailure(rank, "worker is down"))
@@ -655,6 +611,7 @@ class ProcessParallelTrainer:
         except (EOFError, OSError) as err:
             return ("dead", WorkerFailure(rank, f"pipe broke ({err})"))
         if not proc.is_alive():
+            # it may have queued a reply between the poll and the death
             try:
                 if conn.poll(0):
                     return ("msg", conn.recv())
@@ -675,12 +632,13 @@ class ProcessParallelTrainer:
             tag, step, grads, loss, acc, payload = reply
             if tag != "grads":
                 raise ValueError(f"unexpected tag {tag!r}")
-            if len(grads) != len(self.params):
+            params = self.opt.params
+            if len(grads) != len(params):
                 raise ValueError(
                     f"{len(grads)} gradient tensors, expected "
-                    f"{len(self.params)}"
+                    f"{len(params)}"
                 )
-            for g, p in zip(grads, self.params):
+            for g, p in zip(grads, params):
                 if not isinstance(g, np.ndarray) or g.shape != p.shape:
                     raise ValueError("gradient tensor shape mismatch")
             return grads, float(loss), float(acc), payload
@@ -698,57 +656,60 @@ class ProcessParallelTrainer:
     def _recompute_shard(self, x: np.ndarray, labels: np.ndarray):
         """Re-run a lost shard on the root replica.  The root's params
         still hold exactly the step's starting weights (the SGD step
-        happens at the commit barrier, after the all-reduce), so the
-        result is bit-identical to what the failed worker computed."""
-        loss = self.root.train_step(x, labels)
-        acc = self.root.accuracy()
-        return [g.copy() for g in self.root.grads()], float(loss), float(acc)
+        happens after every shard is in), so the result is bit-identical
+        to what the failed worker computed."""
+        loss = self.etg.train_step(x, labels)
+        acc = self.etg.accuracy()
+        return [g.copy() for g in self.etg.grads()], float(loss), float(acc)
 
-    def train_step(self, x: np.ndarray, labels: np.ndarray) -> float:
-        """One data-parallel step.  Ring mode: dispatch ->
-        overlapped all-reduce -> commit barrier; ring repair + degraded
-        completion on any failure.  Root mode (and the fallback when the
-        mesh cannot cover every rank): scatter -> compute -> root fold.
+    def _gradients(self, step, x, labels):
+        """One data-parallel step's shards.  Ring mode: dispatch ->
+        overlapped all-reduce -> commit barrier; ring repair on any
+        failure.  Root mode (and the ring's fallback when the mesh cannot
+        cover every rank): shard gradients -> root fold.
 
         Survives worker failures mid-step: the step completes degraded
         (lost shards recomputed at the root), failed ranks are respawned
         afterwards, and ``resilience.degraded_steps`` counts the event.
         """
-        step = self.iteration
         shards = np.array_split(np.arange(len(labels)), self.nodes)
-        if self.allreduce == "root":
-            return self._train_step_root(step, x, labels, shards)
-        if len(self._live_ranks()) < self.nodes:
+        failed = self._sync()
+        if self.allreduce == "ring":
             # a rank is down (respawn budget exhausted, or it died since
-            # last step): the mesh cannot cover every shard, so fall
-            # back to the blocking root fold -- the same rank-order
-            # fold, so the run stays bit-identical
+            # last step) or the mesh cannot be built: fall back to the
+            # root fold -- the same rank-order fold, so the run stays
+            # bit-identical
+            if (not failed and len(self._live_ranks()) == self.nodes
+                    and self._ensure_mesh(failed)):
+                return self._ring_step(step, x, labels, shards)
             get_metrics().inc("collective.rootsteps")
-            return self._train_step_root(step, x, labels, shards)
-        failed: dict[int, WorkerFailure] = {}
-        if not self._ensure_mesh(failed):
-            for rank in sorted(failed):
-                self._kill(rank)
-            get_metrics().inc("collective.rootsteps")
-            return self._train_step_root(
-                step, x, labels, shards, prefailed=failed
-            )
-        return self._train_step_collective(step, x, labels, shards)
+        return self._root_step(step, x, labels, shards, failed)
 
-    # -- mesh / sync ----------------------------------------------------
+    # -- replicas / mesh ------------------------------------------------
+    def _sync(self) -> dict:
+        """Send the weights and velocity to every replica marked for a
+        sync; returns the ranks that could not take it."""
+        failed: dict[int, WorkerFailure] = {}
+        for rank in sorted(self._mesh.needs_sync):
+            try:
+                self._send(rank, ("sync", self.opt.params,
+                                  self.opt._velocity))
+                get_metrics().inc("collective.syncs")
+            except WorkerFailure as f:
+                failed[rank] = f
+                self._kill(rank)
+            self._mesh.needs_sync.discard(rank)
+        return failed
+
     def _ensure_mesh(self, failed: dict) -> bool:
-        """Bring every worker's replica and peer mesh up to date.  On
-        any failure the offending ranks land in ``failed`` and the
-        caller falls back to a root-fold step."""
+        """Bring every worker's peer mesh up to date.  On any failure
+        the offending ranks land in ``failed`` and the caller falls back
+        to a root-fold step."""
         mesh = self._mesh
-        if not mesh.stale and not mesh.needs_sync:
+        if not mesh.stale:
             return True
+        epoch = mesh.epoch + 1
         try:
-            for rank in sorted(mesh.needs_sync):
-                self._send(rank, ("sync", self.params, self.opt._velocity))
-            get_metrics().inc("collective.syncs", len(mesh.needs_sync))
-            mesh.needs_sync = set()
-            epoch = mesh.epoch + 1
             for rank in range(self.nodes):
                 self._send(rank, ("ring", epoch, mesh.addresses))
             for rank in range(self.nodes):
@@ -760,18 +721,18 @@ class ProcessParallelTrainer:
                     raise WorkerFailure(
                         rank, f"mesh build failed: {ack[2]}"
                     )
-            mesh.epoch = epoch
-            mesh.stale = False
-            get_metrics().inc("collective.rebuilds")
-            return True
         except WorkerFailure as f:
             failed[f.rank] = f
-            mesh.stale = True
+            self._kill(f.rank)
             mesh.epoch += 1  # invalidate anything the half-built mesh sent
             return False
+        mesh.epoch = epoch
+        mesh.stale = False
+        get_metrics().inc("collective.rebuilds")
+        return True
 
-    # -- collective step ------------------------------------------------
-    def _train_step_collective(self, step, x, labels, shards) -> float:
+    # -- ring step ------------------------------------------------------
+    def _ring_step(self, step, x, labels, shards):
         mesh = self._mesh
         culprits: dict[int, WorkerFailure] = {}
         pending = set(range(self.nodes))
@@ -853,39 +814,32 @@ class ProcessParallelTrainer:
                      (self._conns[rank], self._procs[rank].sentinel)],
                     timeout=_POLL_S,
                 )
+        if avg is None and not culprits and not cerrs:  # pragma: no cover
+            culprits[0] = WorkerFailure(0, "no average reported")
         if culprits or cerrs:
             return self._repair_and_complete(
                 step, x, labels, shards, culprits, cerrs, dones
             )
         # -- healthy commit barrier -------------------------------------
-        m = get_metrics()
-        if avg is None:  # pragma: no cover - defensive
-            return self._repair_and_complete(
-                step, x, labels, shards,
-                {0: WorkerFailure(0, "no average reported")}, [], dones,
-            )
-        ok = self.watchdog.check(avg, node="collective", step=step)
-        if not ok:
+        loss = shard_mean(shards, [dones[r][0] for r in range(self.nodes)])
+        acc = shard_mean(shards, [dones[r][1] for r in range(self.nodes)])
+        if not self.watchdog.check(avg, node="collective", step=step):
             # never half-apply: abort instead of committing, discard the
             # survivors' grads replies, and skip the step everywhere
             mesh.stale = True
             mesh.epoch += 1
             _, afails = self._abort_collect(step, set(), collect=False)
-            self.watchdog.skipped()
             for rank in sorted(afails):
                 self._respawn(rank)
-            self._finish_step_accounting(step, shards, {
-                r: (d[0], d[1]) for r, d in dones.items()
-            })
-            return self.metrics.losses[-1]
+            return None, loss, acc
         postfail: dict[int, WorkerFailure] = {}
         for rank in range(self.nodes):
             try:
                 self._send(rank, ("commit", step))
             except WorkerFailure as f:
                 postfail[rank] = f
-        self.opt.step([np.asarray(g) for g in avg])
-        for rank, (_, _, stats) in dones.items():
+        m = get_metrics()
+        for _, _, stats in dones.values():
             m.inc("collective.buckets", stats.get("buckets", 0))
             m.inc("collective.hops", stats.get("hops", 0))
             m.inc("collective.bytes", stats.get("bytes", 0))
@@ -899,10 +853,7 @@ class ProcessParallelTrainer:
             self.failures.extend(postfail[r] for r in sorted(postfail))
             for rank in sorted(postfail):
                 self._respawn(rank)
-        self._finish_step_accounting(step, shards, {
-            r: (d[0], d[1]) for r, d in dones.items()
-        })
-        return self.metrics.losses[-1]
+        return avg, loss, acc
 
     def _abort_collect(self, step, exclude: set, collect: bool = True):
         """Broadcast ``abort`` and (optionally) gather every surviving
@@ -936,9 +887,10 @@ class ProcessParallelTrainer:
         return collected, failures
 
     def _repair_and_complete(self, step, x, labels, shards, culprits,
-                             cerrs, dones) -> float:
+                             cerrs, dones):
         """Ring repair: epoch bump, culprit kill, survivor grad
-        collection over the root pipes, degraded completion."""
+        collection over the root pipes, then the root-fold
+        completion."""
         mesh = self._mesh
         m = get_metrics()
         m.inc("collective.aborts")
@@ -976,26 +928,19 @@ class ProcessParallelTrainer:
         for rank, res in collected.items():
             results[rank] = res
         return self._complete_degraded(
-            step, x, labels, shards, results, culprits,
-            count_degraded=bool(culprits), broadcast=True,
+            step, x, labels, shards, results, culprits
         )
 
-    # -- root-fold path (legacy mode + fallback) ------------------------
-    def _train_step_root(self, step, x, labels, shards,
-                         prefailed: dict | None = None) -> float:
-        """Blocking scatter/compute/gather through the root: stateless
-        workers receive this step's weights with their shard."""
-        failed: dict[int, WorkerFailure] = dict(prefailed or {})
-        weights = [p.copy() for p in self.params]
+    # -- root-fold step -------------------------------------------------
+    def _root_step(self, step, x, labels, shards, failed: dict):
+        """Every replica computes its shard with no mesh and replies with
+        its gradients at once; the root folds them."""
         for rank in range(self.nodes):
             if rank in failed:
                 continue
             try:
-                self._send(
-                    rank,
-                    ("wstep", step, weights, x[shards[rank]],
-                     labels[shards[rank]]),
-                )
+                self._send(rank, ("step", step, None, x[shards[rank]],
+                                  labels[shards[rank]]))
             except WorkerFailure as f:
                 failed[rank] = f
         results: list[Optional[tuple]] = [None] * self.nodes
@@ -1013,22 +958,16 @@ class ProcessParallelTrainer:
                 continue
             self._ingest_payload(payload)
             results[rank] = (grads, loss_r, acc_r)
-        # stateless workers' replicas now diverge from the root (they
-        # never see this step's update): resync before any collective
-        if self.allreduce != "root":
-            self._mesh.reset_all()
         return self._complete_degraded(
-            step, x, labels, shards, results, failed,
-            count_degraded=bool(failed), broadcast=False,
+            step, x, labels, shards, results, failed
         )
 
-    # -- shared degraded/root completion --------------------------------
-    def _complete_degraded(self, step, x, labels, shards, results, failed,
-                           *, count_degraded, broadcast) -> float:
+    # -- the root-fold completion ----------------------------------------
+    def _complete_degraded(self, step, x, labels, shards, results, failed):
         """Finish a step from per-rank shard gradients: lost shards
         recomputed at the root, numerics watchdog (per-rank
-        attribution), the rank-order fold, the optimizer commit,
-        respawns."""
+        attribution), the rank-order fold, the broadcast of the average
+        to every replica that computed its shard, respawns."""
         # a rank can die *unblamed*: the wait loop stops at the first
         # detected culprit, so a simultaneous casualty elsewhere in the
         # ring shows up only as a missing result here.  It must still be
@@ -1040,53 +979,35 @@ class ProcessParallelTrainer:
                     rank, f"no shard gradients for step {step} "
                     "(died unblamed mid-collective)"
                 )
-                count_degraded = True
-        if failed and count_degraded:
+        if failed:
             get_metrics().inc("resilience.degraded_steps")
             self.failures.extend(failed[rank] for rank in sorted(failed))
         for rank in sorted(failed):
             results[rank] = self._recompute_shard(
                 x[shards[rank]], labels[shards[rank]]
             )
-        if failed and count_degraded and self.incidents.enabled:
+        if failed and self.incidents.enabled:
             # the root's params still hold the step-start weights (the
-            # optimizer commit is below), so the bundle freezes exactly
-            # the state a replay must rebuild
+            # optimizer commit comes after), so the bundle freezes
+            # exactly the state a replay must rebuild
             self._capture_train_incident(
                 step, x, labels, shards, results, failed
             )
-        # numerics watchdog: attribute divergence to the worker rank
-        ok = True
-        for rank, res in enumerate(results):
-            ok = self.watchdog.check(
-                res[0], node=f"worker{rank}", step=step
-            ) and ok
-        if ok:
-            avg = fold_ring([res[0] for res in results], self.nodes)
-            self.opt.step(avg)
-            if broadcast:
-                # keep the surviving replicas' weights in lockstep: they
-                # apply the same average inside the same barrier
-                for rank in range(self.nodes):
-                    if rank in failed or self._procs[rank] is None:
-                        continue  # this shard was recomputed at the root
-                    try:
-                        self._send(
-                            rank, ("commit_degraded", step, avg)
-                        )
-                    except WorkerFailure as f:
-                        failed[rank] = f
-                        self._kill(rank)
-        else:
-            self.watchdog.skipped()
-            if broadcast:
-                self._mesh.stale = True
+        avg, loss, acc = self._fold(step, shards, results, node="worker")
+        if avg is not None:
+            # the replicas apply the same average as the root.  One that
+            # cannot take it is re-synced before its next step; a dead
+            # one is found then, not respawned here
+            for rank in range(self.nodes):
+                if rank in failed or self._procs[rank] is None:
+                    continue  # this shard was recomputed at the root
+                try:
+                    self._send(rank, ("fold", step, avg))
+                except WorkerFailure:
+                    self._mesh.needs_sync.add(rank)
         for rank in sorted(failed):
             self._respawn(rank)
-        self._finish_step_accounting(step, shards, {
-            rank: (res[1], res[2]) for rank, res in enumerate(results)
-        })
-        return self.metrics.losses[-1]
+        return avg, loss, acc
 
     def _capture_train_incident(self, step, x, labels, shards, results,
                                 failed) -> None:
@@ -1100,10 +1021,10 @@ class ProcessParallelTrainer:
             "x": np.ascontiguousarray(x[shards[rank]]),
             "labels": np.ascontiguousarray(labels[shards[rank]]),
         }
-        for i, p in enumerate(self.params):
+        for i, p in enumerate(self.opt.params):
             tensors[f"weights__{i}"] = p.copy()
         grads, loss_r, _acc = results[rank]
-        machine = getattr(self.root, "machine", None)
+        machine = getattr(self.etg, "machine", None)
         self.incidents.capture(
             "train",
             error=err,
@@ -1123,7 +1044,7 @@ class ProcessParallelTrainer:
             fault_plan=self.fault_plan,
             rng_state={
                 "shuffle_seed": self.shuffle_seed,
-                "batches_consumed": self.iteration,
+                "batches_consumed": step,
             },
             tensors=tensors,
             expect={
@@ -1140,77 +1061,12 @@ class ProcessParallelTrainer:
             },
         )
 
-    def _finish_step_accounting(self, step, shards, contributors) -> None:
-        loss = acc = 0.0
-        n_samples = 0
-        for rank, (loss_r, acc_r) in contributors.items():
-            n = len(shards[rank])
-            loss += loss_r * n
-            acc += acc_r * n
-            n_samples += n
-        if n_samples:
-            loss /= n_samples
-            acc /= n_samples
-        self.metrics.losses.append(float(loss))
-        self.metrics.accuracies.append(float(acc))
-        self.iteration += 1
-        self._maybe_autosave()
-
-    def fit(self, dataset, batch_size: int, epochs: int = 1) -> TrainMetrics:
-        skip, self._resume_skip = self._resume_skip, 0
-        for i, (x, y) in enumerate(
-            dataset.batches(
-                batch_size * self.nodes, epochs, seed=self.shuffle_seed
-            )
-        ):
-            if i < skip:
-                continue
-            self.train_step(x, y)
-        return self.metrics
-
-    # -- crash recovery -------------------------------------------------
-    def _maybe_autosave(self) -> None:
-        if (
-            self.checkpoint_path
-            and self.checkpoint_every
-            and self.iteration % self.checkpoint_every == 0
-        ):
-            self.save(self.checkpoint_path)
-
-    def save(self, path_or_file) -> None:
-        """Atomic training checkpoint of the root replica: weights + SGD
-        velocity + step + trajectory."""
-        from repro.gxm.checkpoint import save_training_checkpoint
-
-        save_training_checkpoint(
-            path_or_file,
-            self.root,
-            self.opt,
-            step=self.iteration,
-            losses=self.metrics.losses,
-            accuracies=self.metrics.accuracies,
-            rng_state={
-                "shuffle_seed": self.shuffle_seed,
-                "batches_consumed": self.iteration,
-            },
-            injector=self._injector,
-        )
-
     def resume(self, path_or_file) -> int:
-        """Restore a :meth:`save`d checkpoint exact-to-the-step; worker
-        replicas resynchronize at the next mesh rewire (collective) or
-        weight scatter (root mode)."""
-        from repro.gxm.checkpoint import load_training_checkpoint
-
-        ck = load_training_checkpoint(path_or_file, self.root, self.opt)
-        self.iteration = ck.step
-        self._resume_skip = ck.step
-        self.metrics.losses = list(ck.losses)
-        self.metrics.accuracies = list(ck.accuracies)
-        if ck.rng_state and "shuffle_seed" in ck.rng_state:
-            self.shuffle_seed = ck.rng_state["shuffle_seed"]
+        """:meth:`Trainer.resume`, then every worker replica re-syncs
+        at the next step."""
+        step = super().resume(path_or_file)
         self._mesh.reset_all()
-        return ck.step
+        return step
 
     # ------------------------------------------------------------------
     def close(self) -> None:

@@ -5,7 +5,9 @@ is split across ``nodes`` replicas, each runs fwd/bwd/upd on its shard, and
 the weight gradients are all-reduced (averaged) before the SGD step --
 numerically the MLSL exchange of section II-L.  (One process hosts all
 replicas; the *timing* of the exchange is modelled in
-:mod:`repro.gxm.mlsl`.)
+:mod:`repro.gxm.mlsl`, and
+:class:`~repro.gxm.multiproc.ProcessParallelTrainer` runs the same step
+with its shards in worker processes.)
 
 Resilience: a :class:`~repro.resilience.watchdog.NumericsWatchdog`
 screens gradients before every optimizer step (``nan_policy``), and
@@ -22,6 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.collective.ring import fold_ring
 from repro.gxm.etg import ExecutionTaskGraph
 from repro.obs.metrics import get_metrics
 from repro.obs.tracer import get_tracer
@@ -71,6 +74,14 @@ class TrainMetrics:
             lo = max(0, i - k + 1)
             out.append(sum(self.losses[lo : i + 1]) / (i + 1 - lo))
         return out
+
+
+def shard_mean(shards, values) -> float:
+    """Mean of per-shard values weighted by shard size, summed in rank
+    order."""
+    return sum(v * len(s) for s, v in zip(shards, values)) / sum(
+        len(s) for s in shards
+    )
 
 
 class Trainer:
@@ -135,51 +146,51 @@ class Trainer:
             self.opt.lr = self.lr_schedule.lr(self.iteration)
         step = self.iteration
         self.iteration += 1
-        ok = True
+        avg, loss, acc = self._gradients(step, x, labels)
+        if avg is None:
+            # skip policy: the step is dropped, the weights untouched
+            self.watchdog.skipped()
+        else:
+            self.opt.step(avg)
+        self.metrics.losses.append(float(loss))
+        self.metrics.accuracies.append(float(acc))
+        self._maybe_autosave()
+        return float(loss)
+
+    def _gradients(self, step: int, x: np.ndarray, labels: np.ndarray):
+        """The step's gradients (averaged over the shards; ``None`` when
+        the watchdog drops the step), loss and accuracy.  This is the
+        one seam :class:`~repro.gxm.multiproc.ProcessParallelTrainer`
+        overrides to produce the shards in worker processes."""
         if self.nodes == 1:
             loss = self.etg.train_step(x, labels)
             acc = self.etg.accuracy()
             grads = self.etg.grads()
             self._maybe_poison(grads, step)
             ok = self.watchdog.check(grads, node="local", step=step)
-            if ok:
-                self.opt.step(grads)
-        else:
-            shards = np.array_split(np.arange(len(labels)), self.nodes)
-            acc_grads = None
-            loss = 0.0
-            acc = 0.0
-            for rank, shard in enumerate(shards):
-                loss += self.etg.train_step(x[shard], labels[shard]) * len(
-                    shard
-                )
-                acc += self.etg.accuracy() * len(shard)
-                g = [gr.copy() for gr in self.etg.grads()]
-                self._maybe_poison(g, step, rank=rank)
-                # per-replica attribution: the watchdog names the shard
-                # whose backward pass produced the divergence
-                ok = self.watchdog.check(
-                    g, node=f"replica{rank}", step=step
-                ) and ok
-                if acc_grads is None:
-                    acc_grads = g
-                else:
-                    for a, b in zip(acc_grads, g):
-                        a += b
-            loss /= len(labels)
-            acc /= len(labels)
-            if ok:
-                # all-reduce: average over replicas
-                for a in acc_grads:
-                    a /= self.nodes
-                self.opt.step(acc_grads)
-        if not ok:
-            # skip policy: the step is dropped, the weights untouched
-            self.watchdog.skipped()
-        self.metrics.losses.append(float(loss))
-        self.metrics.accuracies.append(float(acc))
-        self._maybe_autosave()
-        return float(loss)
+            return (grads if ok else None), loss, acc
+        shards = np.array_split(np.arange(len(labels)), self.nodes)
+        results = []
+        for rank, shard in enumerate(shards):
+            loss = self.etg.train_step(x[shard], labels[shard])
+            acc = self.etg.accuracy()
+            g = [gr.copy() for gr in self.etg.grads()]
+            self._maybe_poison(g, step, rank=rank)
+            results.append((g, loss, acc))
+        return self._fold(step, shards, results, node="replica")
+
+    def _fold(self, step: int, shards, results, node: str):
+        """Finish a data-parallel step from every shard's ``(grads,
+        loss, acc)`` in rank order: the watchdog checks each shard (and
+        names its rank), the gradients fold in rank order
+        (:func:`~repro.collective.ring.fold_ring`, the MLSL all-reduce)
+        and the loss and accuracy are weighted by shard size."""
+        ok = True
+        for rank, (g, _, _) in enumerate(results):
+            ok = self.watchdog.check(g, node=f"{node}{rank}", step=step) and ok
+        avg = fold_ring([r[0] for r in results], self.nodes) if ok else None
+        return (avg, shard_mean(shards, [r[1] for r in results]),
+                shard_mean(shards, [r[2] for r in results]))
 
     def _maybe_poison(
         self, grads: list[np.ndarray], step: int, rank: int | None = None

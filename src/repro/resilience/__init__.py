@@ -22,7 +22,7 @@ The systems wired to survive these faults:
 * :class:`~repro.gxm.multiproc.ProcessParallelTrainer` -- timeout-guarded
   pipes, dead-worker detection, per-step degradation (lost shards
   recomputed at the root for bit-identical numerics), bounded respawn
-  with implicit weight re-broadcast.
+  with a weight re-sync of the fresh replica.
 * :mod:`repro.collective` -- the overlapped ring all-reduce those
   workers run: CRC'd epoch-stamped hops rejected with typed
   :class:`~repro.collective.CollectiveError`\\ s, hop-level fault

@@ -7,12 +7,13 @@ Two layers of coverage:
   *bitwise*), ring edges, bucket cutting, the framed/CRC'd hop format,
   the bucket-filtered fault site;
 * process-level integration: healthy ring training is bitwise identical
-  to blocking root-mode training, and its steps wake on replies instead
-  of a poll period; a worker killed or hung mid-collective (every ring
-  position, early and late buckets) completes the step degraded and
-  finishes with weights bitwise identical to an undisturbed run.  Plus
-  regressions for the every-worker-failed respawn path and the
-  dead-worker reply drain.
+  to root-mode training and to the in-process data-parallel trainer, and
+  its steps wake on replies instead of a poll period; a worker killed or
+  hung mid-collective (every ring position, early and late buckets)
+  completes the step degraded and finishes with weights bitwise
+  identical to an undisturbed run.  Plus regressions for the
+  every-worker-failed respawn path, the dead-worker reply drain and the
+  receive that wakes on a death.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from repro.gxm.data import SyntheticImageDataset
 from repro.gxm.etg import ExecutionTaskGraph
 from repro.gxm.multiproc import ProcessParallelTrainer
 from repro.gxm.parser import parse_topology
+from repro.gxm.trainer import Trainer
 from repro.models.resnet50 import resnet_mini_topology
 from repro.obs.metrics import get_metrics
 from repro.obs.tracer import get_tracer
@@ -91,7 +93,7 @@ def run_trainer(ds, **kw):
     )
     try:
         t.fit(ds, batch_size=2, epochs=1)
-        return t, weights_of(t.root), list(t.metrics.losses)
+        return t, weights_of(t.etg), list(t.metrics.losses)
     finally:
         t.close()
 
@@ -240,6 +242,15 @@ class TestHealthyCollective:
     def test_ring_matches_root_mode_bitwise(self, clean_metrics):
         ds = tiny_dataset()
         _, w_root, l_root = run_trainer(ds, allreduce="root", nodes=2)
+        # root-mode workers keep replicas too: each is synced once, at
+        # start, and never sent weights again
+        assert clean_metrics.value("collective.syncs") == 2
+        # one fold, three ways: the in-process data-parallel trainer
+        ref = Trainer(tiny_etg(), lr=0.05, nodes=2)
+        ref.fit(ds, batch_size=2, epochs=1)
+        assert ref.metrics.losses == l_root
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(weights_of(ref.etg), w_root))
         get_metrics().clear()
         t, w_ring, l_ring = run_trainer(
             ds, allreduce="ring", nodes=2, bucket_bytes=TINY_BUCKET
@@ -324,7 +335,7 @@ class TestMidCollectiveFaults:
         )
         try:
             t.fit(ds, batch_size=2, epochs=1)
-            return ds, weights_of(t.root), list(t.metrics.losses)
+            return ds, weights_of(t.etg), list(t.metrics.losses)
         finally:
             t.close()
             get_metrics().clear()
@@ -448,6 +459,31 @@ class TestSatelliteRegressions:
         t._procs = [proc]
         reply = t._recv(0, want=(("grads",), 3))
         assert reply[0] == "grads" and reply[2] == "payload"
+
+    def test_recv_wakes_on_worker_death_not_the_poll_period(
+        self, monkeypatch
+    ):
+        # the pipe's far end stays open here, so no EOF announces the
+        # death: only the process sentinel can wake the receive before
+        # a 2 s poll period runs out
+        monkeypatch.setattr(multiproc, "_POLL_S", 2.0)
+        parent, child = mp.Pipe()
+        proc = mp.get_context("fork").Process(target=time.sleep,
+                                              args=(0.2,))
+        proc.start()
+        t = object.__new__(ProcessParallelTrainer)
+        t.step_timeout = 10.0
+        t._conns = [parent]
+        t._procs = [proc]
+        t0 = time.monotonic()
+        try:
+            with pytest.raises(multiproc.WorkerFailure,
+                               match="process died"):
+                t._recv(0)
+        finally:
+            proc.join(timeout=10)
+            child.close()
+        assert time.monotonic() - t0 < 1.5
 
     def test_worker_reply_crash_still_counts_the_step(
         self, clean_metrics

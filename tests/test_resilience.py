@@ -149,7 +149,7 @@ class TestProcessParallelFaultMatrix:
                                    seed=0)
         try:
             t.fit(ds, batch_size=2, epochs=1)
-            return weights_of(t.root), list(t.metrics.losses)
+            return weights_of(t.etg), list(t.metrics.losses)
         finally:
             t.close()
 
@@ -161,7 +161,7 @@ class TestProcessParallelFaultMatrix:
         )
         try:
             t.fit(ds, batch_size=2, epochs=1)
-            return t, weights_of(t.root), list(t.metrics.losses)
+            return t, weights_of(t.etg), list(t.metrics.losses)
         finally:
             t.close()
 
@@ -191,6 +191,7 @@ class TestProcessParallelFaultMatrix:
     def test_external_sigkill_mid_training_recovers(self, clean_metrics):
         ds = tiny_dataset()
         ref_w, ref_losses = self._healthy_weights(ds)
+        clean_metrics.clear()
         t = ProcessParallelTrainer(tiny_topology(), (2, *SHAPE), nodes=3,
                                    seed=0, step_timeout=15.0)
         try:
@@ -200,11 +201,17 @@ class TestProcessParallelFaultMatrix:
                     os.kill(t._procs[0].pid, signal.SIGKILL)
                     t._procs[0].join(timeout=10)
                 t.train_step(x, y)
-            assert clean_metrics.value("resilience.degraded_steps") == 1
+            m = clean_metrics
+            assert m.value("resilience.degraded_steps") == 1
+            # one fallback root step, then a ring step that re-syncs the
+            # respawned rank only: 3 syncs at start + 1
+            assert m.value("collective.rootsteps") == 1
+            assert m.value("collective.steps") == len(batches) - 1
+            assert m.value("collective.syncs") == 4
             assert t.metrics.losses == ref_losses
             assert all(
                 np.array_equal(a, b)
-                for a, b in zip(ref_w, weights_of(t.root))
+                for a, b in zip(ref_w, weights_of(t.etg))
             )
         finally:
             t.close()
@@ -227,7 +234,7 @@ class TestProcessParallelFaultMatrix:
             assert t.metrics.losses == ref_losses
             assert all(
                 np.array_equal(a, b)
-                for a, b in zip(ref_w, weights_of(t.root))
+                for a, b in zip(ref_w, weights_of(t.etg))
             )
         finally:
             t.close()
@@ -320,7 +327,7 @@ class TestMidCollectiveFaults:
         )
         try:
             t.fit(ds, batch_size=2, epochs=1)
-            return t, weights_of(t.root), list(t.metrics.losses)
+            return t, weights_of(t.etg), list(t.metrics.losses)
         finally:
             t.close()
 
@@ -438,7 +445,7 @@ class TestTrainingCheckpoint:
                                    seed=0)
         try:
             a.fit(ds, batch_size=2, epochs=2)
-            final = weights_of(a.root)
+            final = weights_of(a.etg)
             losses = list(a.metrics.losses)
         finally:
             a.close()
@@ -461,7 +468,7 @@ class TestTrainingCheckpoint:
             assert c.metrics.losses == losses
             assert all(
                 np.array_equal(x, y)
-                for x, y in zip(final, weights_of(c.root))
+                for x, y in zip(final, weights_of(c.etg))
             )
         finally:
             c.close()

@@ -2,10 +2,13 @@
 drumbeat of mid-ring faults.
 
 Gated behind ``REPRO_SOAK=1`` (CI's ``allreduce-smoke`` job runs it; a
-plain ``pytest`` does not).  For ~30 seconds (``REPRO_SOAK_S``), one
-ring trainer fits epoch after epoch while a probabilistic fault plan
-keeps killing, hanging and corrupting workers mid-collective, and an
-external chaos thread SIGKILLs a random worker between steps.
+plain ``pytest`` does not).  For ~30 seconds (``REPRO_SOAK_S``) per
+all-reduce mode, one trainer fits epoch after epoch while a
+probabilistic fault plan keeps killing, hanging and corrupting workers
+(mid-collective in ring mode; the ``collective.hop`` faults never fire
+in root mode, where no hop runs), and an external chaos thread SIGKILLs
+a random worker between steps.  Both modes keep a weight replica in
+every worker, so both must hold the same invariants.
 
 The soak's invariants are the PR's acceptance criteria, held under
 sustained chaos rather than in one-shot tests:
@@ -20,8 +23,9 @@ sustained chaos rather than in one-shot tests:
 * every degraded step froze exactly one digest-verified
   :mod:`repro.forensics` incident bundle, and a sampled
   ``incident replay`` of the survivors is bitwise-exact;
-* the metrics JSON written at the end (``REPRO_SOAK_OUT``) is the CI
-  artifact for post-mortems.
+* the metrics JSON written at the end, one per mode (``REPRO_SOAK_OUT``
+  with the mode before its extension), is the CI artifact for
+  post-mortems.
 """
 
 import json
@@ -56,15 +60,16 @@ SHAPE = (3, 8, 8)
 NODES = 3
 
 
-def _trainer(**kw):
+def _trainer(allreduce, **kw):
     return ProcessParallelTrainer(
         resnet_mini_topology(num_classes=4, width=8), (2, *SHAPE),
         nodes=NODES, seed=0, step_timeout=kw.pop("step_timeout", 3.0),
-        bucket_bytes=1024, max_respawns=10**6, **kw,
+        bucket_bytes=1024, max_respawns=10**6, allreduce=allreduce, **kw,
     )
 
 
-def test_collective_chaos_soak(tmp_path):
+@pytest.mark.parametrize("allreduce", ["ring", "root"])
+def test_collective_chaos_soak(tmp_path, allreduce):
     inc_dir = str(tmp_path / "incidents")
     ds = SyntheticImageDataset(n=24, num_classes=4, shape=SHAPE, seed=3)
 
@@ -79,7 +84,7 @@ def test_collective_chaos_soak(tmp_path):
                   probability=0.02, count=10**6),
     ), seed=7)
     get_metrics().clear()
-    t = _trainer(fault_plan=plan, incident_dir=inc_dir)
+    t = _trainer(allreduce, fault_plan=plan, incident_dir=inc_dir)
     stop = threading.Event()
     chaos_kills = [0]
 
@@ -111,7 +116,7 @@ def test_collective_chaos_soak(tmp_path):
         stop.set()
         killer.join(timeout=30.0)
         assert not killer.is_alive(), "chaos thread hung past the soak"
-        weights = [p.copy() for p in t.root.params()]
+        weights = [p.copy() for p in t.etg.params()]
         failures = len(t.failures)
     finally:
         stop.set()
@@ -120,6 +125,7 @@ def test_collective_chaos_soak(tmp_path):
     snap = get_metrics().snapshot()
     counters = snap.get("counters", snap)
     doc = {
+        "allreduce": allreduce,
         "soak_s": SOAK_S,
         "epochs_done": epochs_done,
         "chaos_kills": chaos_kills[0],
@@ -128,7 +134,8 @@ def test_collective_chaos_soak(tmp_path):
         "counters": {k: v for k, v in sorted(counters.items())
                      if isinstance(v, (int, float))},
     }
-    with open(OUT, "w") as fh:
+    base, ext = os.path.splitext(OUT)
+    with open(f"{base}_{allreduce}{ext}", "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
 
     # --- the invariants -------------------------------------------------
@@ -145,14 +152,14 @@ def test_collective_chaos_soak(tmp_path):
     # numerics, so the chaos run's full loss trajectory and final
     # weights must match the healthy run exactly
     ref_losses: list[float] = []
-    ref = _trainer()
+    ref = _trainer(allreduce)
     try:
         for _ in range(epochs_done):
             ref.metrics.losses.clear()
             ref.metrics.accuracies.clear()
             ref.fit(ds, batch_size=2, epochs=1)
             ref_losses.extend(ref.metrics.losses)
-        ref_weights = [p.copy() for p in ref.root.params()]
+        ref_weights = [p.copy() for p in ref.etg.params()]
     finally:
         ref.close()
     assert losses == ref_losses, (
