@@ -20,10 +20,15 @@ construction:
 * each store group's FMA chain is folded term by term into one float64
   accumulator, in place (``acc += w[t] * s[t]``) -- the same strict left
   fold, and so the same rounding sequence, as the interpreter's
-  ``acc += w * b`` loop.  Products of consecutive terms are formed a
-  block at a time in a fixed-size scratch (``_PRODUCT_BLOCK``), not as one
-  tensor holding every term's product.  A weight vector every member
-  reads at the same term is gathered once, not once per member;
+  ``acc += w * b`` loop.  A weight vector every member reads at the same
+  term is gathered once, not once per member, and over a grid round
+  such a term is a rank-1 update of the accumulator.  An fp32 chain
+  whose accumulator holds at least ``_DGER_MIN`` elements adds each term
+  with one in-place BLAS ``dger`` call, from the OpenBLAS numpy has
+  loaded: an f32 x f32 product is exact in float64, so every element
+  still gets one rounding per term, in term order.  Any other chain
+  forms its products a block at a time in a fixed-size scratch
+  (``_PRODUCT_BLOCK``) and adds them one term at a time;
 * fused post-ops, int16 chain-limit flushes (``VCVT``/``VADD``) and
   store/reload round-trips (un-hoisted variants) stay explicit expression
   nodes, so their evaluation order and intermediate precision are preserved.
@@ -57,6 +62,7 @@ fall back to the interpreter.
 
 from __future__ import annotations
 
+import ctypes
 import time
 from typing import Callable, Optional, Sequence
 
@@ -396,13 +402,67 @@ def _sig(node, memo: dict) -> tuple:
 _BATCH_BUDGET = 2_000_000
 #: float64 elements of a chain's term-product scratch (256 KB, L2-resident)
 _PRODUCT_BLOCK = 1 << 15
-#: shortest ``H * m`` inner loop whose products run with numpy's smallest
-#: ufunc buffer: with the default (8192 elements) numpy copies a broadcast
-#: weight into the buffer to lengthen shorter inner loops, ~4x slower per
-#: product (measured on numpy 2.4); below this length that copy costs
-#: less than the extra loop overhead
-_UNBUFFERED_MIN = 64
-_MIN_BUFSIZE = 16
+
+
+def _load_dger():
+    """CBLAS ``dger`` with 64-bit integers, from the OpenBLAS that numpy
+    has already loaded (the symbol numpy >= 2 wheels export), or ``None``
+    when this numpy build does not export it."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        fn = lib.scipy_cblas_dger64_
+    except (AttributeError, OSError):
+        return None
+    i64, ptr = ctypes.c_int64, ctypes.c_void_p
+    fn.argtypes = (ctypes.c_int, i64, i64, ctypes.c_double,
+                   ptr, i64, ptr, i64, ptr, i64)
+    fn.restype = None
+    return fn
+
+
+#: ``dger(order, M, N, alpha, x, incx, y, incy, A, lda)``: ``A += alpha *
+#: x yᵀ``; ``None`` folds every chain with numpy
+_dger = _load_dger()
+_ROW_MAJOR = 101  # CblasRowMajor
+#: smallest accumulator (elements) a ``dger`` call pays for: on a 2-CPU
+#: x86 VM one ctypes call costs about 2.5 µs, and numpy's multiply-add
+#: 1.2-1.8 ns per element
+_DGER_MIN = 2048
+
+
+def _fold_rank1(w: np.ndarray, s: np.ndarray, acc: np.ndarray) -> bool:
+    """Fold an FMA run's terms into ``acc`` as ``dger`` rank-1 updates,
+    when that is both exact and worth a call; return whether it did.
+
+    ``acc`` (``(G, n, H, m)``, C-contiguous) is the row-major ``(G*n) x
+    (H*m)`` matrix, term ``t`` adds ``w[t] (G, n) ⊗ s[t] (H, m)``.  The
+    caller passes operands widened from float32, so every product is
+    exact in float64 and an FMA or a multiply-then-add rounds each
+    element once per term, in term order: the numpy fold's bits.  The
+    path needs a weight vector shared by every member and scalars that
+    do not vary across grid rows, and steps aside when any operand or
+    accumulator element is NaN, since OpenBLAS and numpy keep different
+    payloads when two NaNs meet."""
+    g, n, h, m = acc.shape
+    if (
+        _dger is None
+        or acc.size < _DGER_MIN
+        or w.shape[1:] != (g, n, 1, 1)
+        or s.shape[1:] != (1, 1, h, m)
+        or not (w.flags.c_contiguous and s.flags.c_contiguous
+                and acc.flags.c_contiguous)
+        or np.isnan(w).any()
+        or np.isnan(s).any()
+        or np.isnan(acc).any()
+    ):
+        return False
+    rows, cols = g * n, h * m
+    x, y, a = w.ctypes.data, s.ctypes.data, acc.ctypes.data
+    dx, dy = w.strides[0], s.strides[0]
+    for t in range(w.shape[0]):
+        _dger(_ROW_MAJOR, rows, cols, 1.0, x + t * dx, 1, y + t * dy, 1,
+              a, cols)
+    return True
 
 
 #: the base of a tensor no offset argument moves
@@ -563,10 +623,13 @@ class _Run:
     member.  ``sidx`` is ``(T, 1, pair, 1, m)``.  The unit axes take the
     grid's rows and columns from the tensors' bases, so the weight
     vectors of a grid row are gathered ``(T, G, wn, 1, 1)`` and the
-    scalars of an input column ``(T, 1, pair, H, m)``."""
+    scalars of an input column ``(T, 1, pair, H, m)``: each FMA term is
+    then a rank-1 update of the accumulator, which ``rank1`` runs may
+    hand to BLAS (:func:`_fold_rank1`)."""
 
     __slots__ = ("T", "wtensor", "widx", "stensor", "sidx")
     pair = 1  # scalar operands per term
+    rank1 = False  # a term may be folded as one ``dger`` rank-1 update
 
     def __init__(self, wtensor, woffs, wn, stensor, soffs) -> None:
         self.T = woffs.shape[0]
@@ -586,25 +649,20 @@ class _Run:
 
     def fold(self, acc: np.ndarray, ctx: _Ctx) -> None:
         """Add the run's terms to ``acc`` (``(G, n, H, m)``) one at a
-        time, in order.  One multiply forms the products of as many terms
-        as fit in ``_PRODUCT_BLOCK`` elements (the per-term multiply of a
-        small batch costs more in numpy call overhead than in
-        arithmetic); against a shared weight vector its inner loop runs
-        over ``H * m`` scalars per weight lane, unbuffered once that is at
-        least ``_UNBUFFERED_MIN`` long.  Buffering never changes a value."""
+        time, in order.  An fp32 FMA run whose accumulator holds at least
+        ``_DGER_MIN`` elements adds each term with one in-place BLAS
+        rank-1 update (:func:`_fold_rank1`).  Any other run forms the
+        products of as many terms as fit in ``_PRODUCT_BLOCK`` elements
+        with one multiply (the per-term multiply of a small batch costs
+        more in numpy call overhead than in arithmetic), then adds them
+        one term at a time.  Both give the same bits."""
         wb = ctx.buffers[self.wtensor]
         sb = ctx.buffers[self.stensor]
         w = _f64(wb[self.widx + ctx.base(self.wtensor)])
         s = _f64(sb[self.sidx + ctx.base(self.stensor)])
-        if acc.shape[2] * acc.shape[3] < _UNBUFFERED_MIN:
-            return self._fold(w, s, acc)
-        bufsize = np.setbufsize(_MIN_BUFSIZE)
-        try:
-            self._fold(w, s, acc)
-        finally:
-            np.setbufsize(bufsize)
-
-    def _fold(self, w, s, acc) -> None:
+        if (self.rank1 and wb.dtype == sb.dtype == np.float32
+                and _fold_rank1(w, s, acc)):
+            return
         k = max(1, min(self.T, _PRODUCT_BLOCK // acc.size))
         prod = np.empty((k,) + acc.shape)
         for t0 in range(0, self.T, k):
@@ -618,6 +676,7 @@ class _RunFma(_Run):
     """``acc += w * t[off]``."""
 
     __slots__ = ()
+    rank1 = True
 
     @staticmethod
     def products(w, s, out) -> None:

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import contextlib
+import functools
+
 import numpy as np
 import pytest
 
 from repro.arch.machine import MachineConfig
 from repro.conv.params import ConvParams
+from repro.jit import compile as jit_compile
 from repro.obs.tracer import get_tracer
 
 
@@ -22,6 +26,49 @@ def _quiet_tracer():
     test so no state or record leaks into the next one."""
     yield
     get_tracer().disable().clear()
+
+
+@contextlib.contextmanager
+def _forced_fold_path(path: str):
+    """Send the compiled tier's fp32 chain folds down ``path`` inside the
+    block: ``blas`` drops the accumulator-size threshold to 0, so every
+    FMA run the rank-1 path accepts calls ``dger`` even on the VLEN=4
+    machine, and fails unless ``dger`` ran; ``numpy`` takes ``dger``
+    away, the fallback of a numpy build that exports none."""
+    saved = jit_compile._dger, jit_compile._DGER_MIN
+    calls = []
+    if path == "blas":
+        def counting(*args):
+            calls.append(1)
+            saved[0](*args)
+
+        jit_compile._dger, jit_compile._DGER_MIN = counting, 0
+    else:
+        jit_compile._dger = None
+    try:
+        yield
+    finally:
+        jit_compile._dger, jit_compile._DGER_MIN = saved
+    assert path != "blas" or calls, "no chain term was folded by dger"
+
+
+def on_both_fold_paths(test):
+    """Run a test once per fold path of the compiled tier's fp32 chains,
+    ``blas`` then ``numpy`` (see :func:`_forced_fold_path`; ``blas`` is
+    left out when numpy exports no ``dger``).  The test keeps its id."""
+
+    @functools.wraps(test)
+    def run(*args, **kwargs):
+        for path in ("blas", "numpy"):
+            if path == "blas" and jit_compile._dger is None:
+                continue
+            with _forced_fold_path(path):
+                try:
+                    test(*args, **kwargs)
+                except AssertionError as e:
+                    raise AssertionError(f"{path} fold path: {e}") from e
+
+    return run
 
 
 #: a VLEN=4 machine so µop-level tests stay small

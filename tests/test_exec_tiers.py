@@ -2,6 +2,7 @@
 µop interpreter on every generated variant, and the tier plumbing
 (engines, factory, cache, trace fallback) must behave."""
 
+import ctypes
 import dataclasses
 
 import numpy as np
@@ -37,7 +38,12 @@ from repro.streams.replay import replay
 from repro.streams.stream import KernelStream
 from repro.tensor.blocked import block_activations, block_weights
 from repro.types import ReproError, ShapeError
-from tests.conftest import TINY, assert_close, rand_conv_tensors
+from tests.conftest import (
+    TINY,
+    assert_close,
+    on_both_fold_paths,
+    rand_conv_tensors,
+)
 
 #: layer shapes exercising every µop generator feature on the VLEN=4 machine:
 #: multi-row pixel blocking, 1x1, strides, asymmetric taps, remainders
@@ -103,16 +109,18 @@ def _same_bits(a, b):
 
 class TestForwardTiers:
     @pytest.mark.parametrize("p", FWD_CASES, ids=lambda p: p.describe())
+    @on_both_fold_paths
     def test_compiled_bitwise_equals_interpreter(self, p, rng):
-        out_c, x, w = _fwd_out(p, rng, "compiled")
-        rng2 = np.random.default_rng(1234)
-        out_i, _, _ = _fwd_out(p, rng2, "interpret")
+        seed = int(rng.integers(2**32))  # one draw per fold path
+        out_c, x, w = _fwd_out(p, np.random.default_rng(seed), "compiled")
+        out_i, _, _ = _fwd_out(p, np.random.default_rng(seed), "interpret")
         assert np.array_equal(out_c.view(np.uint32), out_i.view(np.uint32))
         eng = DirectConvForward(p, machine=TINY)
         assert_close(
             eng.run_nchw(x, w), conv2d_forward(x, w, p), rtol=1e-4
         )
 
+    @on_both_fold_paths
     def test_fused_ops_and_threads(self, rng):
         p = ConvParams(N=2, C=8, K=8, H=6, W=6, R=3, S=3, stride=1,
                        pad_h=1, pad_w=1)
@@ -139,6 +147,141 @@ class TestForwardTiers:
         assert_close(eng.run_nchw(x, w), ref, rtol=1e-4)
 
 
+#: the dispatch-count engine: ``c_b``-outer with two input-channel blocks,
+#: so its two rounds are a zero-init variant reading channels 0-3 and an
+#: accumulate variant reloading the stored output and reading 4-7
+SPECIAL_FWD = ConvParams(N=2, C=8, K=8, H=6, W=6, R=3, S=3, stride=1,
+                         pad_h=1, pad_w=1)
+#: quiet NaNs whose payloads are not the x86 default (0xffc00000)
+NAN_PAYLOADS = np.array([0x7FC12345, 0xFFC54321], np.uint32).view(np.float32)
+#: float32 values planted among normal operands, per special-value case
+PLANTED = {
+    "signed_zeros": np.array([0.0, -0.0], np.float32),
+    "subnormals": np.array([1e-45, -1e-45, 2.5e-39, -1.1e-38], np.float32),
+    "infinities": np.array([np.inf, -np.inf, 0.0], np.float32),
+    "nan_payloads": NAN_PAYLOADS,
+}
+
+
+def _plant(a, values, rng, share):
+    """``a`` with about ``share`` of its elements drawn from ``values``."""
+    out = a.copy()
+    hit = rng.random(a.shape) < share
+    out[hit] = rng.choice(values, int(hit.sum()))
+    return out
+
+
+class TestSpecialValues:
+    """Special values must fold to the interpreter's bits on both fold
+    paths: ±0 and f32 subnormals in the products, ±inf so that inf·0
+    makes a NaN in the middle of a chain, NaNs with non-default
+    payloads, and a stored −0.0 reloaded as a chain init."""
+
+    @pytest.mark.parametrize("case", list(PLANTED))
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @on_both_fold_paths
+    def test_forward_with_planted_values(self, rng, case):
+        p = SPECIAL_FWD
+        x, w, _ = rand_conv_tensors(p, rng)
+        # planted in input channels 4-7 only: the first round's operands
+        # stay normal, so the forced-BLAS path runs ``dger`` there even
+        # when NaNs keep the second round on numpy
+        x[:, 4:] = _plant(x[:, 4:], PLANTED[case], rng, 0.05)
+        w[:, 4:] = _plant(w[:, 4:], PLANTED[case], rng, 0.05)
+        bx = block_activations(x, 4, pad_h=1, pad_w=1)
+        bw = block_weights(w, 4)
+        outs = {}
+        for tier in ("compiled", "interpret"):
+            eng = DirectConvForward(p, machine=TINY, execution_tier=tier)
+            outs[tier] = eng(bx, bw).data
+        assert eng.plan.loop_order == "cb_outer" and eng.cb == 2
+        _assert_bitwise(outs)
+        ref = outs["interpret"]
+        if case == "infinities":
+            assert np.isnan(ref).any() and np.isinf(ref).any()
+        if case == "nan_payloads":
+            bits = set(ref[np.isnan(ref)].view(np.uint32).tolist())
+            assert bits & set(NAN_PAYLOADS.view(np.uint32).tolist())
+
+    @on_both_fold_paths
+    def test_stored_negative_zero_reloaded_as_chain_init(self, rng):
+        """The accumulate variant reloads an output of −0.0.  A +0 product
+        turns it into +0.0 and a −0 product keeps it: weight lane 0 is
+        +0.0, lane 1 −0.0, and the inputs are ≥ +0."""
+        p = SPECIAL_FWD
+        eng = DirectConvForward(p, machine=TINY)
+        assert not eng._descs[1].zero_init
+        x, w, _ = rand_conv_tensors(p, rng)
+        x = _plant(np.abs(x), np.float32([0.0]), rng, 0.2)
+        w[0::4], w[1::4] = 0.0, -0.0
+        buffers = {
+            "I": block_activations(x, 4, pad_h=1, pad_w=1).data,
+            "W": block_weights(w, 4).data,
+            "O": np.full(eng.out_layout.size, -0.0, np.float32),
+        }
+        (groups,) = eng.streams[0].schedule(2).values()
+        (i, wo, o), = [g[1:] for g in groups if g[0] == 1]
+        got, ref = _grid_round(eng.compiled[1], buffers, ("I", "W", "O"),
+                               "O", i, wo, o)
+        assert _same_bits(got, ref)
+        zeros = ref[ref == 0]
+        assert np.signbit(zeros).any() and not np.signbit(zeros).all()
+
+
+@pytest.fixture(params=[1, 2], ids=["1thread", "2threads"])
+def blas_threads(request):
+    """Run with OpenBLAS at 1 or 2 threads, restored afterwards."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        get = lib.scipy_openblas_get_num_threads64_
+        set_ = lib.scipy_openblas_set_num_threads64_
+    except (AttributeError, OSError):
+        pytest.skip("numpy's BLAS is not scipy-openblas")
+    get.restype = ctypes.c_int
+    set_.argtypes = (ctypes.c_int,)
+    before = get()
+    set_(request.param)
+    yield request.param
+    set_(before)
+
+
+class TestRank1Fold:
+    def test_numpy_openblas_build_resolves_dger(self):
+        """numpy wheels link scipy-openblas, which exports the rank-1
+        update the compiled tier folds fp32 chains with; a numpy release
+        that renames it must fail here, not quietly fold on numpy."""
+        try:
+            blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        except (TypeError, KeyError):
+            pytest.skip("numpy reports no BLAS build dependency")
+        if blas.get("name") != "scipy-openblas":
+            pytest.skip(f"numpy's BLAS is {blas.get('name')!r}")
+        assert jit_compile._dger is not None
+
+    def test_threaded_dger_stays_bitwise(self, rng, blas_threads,
+                                         monkeypatch):
+        """A 1x1 layer on SKX folds 64 x 392 accumulators, which OpenBLAS
+        splits across its threads at 2 (perfbench pins one thread;
+        tests, CI and serving do not)."""
+        p = ConvParams(N=2, C=32, K=64, H=14, W=14, R=1, S=1, stride=1)
+        sizes = []
+        fold = jit_compile._fold_rank1
+
+        def recording(w, s, acc):
+            done = fold(w, s, acc)
+            sizes.append(acc.size * done)
+            return done
+
+        monkeypatch.setattr(jit_compile, "_fold_rank1", recording)
+        x, w, _ = rand_conv_tensors(p, rng)
+        bx, bw = block_activations(x, 16), block_weights(w, 16)
+        outs = {tier: DirectConvForward(p, machine=SKX,
+                                        execution_tier=tier)(bx, bw).data
+                for tier in ("compiled", "interpret")}
+        _assert_bitwise(outs)
+        assert max(sizes) == 64 * 392
+
+
 class TestQuantTiers:
     def test_q16_tiers_bitwise_identical(self, rng):
         p = ConvParams(N=1, C=32, K=32, H=6, W=6, R=3, S=3, stride=1,
@@ -158,6 +301,7 @@ class TestQuantTiers:
 
 
 class TestUpdTiers:
+    @on_both_fold_paths
     def test_upd_tiers_bitwise_identical(self, rng):
         p = ConvParams(N=2, C=8, K=8, H=6, W=6, R=3, S=3, stride=1,
                        pad_h=1, pad_w=1)
@@ -174,6 +318,7 @@ class TestUpdTiers:
 
 
 class TestBackwardTiers:
+    @on_both_fold_paths
     def test_duality_modes_thread_the_tier(self, rng):
         for p in (
             ConvParams(N=1, C=8, K=8, H=6, W=6, R=3, S=3, stride=1,
@@ -223,6 +368,7 @@ class TestTraceForcesInterpreter:
 
 
 class TestCompiledKernelStandalone:
+    @on_both_fold_paths
     def test_gemm_program_compiles_exactly(self, rng):
         desc = GemmDesc(vlen=4, k=3, n=5, a_sk=4, b_sk=1, b_sn=3, c_sn=4)
         prog = generate_gemm_kernel(desc)
@@ -277,6 +423,7 @@ class TestCompiledKernelStandalone:
         )
         assert _same_bits(got, ref)
 
+    @on_both_fold_paths
     def test_vbcast_reaches_add_and_store(self, rng):
         """A broadcast register stored as is and added to a weight
         vector (the scalar-broadcast node), next to a chain seeded from
@@ -347,6 +494,7 @@ class TestBatchRounds:
     """``.batch`` schedules calls that store to the same block into
     dependency rounds; the result must be exactly sequential replay."""
 
+    @on_both_fold_paths
     def test_repeated_output_blocks_out_of_order(self, rng):
         # cb-outer loop order: variant 1 accumulates into its output
         p = ConvParams(N=1, C=8, K=8, H=6, W=6, R=3, S=3, stride=1,
@@ -379,6 +527,7 @@ class TestBatchRounds:
         assert np.array_equal(got.view(np.uint32), single.view(np.uint32))
         assert np.array_equal(got.view(np.uint32), ref.view(np.uint32))
 
+    @on_both_fold_paths
     def test_one_dw_block_accumulated_by_every_call(self, rng):
         p = ConvParams(N=2, C=16, K=8, H=4, W=4, R=1, S=1, stride=1)
         eng = DirectConvUpd(p, machine=TINY)
@@ -400,6 +549,7 @@ class TestBatchRounds:
         assert np.array_equal(got.view(np.uint32), single.view(np.uint32))
         assert np.array_equal(got.view(np.uint32), ref.view(np.uint32))
 
+    @on_both_fold_paths
     def test_store_outside_the_offset_args_keeps_call_order(self, rng):
         """A stored tensor no offset argument moves sits at one base for
         every call, so every call depends on the one before."""
@@ -487,6 +637,7 @@ class TestStreakSchedule:
 
     @pytest.mark.parametrize("hoist", [True, False],
                              ids=["hoisted", "unhoisted"])
+    @on_both_fold_paths
     def test_cb_outer_four_variants(self, rng, hoist):
         eng, outs = _fwd_tiers(SCHED_FWD, rng,
                                plan=_q_remainder_plan(SCHED_FWD, hoist))
@@ -495,6 +646,7 @@ class TestStreakSchedule:
         assert len(set(eng.streams[0].kinds.tolist())) == 4
         _assert_bitwise(outs)
 
+    @on_both_fold_paths
     def test_cb_outer_fused_ops_parallel_threads(self, rng):
         bias = rng.standard_normal(SCHED_FWD.K).astype(np.float32)
         eng, outs = _fwd_tiers(
@@ -505,6 +657,7 @@ class TestStreakSchedule:
         assert len(eng.streams) == 2
         _assert_bitwise(outs)
 
+    @on_both_fold_paths
     def test_update_pass_with_a_bp_remainder(self, rng):
         p = SCHED_UPD
         x, _, dy = rand_conv_tensors(p, rng)
@@ -516,6 +669,7 @@ class TestStreakSchedule:
         assert len(eng.descs) == 2
         _assert_bitwise(dws)
 
+    @on_both_fold_paths
     def test_one_dispatch_per_round_and_variant(self, rng, monkeypatch):
         """24 calls alternate a zero-init and an accumulate variant in
         runs of three; replay evaluates the plan twice, one round each."""
@@ -541,6 +695,7 @@ class TestStreakSchedule:
             assert sizes == [12, 12]
             assert np.array_equal(got.view(np.uint32), ref.view(np.uint32))
 
+    @on_both_fold_paths
     def test_rounds_are_weight_by_input_grids(self, rng):
         """Each group of the dispatch-count engine is the cross product
         of 2 weight blocks and 6 input rows."""
@@ -586,6 +741,7 @@ class TestStreakSchedule:
             outs[tier] = bufs["O"]
         _assert_bitwise(outs)
 
+    @on_both_fold_paths
     def test_grid_wider_than_the_cap_is_cut_both_ways(self, rng,
                                                       monkeypatch):
         p = ConvParams(N=2, C=8, K=8, H=6, W=6, R=3, S=3, stride=1,

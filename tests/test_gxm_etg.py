@@ -9,6 +9,7 @@ from repro.gxm.nodes import ConvNode
 from repro.gxm.topology import TopologySpec
 from repro.gxm.trainer import SGD, Trainer
 from repro.models.resnet50 import resnet_mini_topology
+from tests.conftest import on_both_fold_paths
 
 
 def tiny_topo(num_classes=4):
@@ -105,6 +106,25 @@ class TestGradientCheck:
         assert losses["fast"] == pytest.approx(losses["blocked"], rel=1e-5)
         assert np.allclose(grads["fast"], grads["blocked"], rtol=1e-3,
                            atol=1e-5)
+
+
+class TestTierBitwise:
+    @on_both_fold_paths
+    def test_blocked_train_step_compiled_equals_interpret(self, rng):
+        """A blocked train step of the perfbench model (every conv in
+        forward, backward and update) gives the interpreter's loss and
+        gradients bit for bit, on both fold paths."""
+        topo = resnet_mini_topology(num_classes=4, width=32)
+        x = rng.standard_normal((2, 16, 8, 8)).astype(np.float32)
+        y = rng.integers(0, 4, 2)
+        out = {}
+        for tier in ("compiled", "interpret"):
+            etg = ExecutionTaskGraph(topo, (2, 16, 8, 8), engine="blocked",
+                                     execution_tier=tier, seed=5)
+            loss = etg.train_step(x, y)
+            out[tier] = [np.float64(loss)] + etg.grads()
+        for got, ref in zip(out["compiled"], out["interpret"]):
+            assert got.tobytes() == ref.tobytes()
 
 
 class TestInputGradientSkip:
