@@ -13,7 +13,8 @@ rounds within one variant and across variants.  Every row also records
 them replay in rounds laid out as a weight-block x input-row grid with
 more than one input row; the rest run one row wide (``(B, 1)`` column
 groups, or one input row against several weight blocks).  Table-1
-layer 20 mixes both.
+layer 20 mixes both.  The int16 row runs Table-1 layer 8 on KNM, also
+under ``--quick`` (``--no-quant`` leaves it out).
 
 Run as a plain script (not pytest -- the timing loop is its own harness)::
 
@@ -54,6 +55,10 @@ UPD_MIN_MINIBATCH = 2
 CB_OUTER_LAYER = "res3a_b"
 CB_OUTER_PARAMS = ConvParams(N=8, C=32, K=32, H=4, W=4, R=3, S=3, stride=1,
                              pad_h=1, pad_w=1)
+#: the int16 row (KNM, 4VNNIW): a full-size Table-1 layer, in every run
+#: including ``--quick``, so the compiled int16 chains are checked
+#: bitwise at a size the tier-1 tests do not reach
+QUANT_LAYER = 8
 
 
 def _time_call(fn, repeats: int) -> float:
@@ -189,8 +194,8 @@ def main(argv=None) -> int:
     ap.add_argument("--repeats", type=int, default=1)
     ap.add_argument("--quick", action="store_true",
                     help="Table-1 layers 2 and 20 (all-grid and mixed "
-                         "grid/column replay) plus the res3a_b and "
-                         "update-pass rows (CI smoke)")
+                         "grid/column replay) plus the res3a_b, "
+                         "update-pass and int16 rows (CI smoke)")
     ap.add_argument("--no-quant", action="store_true",
                     help="skip the int16 (KNM) measurement")
     ap.add_argument("--out", default="BENCH_exec_tiers.json")
@@ -200,14 +205,12 @@ def main(argv=None) -> int:
 
     if args.quick:
         layers = [2, 20]
-        quant_layers = []
     else:
-        ids = (
+        layers = (
             [int(t) for t in args.layers.split(",")]
             if args.layers else DEFAULT_LAYERS
         )
-        layers = ids
-        quant_layers = [] if args.no_quant else [8]
+    quant_layers = [] if args.no_quant else [QUANT_LAYER]
 
     rows = []
     for lid in layers:

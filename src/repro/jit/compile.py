@@ -21,14 +21,22 @@ construction:
   accumulator, in place (``acc += w[t] * s[t]``) -- the same strict left
   fold, and so the same rounding sequence, as the interpreter's
   ``acc += w * b`` loop.  A weight vector every member reads at the same
-  term is gathered once, not once per member, and over a grid round
-  such a term is a rank-1 update of the accumulator.  An fp32 chain
-  whose accumulator holds at least ``_DGER_MIN`` elements adds each term
-  with one in-place BLAS ``dger`` call, from the OpenBLAS numpy has
-  loaded: an f32 x f32 product is exact in float64, so every element
-  still gets one rounding per term, in term order.  Any other chain
-  forms its products a block at a time in a fixed-size scratch
-  (``_PRODUCT_BLOCK``) and adds them one term at a time;
+  term is gathered once, not once per member, and over a grid round a
+  run of such terms is a small GEMM added to the accumulator -- the
+  paper's microkernel (M = k, N = RB_Q, K = c).  An fp32 run folds with
+  one BLAS ``dgemm`` per window of at most ``_GEMM_WINDOW`` terms, from
+  the OpenBLAS numpy has loaded: the first window of a zero-init chain
+  is ``Wᵀ·S``, every other window takes the accumulator in as leading
+  identity terms, ``[I | Wᵀ]·[acc; S]``.  An f32 x f32 product and an
+  identity term are exact in float64, so a window keeps every element's
+  rounding sequence whenever OpenBLAS sums in term order -- which a
+  per-process probe proves for each window shape at the current
+  OpenBLAS thread count before the shape is used.  A refused window
+  falls back to one in-place ``dger`` rank-1 update per term (when the
+  accumulator holds at least ``_DGER_MIN`` elements), and then to numpy,
+  which forms the products a block at a time in a fixed-size scratch
+  (``_PRODUCT_BLOCK``) and adds them one term at a time.  An int16
+  chain folds its VNNI run with one exact ``np.matmul``;
 * fused post-ops, int16 chain-limit flushes (``VCVT``/``VADD``) and
   store/reload round-trips (un-hoisted variants) stay explicit expression
   nodes, so their evaluation order and intermediate precision are preserved.
@@ -404,65 +412,212 @@ _BATCH_BUDGET = 2_000_000
 _PRODUCT_BLOCK = 1 << 15
 
 
-def _load_dger():
-    """CBLAS ``dger`` with 64-bit integers, from the OpenBLAS that numpy
-    has already loaded (the symbol numpy >= 2 wheels export), or ``None``
-    when this numpy build does not export it."""
+def _blas_symbol(name: str, restype, *argtypes):
+    """``name`` from the OpenBLAS that numpy has already loaded (the
+    ``scipy_*64_`` symbols numpy >= 2 wheels export), or ``None`` when
+    this numpy build does not export it."""
     try:
-        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
-        fn = lib.scipy_cblas_dger64_
+        fn = getattr(ctypes.CDLL(np._core._multiarray_umath.__file__), name)
     except (AttributeError, OSError):
         return None
-    i64, ptr = ctypes.c_int64, ctypes.c_void_p
-    fn.argtypes = (ctypes.c_int, i64, i64, ctypes.c_double,
-                   ptr, i64, ptr, i64, ptr, i64)
-    fn.restype = None
+    fn.argtypes = argtypes
+    fn.restype = restype
     return fn
 
 
+_I64, _PTR, _DBL, _INT = (ctypes.c_int64, ctypes.c_void_p, ctypes.c_double,
+                          ctypes.c_int)
+#: ``dgemm(order, transA, transB, M, N, K, alpha, A, lda, B, ldb, beta, C,
+#: ldc)``: ``C = alpha * op(A) op(B) + beta * C``; ``None`` leaves every
+#: chain to ``dger`` and numpy
+_dgemm = _blas_symbol("scipy_cblas_dgemm64_", None, _INT, _INT, _INT, _I64,
+                      _I64, _I64, _DBL, _PTR, _I64, _PTR, _I64, _DBL, _PTR,
+                      _I64)
 #: ``dger(order, M, N, alpha, x, incx, y, incy, A, lda)``: ``A += alpha *
-#: x yᵀ``; ``None`` folds every chain with numpy
-_dger = _load_dger()
-_ROW_MAJOR = 101  # CblasRowMajor
+#: x yᵀ``; ``None`` folds every chain ``dgemm`` does not take with numpy
+_dger = _blas_symbol("scipy_cblas_dger64_", None, _INT, _I64, _I64, _DBL,
+                     _PTR, _I64, _PTR, _I64, _PTR, _I64)
+#: OpenBLAS's thread count, part of every ``dgemm`` verdict's key
+_blas_threads = _blas_symbol("scipy_openblas_get_num_threads64_", _INT)
+_ROW_MAJOR, _NO_TRANS, _TRANS = 101, 111, 112  # CBLAS enums
 #: smallest accumulator (elements) a ``dger`` call pays for: on a 2-CPU
 #: x86 VM one ctypes call costs about 2.5 µs, and numpy's multiply-add
 #: 1.2-1.8 ns per element
 _DGER_MIN = 2048
+#: most terms one ``dgemm`` window sums, its identity prefix included:
+#: OpenBLAS adds each partial sum of up to 384 terms to C, so a longer
+#: window would not be one left fold
+_GEMM_WINDOW = 384
+#: element folds a shape's probe covers at least: a smaller product
+#: repeats its trial with fresh operands
+_PROBE_ELEMENTS = 4096
+#: (rows, cols, terms, prefix, OpenBLAS threads) -> whether one ``dgemm``
+#: window of that shape gives the left fold's bits (:func:`_gemm_proven`)
+_gemm_verdicts: dict[tuple, bool] = {}
+#: the bit pattern of -0.0 in a float64
+_NEG_ZERO = np.float64(-0.0).view(np.int64)
 
 
-def _fold_rank1(w: np.ndarray, s: np.ndarray, acc: np.ndarray) -> bool:
-    """Fold an FMA run's terms into ``acc`` as ``dger`` rank-1 updates,
-    when that is both exact and worth a call; return whether it did.
+def _gemm(w: np.ndarray, s: np.ndarray, acc: np.ndarray,
+          prefix: bool) -> None:
+    """One ``dgemm`` window: ``acc`` (``rows x cols``, C-contiguous)
+    becomes ``Σ_t w[t] ⊗ s[t]`` over the ``(k, rows)`` weights and
+    ``(k, cols)`` scalars, plus ``acc`` itself when ``prefix`` -- then
+    ``acc`` enters as ``rows`` leading identity terms, ``[I | wᵀ] ·
+    [acc; s]``.  β is 0 in both forms."""
+    rows, cols = acc.shape
+    if prefix:
+        w = np.concatenate((np.eye(rows), w))
+        s = np.concatenate((acc, s))
+    _dgemm(_ROW_MAJOR, _TRANS, _NO_TRANS, rows, cols, w.shape[0], 1.0,
+           w.ctypes.data, rows, s.ctypes.data, cols, 0.0, acc.ctypes.data,
+           cols)
 
-    ``acc`` (``(G, n, H, m)``, C-contiguous) is the row-major ``(G*n) x
-    (H*m)`` matrix, term ``t`` adds ``w[t] (G, n) ⊗ s[t] (H, m)``.  The
-    caller passes operands widened from float32, so every product is
-    exact in float64 and an FMA or a multiply-then-add rounds each
-    element once per term, in term order: the numpy fold's bits.  The
-    path needs a weight vector shared by every member and scalars that
-    do not vary across grid rows, and steps aside when any operand or
-    accumulator element is NaN, since OpenBLAS and numpy keep different
-    payloads when two NaNs meet."""
-    g, n, h, m = acc.shape
-    if (
-        _dger is None
-        or acc.size < _DGER_MIN
-        or w.shape[1:] != (g, n, 1, 1)
-        or s.shape[1:] != (1, 1, h, m)
-        or not (w.flags.c_contiguous and s.flags.c_contiguous
-                and acc.flags.c_contiguous)
-        or np.isnan(w).any()
-        or np.isnan(s).any()
-        or np.isnan(acc).any()
-    ):
-        return False
-    rows, cols = g * n, h * m
+
+def _probe_operand(rng: np.random.Generator, shape) -> np.ndarray:
+    """float32 values with random signs and mantissas, scaled by
+    2^[-12, 12], widened: their products are exact in float64, and
+    their sums round differently in almost any other order."""
+    bits = rng.integers(0, 1 << 32, shape, dtype=np.uint32)
+    exponent = (115 + (bits >> 23 & 0xFF) % 25) << 23  # 2^-12 .. 2^12
+    return ((bits & 0x807FFFFF) | exponent).view(np.float32).astype(
+        np.float64)
+
+
+def _probe(rows: int, cols: int, k: int, prefix: bool) -> bool:
+    """Whether a :func:`_gemm` window of this shape gives the strict
+    left fold's bits, tried on order-sensitive operands until at least
+    ``_PROBE_ELEMENTS`` element folds agree (a prefix trial starts from
+    a float64 init of the same spread).  The left fold is ``dger``'s
+    when numpy exports it (one exact product added per element and
+    term, in term order: four times cheaper than numpy's).  A window
+    without a prefix is also tried with every product -0.0: the left
+    fold keeps its +0.0 init there, a kernel that starts each sum from
+    its first product would not."""
+    rng = np.random.default_rng((rows, cols, k, int(prefix)))
+    for _ in range(-(-_PROBE_ELEMENTS // (rows * cols))):
+        w = _probe_operand(rng, (k, rows))
+        s = _probe_operand(rng, (k, cols))
+        want = (np.ldexp(rng.standard_normal((rows, cols)),
+                         rng.integers(-12, 13, (rows, cols)))
+                if prefix else np.zeros((rows, cols)))
+        got = want.copy()
+        if _dger is not None:
+            _fold_rank1(w, s, want)
+        else:
+            for t in range(k):
+                want += np.multiply.outer(w[t], s[t])
+        _gemm(w, s, got, prefix)
+        if not np.array_equal(got.view(np.int64), want.view(np.int64)):
+            return False
+    if not prefix:
+        got = np.zeros((rows, cols))
+        _gemm(-np.abs(w), np.zeros((k, cols)), got, False)
+        return not np.signbit(got).any()
+    return True
+
+
+def _gemm_proven(rows: int, cols: int, k: int, prefix: bool,
+                 threads: int) -> bool:
+    """The cached verdict of :func:`_probe` for this window shape at
+    ``threads`` OpenBLAS threads, probing it on first use (counted in
+    ``jit.gemm_probes`` / ``jit.gemm_probe_seconds``)."""
+    key = (rows, cols, k, prefix, threads)
+    verdict = _gemm_verdicts.get(key)
+    if verdict is None:
+        t0 = time.perf_counter()
+        verdict = _gemm_verdicts[key] = _probe(rows, cols, k, prefix)
+        metrics = get_metrics()
+        metrics.inc("jit.gemm_probes")
+        metrics.inc("jit.gemm_probe_seconds", time.perf_counter() - t0)
+    return verdict
+
+
+def _prefix_safe(acc: np.ndarray) -> bool:
+    """Whether ``acc`` may enter a window as identity terms: an inf
+    times an identity zero is NaN, and +0.0 + -0.0 is +0.0."""
+    return bool(np.isfinite(acc).all()) and not (
+        acc.view(np.int64) == _NEG_ZERO
+    ).any()
+
+
+def _fold_gemm(w: np.ndarray, s: np.ndarray, acc: np.ndarray,
+               fresh: bool) -> int:
+    """Fold the leading terms of an FMA run into ``acc`` (``rows x
+    cols``) with one ``dgemm`` per window of at most ``_GEMM_WINDOW``
+    terms; return how many terms it folded.
+
+    The first window of a ``fresh`` chain (``acc`` is its +0.0 init) is
+    ``wᵀ·s``; every other window carries ``acc`` as an identity prefix
+    (:func:`_gemm`).  Each f32 x f32 product and each identity term is
+    exact in float64, so a window has the left fold's bits whenever
+    OpenBLAS sums each element in term order.  That is proven, not
+    assumed: a window runs only on a shape :func:`_gemm_proven` accepts
+    at the current thread count, and a prefix window only on a finite
+    accumulator with no -0.0.  The first window that fails stops the
+    fold; the caller folds the rest."""
+    rows, cols = acc.shape
+    threads = _blas_threads()
+    t = 0
+    while t < w.shape[0]:
+        prefix = t > 0 or not fresh
+        k = min(w.shape[0] - t, _GEMM_WINDOW - rows * prefix)
+        if (k < 1 or (prefix and not _prefix_safe(acc))
+                or not _gemm_proven(rows, cols, k, prefix, threads)):
+            break
+        _gemm(w[t : t + k], s[t : t + k], acc, prefix)
+        t += k
+    return t
+
+
+def _fold_rank1(w: np.ndarray, s: np.ndarray, acc: np.ndarray) -> None:
+    """Fold every term into ``acc`` (``rows x cols``) with one in-place
+    ``dger`` rank-1 update each, ``acc += w[t] s[t]ᵀ``: one rounding
+    per element and term, in term order."""
+    rows, cols = acc.shape
     x, y, a = w.ctypes.data, s.ctypes.data, acc.ctypes.data
     dx, dy = w.strides[0], s.strides[0]
     for t in range(w.shape[0]):
         _dger(_ROW_MAJOR, rows, cols, 1.0, x + t * dx, 1, y + t * dy, 1,
               a, cols)
-    return True
+
+
+def _fold_blas(w: np.ndarray, s: np.ndarray, acc: np.ndarray,
+               fresh: bool) -> int:
+    """Fold the leading terms of an fp32 FMA run into ``acc`` with BLAS
+    -- proven ``dgemm`` windows (:func:`_fold_gemm`), then ``dger``
+    (:func:`_fold_rank1`) for the rest when ``acc`` holds at least
+    ``_DGER_MIN`` elements -- and return how many terms it folded.
+
+    ``acc`` (``(G, n, H, m)``, C-contiguous) is the row-major ``(G*n) x
+    (H*m)`` matrix, and term ``t`` adds ``w[t] (G, n) ⊗ s[t] (H, m)``.
+    BLAS needs a weight vector shared by every member and scalars that
+    do not vary across grid rows, and steps aside when an operand or
+    (for ``dger``) an accumulator element is NaN, since OpenBLAS and
+    numpy keep different payloads when two NaNs meet.  A ``dgemm``
+    window never meets a NaN accumulator: a fresh one is +0.0, and a
+    prefix needs a finite one."""
+    g, n, h, m = acc.shape
+    T = w.shape[0]
+    if (
+        w.shape[1:] != (g, n, 1, 1)
+        or s.shape[1:] != (1, 1, h, m)
+        or not (w.flags.c_contiguous and s.flags.c_contiguous
+                and acc.flags.c_contiguous)
+        or np.isnan(w).any()
+        or np.isnan(s).any()
+    ):
+        return 0
+    w, s = w.reshape(T, g * n), s.reshape(T, h * m)
+    acc = acc.reshape(g * n, h * m)
+    t = 0
+    if _dgemm is not None and _blas_threads is not None:
+        t = _fold_gemm(w, s, acc, fresh)
+    if (t < T and _dger is not None and acc.size >= _DGER_MIN
+            and not np.isnan(acc).any()):
+        _fold_rank1(w[t:], s[t:], acc)
+        t = T
+    return t
 
 
 #: the base of a tensor no offset argument moves
@@ -623,13 +778,13 @@ class _Run:
     member.  ``sidx`` is ``(T, 1, pair, 1, m)``.  The unit axes take the
     grid's rows and columns from the tensors' bases, so the weight
     vectors of a grid row are gathered ``(T, G, wn, 1, 1)`` and the
-    scalars of an input column ``(T, 1, pair, H, m)``: each FMA term is
-    then a rank-1 update of the accumulator, which ``rank1`` runs may
-    hand to BLAS (:func:`_fold_rank1`)."""
+    scalars of an input column ``(T, 1, pair, H, m)``: the run is then a
+    product of a ``(G*n) x T`` and a ``T x (H*m)`` matrix added to the
+    accumulator, which a subclass's ``fast`` may hand to one call per
+    window (:func:`_fold_blas`, ``np.matmul``)."""
 
     __slots__ = ("T", "wtensor", "widx", "stensor", "sidx")
     pair = 1  # scalar operands per term
-    rank1 = False  # a term may be folded as one ``dger`` rank-1 update
 
     def __init__(self, wtensor, woffs, wn, stensor, soffs) -> None:
         self.T = woffs.shape[0]
@@ -647,25 +802,31 @@ class _Run:
         """float64 operands one call gathers for this run."""
         return self.widx.size + self.sidx.size
 
-    def fold(self, acc: np.ndarray, ctx: _Ctx) -> None:
-        """Add the run's terms to ``acc`` (``(G, n, H, m)``) one at a
-        time, in order.  An fp32 FMA run whose accumulator holds at least
-        ``_DGER_MIN`` elements adds each term with one in-place BLAS
-        rank-1 update (:func:`_fold_rank1`).  Any other run forms the
+    def fold(self, acc: np.ndarray, ctx: _Ctx, fresh: bool,
+             integer: bool) -> None:
+        """Add the run's terms to ``acc`` (``(G, n, H, m)``) in order,
+        with the left fold's bits.  ``fresh``: ``acc`` is its chain's
+        +0.0 init; ``integer``: the chain is all int16 pair products.
+
+        The subclass's ``fast`` folds as many leading terms as it can
+        prove exact in one call per window: an fp32 FMA run through BLAS
+        (:func:`_fold_blas`), a VNNI run of an integer chain through one
+        ``np.matmul``.  The numpy fold takes the rest: it forms the
         products of as many terms as fit in ``_PRODUCT_BLOCK`` elements
         with one multiply (the per-term multiply of a small batch costs
         more in numpy call overhead than in arithmetic), then adds them
-        one term at a time.  Both give the same bits."""
+        one term at a time."""
         wb = ctx.buffers[self.wtensor]
         sb = ctx.buffers[self.stensor]
         w = _f64(wb[self.widx + ctx.base(self.wtensor)])
         s = _f64(sb[self.sidx + ctx.base(self.stensor)])
-        if (self.rank1 and wb.dtype == sb.dtype == np.float32
-                and _fold_rank1(w, s, acc)):
+        t = self.fast(w, s, acc, fresh, integer,
+                      wb.dtype == sb.dtype == np.float32)
+        if t == self.T:
             return
-        k = max(1, min(self.T, _PRODUCT_BLOCK // acc.size))
+        k = max(1, min(self.T - t, _PRODUCT_BLOCK // acc.size))
         prod = np.empty((k,) + acc.shape)
-        for t0 in range(0, self.T, k):
+        for t0 in range(t, self.T, k):
             p = prod[: self.T - t0]
             self.products(w[t0 : t0 + k], s[t0 : t0 + k], p)
             for term in p:
@@ -676,7 +837,11 @@ class _RunFma(_Run):
     """``acc += w * t[off]``."""
 
     __slots__ = ()
-    rank1 = True
+
+    @staticmethod
+    def fast(w, s, acc, fresh, integer, f32) -> int:
+        # an f32 x f32 product is exact in float64: BLAS keeps the bits
+        return _fold_blas(w, s, acc, fresh) if f32 else 0
 
     @staticmethod
     def products(w, s, out) -> None:
@@ -688,6 +853,22 @@ class _RunVnni(_Run):
 
     __slots__ = ()
     pair = 2
+
+    def fast(self, w, s, acc, fresh, integer, f32) -> int:
+        """Fold the whole run with one ``np.matmul`` of the ``(G*n) x
+        2T`` pair-interleaved weights and the ``2T x (H*m)`` scalars when
+        the chain is integer: every product and partial sum is then an
+        integer below 2^35, exact in float64 in any order.  The product
+        is added to ``acc``, never assigned, so an all-(-0.0) column
+        cannot flip a +0.0 init."""
+        g, n, h, m = acc.shape
+        if (not integer or w.shape[1:] != (g, 2 * n, 1, 1)
+                or s.shape[1:] != (1, 2, h, m)):
+            return 0
+        a = w.reshape(self.T, g * n, 2).transpose(1, 0, 2)
+        prod = a.reshape(g * n, 2 * self.T) @ s.reshape(2 * self.T, h * m)
+        acc += prod.reshape(acc.shape)
+        return self.T
 
     @staticmethod
     def products(w, s, out) -> None:
@@ -720,8 +901,10 @@ class _EAcc:
         if acc.shape != (g, self.n, h, self.m):
             # an init that is the same for a whole grid row or column
             acc = np.broadcast_to(acc, (g, self.n, h, self.m)).copy()
+        fresh = isinstance(self.init, _EZero)
         for run in self.runs:
-            run.fold(acc, ctx)
+            run.fold(acc, ctx, fresh, self.integer)
+            fresh = False
         return acc
 
 

@@ -28,41 +28,80 @@ def _quiet_tracer():
     get_tracer().disable().clear()
 
 
+#: the compiled tier's fp32 chain fold paths, in the order they are tried
+FOLD_PATHS = ("dgemm", "dger", "numpy")
+
+
 @contextlib.contextmanager
-def _forced_fold_path(path: str):
+def forced_fold_path(path: str, must_run: bool = True):
     """Send the compiled tier's fp32 chain folds down ``path`` inside the
-    block: ``blas`` drops the accumulator-size threshold to 0, so every
-    FMA run the rank-1 path accepts calls ``dger`` even on the VLEN=4
-    machine, and fails unless ``dger`` ran; ``numpy`` takes ``dger``
-    away, the fallback of a numpy build that exports none."""
-    saved = jit_compile._dger, jit_compile._DGER_MIN
-    calls = []
-    if path == "blas":
-        def counting(*args):
-            calls.append(1)
-            saved[0](*args)
+    block, and yield a dict counting the folds ``dgemm`` took and the
+    ``dger`` calls the folds made (a probe's calls do not count).
 
-        jit_compile._dger, jit_compile._DGER_MIN = counting, 0
+    ``dgemm`` keeps every path and drops ``dger``'s accumulator-size
+    threshold to 0, so a window the probe or a guard refuses falls back
+    to ``dger`` even on the VLEN=4 machine; ``dger`` takes ``dgemm``
+    away and drops the threshold; ``numpy`` takes both away, the
+    fallback of a numpy build that exports neither.  With ``must_run``,
+    the block fails unless the forced BLAS path folded something."""
+    saved = jit_compile._dgemm, jit_compile._dger, jit_compile._DGER_MIN
+    fold_gemm, probe = jit_compile._fold_gemm, jit_compile._probe
+    counts = {"dgemm": 0, "dger": 0}
+    probing = []  # a probe's reference fold runs on dger too
+
+    def gemm_counting(*args):
+        done = fold_gemm(*args)
+        counts["dgemm"] += done > 0
+        return done
+
+    def probe_flagged(*shape):
+        probing.append(shape)
+        try:
+            return probe(*shape)
+        finally:
+            probing.pop()
+
+    def dger_counting(*args):
+        counts["dger"] += not probing
+        saved[1](*args)
+
+    jit_compile._fold_gemm, jit_compile._probe = gemm_counting, probe_flagged
+    if path == "numpy":
+        jit_compile._dgemm = jit_compile._dger = None
     else:
-        jit_compile._dger = None
+        jit_compile._dger, jit_compile._DGER_MIN = dger_counting, 0
+        if path == "dger":
+            jit_compile._dgemm = None
     try:
-        yield
+        yield counts
     finally:
-        jit_compile._dger, jit_compile._DGER_MIN = saved
-    assert path != "blas" or calls, "no chain term was folded by dger"
+        jit_compile._fold_gemm, jit_compile._probe = fold_gemm, probe
+        jit_compile._dgemm, jit_compile._dger, jit_compile._DGER_MIN = saved
+    assert not must_run or path == "numpy" or counts[path], (
+        f"no chain was folded by {path}"
+    )
 
 
-def on_both_fold_paths(test):
+def fold_path_available(path: str) -> bool:
+    """Whether numpy's BLAS exports what ``path`` calls."""
+    if path == "dgemm":
+        return (jit_compile._dgemm is not None
+                and jit_compile._blas_threads is not None)
+    return path == "numpy" or jit_compile._dger is not None
+
+
+def on_every_fold_path(test):
     """Run a test once per fold path of the compiled tier's fp32 chains,
-    ``blas`` then ``numpy`` (see :func:`_forced_fold_path`; ``blas`` is
-    left out when numpy exports no ``dger``).  The test keeps its id."""
+    ``dgemm``, ``dger`` then ``numpy`` (see :func:`forced_fold_path`; a
+    BLAS path numpy does not export is left out).  The test keeps its
+    id."""
 
     @functools.wraps(test)
     def run(*args, **kwargs):
-        for path in ("blas", "numpy"):
-            if path == "blas" and jit_compile._dger is None:
+        for path in FOLD_PATHS:
+            if not fold_path_available(path):
                 continue
-            with _forced_fold_path(path):
+            with forced_fold_path(path):
                 try:
                     test(*args, **kwargs)
                 except AssertionError as e:

@@ -2,6 +2,7 @@
 µop interpreter on every generated variant, and the tier plumbing
 (engines, factory, cache, trace fallback) must behave."""
 
+import contextlib
 import ctypes
 import dataclasses
 
@@ -39,9 +40,12 @@ from repro.streams.stream import KernelStream
 from repro.tensor.blocked import block_activations, block_weights
 from repro.types import ReproError, ShapeError
 from tests.conftest import (
+    FOLD_PATHS,
     TINY,
     assert_close,
-    on_both_fold_paths,
+    fold_path_available,
+    forced_fold_path,
+    on_every_fold_path,
     rand_conv_tensors,
 )
 
@@ -109,7 +113,7 @@ def _same_bits(a, b):
 
 class TestForwardTiers:
     @pytest.mark.parametrize("p", FWD_CASES, ids=lambda p: p.describe())
-    @on_both_fold_paths
+    @on_every_fold_path
     def test_compiled_bitwise_equals_interpreter(self, p, rng):
         seed = int(rng.integers(2**32))  # one draw per fold path
         out_c, x, w = _fwd_out(p, np.random.default_rng(seed), "compiled")
@@ -120,7 +124,7 @@ class TestForwardTiers:
             eng.run_nchw(x, w), conv2d_forward(x, w, p), rtol=1e-4
         )
 
-    @on_both_fold_paths
+    @on_every_fold_path
     def test_fused_ops_and_threads(self, rng):
         p = ConvParams(N=2, C=8, K=8, H=6, W=6, R=3, S=3, stride=1,
                        pad_h=1, pad_w=1)
@@ -172,20 +176,20 @@ def _plant(a, values, rng, share):
 
 
 class TestSpecialValues:
-    """Special values must fold to the interpreter's bits on both fold
-    paths: ±0 and f32 subnormals in the products, ±inf so that inf·0
+    """Special values must fold to the interpreter's bits on every fold
+    path: ±0 and f32 subnormals in the products, ±inf so that inf·0
     makes a NaN in the middle of a chain, NaNs with non-default
-    payloads, and a stored −0.0 reloaded as a chain init."""
+    payloads, and a stored −0.0 or ±inf reloaded as a chain init."""
 
     @pytest.mark.parametrize("case", list(PLANTED))
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-    @on_both_fold_paths
+    @on_every_fold_path
     def test_forward_with_planted_values(self, rng, case):
         p = SPECIAL_FWD
         x, w, _ = rand_conv_tensors(p, rng)
         # planted in input channels 4-7 only: the first round's operands
-        # stay normal, so the forced-BLAS path runs ``dger`` there even
-        # when NaNs keep the second round on numpy
+        # stay normal, so the forced BLAS path runs there even when NaNs
+        # keep the second round on numpy
         x[:, 4:] = _plant(x[:, 4:], PLANTED[case], rng, 0.05)
         w[:, 4:] = _plant(w[:, 4:], PLANTED[case], rng, 0.05)
         bx = block_activations(x, 4, pad_h=1, pad_w=1)
@@ -203,53 +207,100 @@ class TestSpecialValues:
             bits = set(ref[np.isnan(ref)].view(np.uint32).tolist())
             assert bits & set(NAN_PAYLOADS.view(np.uint32).tolist())
 
-    @on_both_fold_paths
-    def test_stored_negative_zero_reloaded_as_chain_init(self, rng):
-        """The accumulate variant reloads an output of −0.0.  A +0 product
-        turns it into +0.0 and a −0 product keeps it: weight lane 0 is
-        +0.0, lane 1 −0.0, and the inputs are ≥ +0."""
+    @staticmethod
+    def _reloaded_init_round(x, w, stored):
+        """Run the accumulate variant's round, which reloads ``stored``
+        as every chain's init, on every fold path.  Each must give the
+        interpreter's bits, and ``dgemm`` must fold nothing: such an init
+        cannot enter a window as identity terms, so the guarded chain
+        falls back to ``dger`` (or numpy).  Returns the interpreter's
+        result."""
         p = SPECIAL_FWD
         eng = DirectConvForward(p, machine=TINY)
         assert not eng._descs[1].zero_init
-        x, w, _ = rand_conv_tensors(p, rng)
-        x = _plant(np.abs(x), np.float32([0.0]), rng, 0.2)
-        w[0::4], w[1::4] = 0.0, -0.0
         buffers = {
             "I": block_activations(x, 4, pad_h=1, pad_w=1).data,
             "W": block_weights(w, 4).data,
-            "O": np.full(eng.out_layout.size, -0.0, np.float32),
+            "O": stored,
         }
         (groups,) = eng.streams[0].schedule(2).values()
         (i, wo, o), = [g[1:] for g in groups if g[0] == 1]
-        got, ref = _grid_round(eng.compiled[1], buffers, ("I", "W", "O"),
-                               "O", i, wo, o)
-        assert _same_bits(got, ref)
+        for path in FOLD_PATHS:
+            if not fold_path_available(path):
+                continue
+            with forced_fold_path(path, must_run=False) as counts:
+                got, ref = _grid_round(eng.compiled[1], buffers,
+                                       ("I", "W", "O"), "O", i, wo, o)
+            assert _same_bits(got, ref), path
+            assert counts["dgemm"] == 0, path
+            assert path == "numpy" or counts["dger"] > 0, path
+        return ref
+
+    def test_stored_negative_zero_reloaded_as_chain_init(self, rng):
+        """The accumulate variant reloads an output of −0.0.  A +0 product
+        turns it into +0.0 and a −0 product keeps it: weight lane 0 is
+        +0.0, lane 1 −0.0, and the inputs are ≥ +0.  As identity terms
+        the −0.0 would meet a +0.0 first and turn into +0.0."""
+        p = SPECIAL_FWD
+        x, w, _ = rand_conv_tensors(p, rng)
+        x = _plant(np.abs(x), np.float32([0.0]), rng, 0.2)
+        w[0::4], w[1::4] = 0.0, -0.0
+        size = DirectConvForward(p, machine=TINY).out_layout.size
+        ref = self._reloaded_init_round(x, w,
+                                        np.full(size, -0.0, np.float32))
         zeros = ref[ref == 0]
         assert np.signbit(zeros).any() and not np.signbit(zeros).all()
+
+    def test_stored_infinity_reloaded_as_chain_init(self, rng):
+        """The accumulate variant reloads outputs whose lane 0 is ±inf
+        and whose other lanes are normal.  As identity terms an inf
+        would meet an identity zero and make its whole column NaN."""
+        p = SPECIAL_FWD
+        x, w, _ = rand_conv_tensors(p, rng)
+        size = DirectConvForward(p, machine=TINY).out_layout.size
+        stored = rng.standard_normal(size).astype(np.float32)
+        stored.reshape(-1, 4)[:, 0] = rng.choice(
+            np.float32([np.inf, -np.inf]), size // 4)
+        ref = self._reloaded_init_round(x, w, stored)
+        lanes = ref.reshape(-1, 4)
+        assert np.isinf(lanes[:, 0]).all()
+        assert np.isfinite(lanes[:, 1:]).all()
+
+
+_set_blas_threads = jit_compile._blas_symbol(
+    "scipy_openblas_set_num_threads64_", None, ctypes.c_int)
+
+
+@contextlib.contextmanager
+def openblas_threads(n: int):
+    """Run the block with OpenBLAS at ``n`` threads, restored
+    afterwards; skips the test when numpy's BLAS is not
+    scipy-openblas."""
+    get = jit_compile._blas_threads
+    if get is None or _set_blas_threads is None:
+        pytest.skip("numpy's BLAS is not scipy-openblas")
+    before = get()
+    _set_blas_threads(n)
+    try:
+        yield n
+    finally:
+        _set_blas_threads(before)
 
 
 @pytest.fixture(params=[1, 2], ids=["1thread", "2threads"])
 def blas_threads(request):
     """Run with OpenBLAS at 1 or 2 threads, restored afterwards."""
-    try:
-        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
-        get = lib.scipy_openblas_get_num_threads64_
-        set_ = lib.scipy_openblas_set_num_threads64_
-    except (AttributeError, OSError):
-        pytest.skip("numpy's BLAS is not scipy-openblas")
-    get.restype = ctypes.c_int
-    set_.argtypes = (ctypes.c_int,)
-    before = get()
-    set_(request.param)
-    yield request.param
-    set_(before)
+    with openblas_threads(request.param):
+        yield request.param
 
 
 class TestRank1Fold:
     def test_numpy_openblas_build_resolves_dger(self):
-        """numpy wheels link scipy-openblas, which exports the rank-1
-        update the compiled tier folds fp32 chains with; a numpy release
-        that renames it must fail here, not quietly fold on numpy."""
+        """numpy wheels link scipy-openblas, which exports the ``dgemm``
+        and rank-1 update the compiled tier folds fp32 chains with, and
+        the thread count a ``dgemm`` verdict is keyed by; a numpy release
+        that renames them must fail here, not quietly fold on ``dger`` or
+        numpy."""
         try:
             blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         except (TypeError, KeyError):
@@ -257,29 +308,135 @@ class TestRank1Fold:
         if blas.get("name") != "scipy-openblas":
             pytest.skip(f"numpy's BLAS is {blas.get('name')!r}")
         assert jit_compile._dger is not None
+        assert jit_compile._dgemm is not None
+        assert jit_compile._blas_threads is not None
 
-    def test_threaded_dger_stays_bitwise(self, rng, blas_threads,
-                                         monkeypatch):
+    def test_threaded_dger_stays_bitwise(self, rng, blas_threads):
         """A 1x1 layer on SKX folds 64 x 392 accumulators, which OpenBLAS
         splits across its threads at 2 (perfbench pins one thread;
-        tests, CI and serving do not)."""
+        tests, CI and serving do not).  Both BLAS paths keep the bits."""
         p = ConvParams(N=2, C=32, K=64, H=14, W=14, R=1, S=1, stride=1)
-        sizes = []
-        fold = jit_compile._fold_rank1
-
-        def recording(w, s, acc):
-            done = fold(w, s, acc)
-            sizes.append(acc.size * done)
-            return done
-
-        monkeypatch.setattr(jit_compile, "_fold_rank1", recording)
         x, w, _ = rand_conv_tensors(p, rng)
         bx, bw = block_activations(x, 16), block_weights(w, 16)
-        outs = {tier: DirectConvForward(p, machine=SKX,
-                                        execution_tier=tier)(bx, bw).data
-                for tier in ("compiled", "interpret")}
+        ref = DirectConvForward(p, machine=SKX,
+                                execution_tier="interpret")(bx, bw).data
+        for path in ("dgemm", "dger"):
+            if not fold_path_available(path):
+                continue
+            with forced_fold_path(path):
+                got = DirectConvForward(p, machine=SKX)(bx, bw).data
+            assert _same_bits(got, ref), path
+
+
+def _doubles(ptr, rows, ld):
+    """The row-major ``rows x ld`` float64 matrix at address ``ptr``."""
+    buf = ctypes.cast(ptr, ctypes.POINTER(ctypes.c_double))
+    return np.ctypeslib.as_array(buf, (rows, ld))
+
+
+def _swapping_dgemm(dgemm):
+    """``dgemm`` that sums the last two of its K terms in swapped
+    order (both operands are K-row matrices in the compiled tier's
+    calls)."""
+
+    def swap(k, *mats):
+        for mat in mats:
+            mat[[k - 2, k - 1]] = mat[[k - 1, k - 2]]
+
+    def swapped(order, ta, tb, m, n, k, alpha, a, lda, b, ldb, beta, c,
+                ldc):
+        mats = (_doubles(a, k, lda), _doubles(b, k, ldb)) if k >= 3 else ()
+        swap(k, *mats)
+        dgemm(order, ta, tb, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
+        swap(k, *mats)
+
+    return swapped
+
+
+def _first_product_dgemm(dgemm):
+    """``dgemm`` as a kernel that starts each sum from its first product
+    computes it: an element whose products are all -0.0 comes out -0.0,
+    where the left fold from a +0.0 init gives +0.0."""
+
+    def signed(order, ta, tb, m, n, k, alpha, a, lda, b, ldb, beta, c,
+               ldc):
+        dgemm(order, ta, tb, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
+        prods = _doubles(a, k, lda)[:, :, None] * _doubles(b, k, ldb)[:, None]
+        negative_zero = (prods == 0) & np.signbit(prods)
+        _doubles(c, m, ldc)[negative_zero.all(axis=0)] = -0.0
+
+    return signed
+
+
+class TestGemmProbe:
+    """A ``dgemm`` window runs only on a shape a probe has matched
+    against the left fold, at the current OpenBLAS thread count."""
+
+    def test_probe_rejects_a_reordering_dgemm(self, rng, monkeypatch):
+        if not fold_path_available("dgemm"):
+            pytest.skip("numpy's BLAS exports no dgemm")
+        monkeypatch.setattr(jit_compile, "_dgemm",
+                            _swapping_dgemm(jit_compile._dgemm))
+        monkeypatch.setattr(jit_compile, "_gemm_verdicts", {})
+        with forced_fold_path("dgemm", must_run=False) as counts:
+            eng, outs = _fwd_tiers(SPECIAL_FWD, rng)
+        assert eng.cb == 2  # a zero-init and an accumulate variant
         _assert_bitwise(outs)
-        assert max(sizes) == 64 * 392
+        verdicts = jit_compile._gemm_verdicts
+        assert {prefix for _r, _c, _k, prefix, _t in verdicts} == {
+            False, True}
+        assert not any(verdicts.values())
+        assert counts["dgemm"] == 0 and counts["dger"] > 0
+
+    def test_probe_rejects_a_dgemm_that_keeps_negative_zero(
+            self, rng, monkeypatch):
+        """Output channels 1 mod 4 have -0.0 weights and the inputs are
+        >= +0, so every product of those lanes is -0.0 and the
+        zero-init variant stores +0.0 there.  A kernel that starts from
+        its first product would store -0.0: the probe must refuse every
+        window without a prefix, and the fold falls back."""
+        if not fold_path_available("dgemm"):
+            pytest.skip("numpy's BLAS exports no dgemm")
+        monkeypatch.setattr(jit_compile, "_dgemm",
+                            _first_product_dgemm(jit_compile._dgemm))
+        monkeypatch.setattr(jit_compile, "_gemm_verdicts", {})
+        p = SPECIAL_FWD
+        x, w, _ = rand_conv_tensors(p, rng)
+        w[1::4] = -0.0
+        bx = block_activations(np.abs(x), 4, pad_h=1, pad_w=1)
+        bw = block_weights(w, 4)
+        outs = {}
+        with forced_fold_path("dgemm", must_run=False) as counts:
+            for tier in ("compiled", "interpret"):
+                eng = DirectConvForward(p, machine=TINY, execution_tier=tier)
+                outs[tier] = eng(bx, bw).data
+        _assert_bitwise(outs)
+        assert (outs["interpret"] == 0).any()
+        fresh = [v for (_r, _c, _k, prefix, _t), v
+                 in jit_compile._gemm_verdicts.items() if not prefix]
+        assert fresh and not any(fresh)
+        assert counts["dger"] > 0
+
+    def test_verdicts_are_keyed_by_blas_threads(self, monkeypatch):
+        if not fold_path_available("dgemm"):
+            pytest.skip("numpy's BLAS exports no dgemm")
+        monkeypatch.setattr(jit_compile, "_gemm_verdicts", {})
+        probes = []
+        probe = jit_compile._probe
+
+        def counting(*shape):
+            probes.append(shape)
+            return probe(*shape)
+
+        monkeypatch.setattr(jit_compile, "_probe", counting)
+        op = np.random.default_rng(0)
+        w = jit_compile._probe_operand(op, (32, 64))
+        s = jit_compile._probe_operand(op, (32, 48))
+        for threads in (1, 2, 1):
+            with openblas_threads(threads):
+                jit_compile._fold_gemm(w, s, np.zeros((64, 48)), True)
+        assert [key[-1] for key in jit_compile._gemm_verdicts] == [1, 2]
+        assert probes == [(64, 48, 32, False)] * 2
 
 
 class TestQuantTiers:
@@ -301,7 +458,7 @@ class TestQuantTiers:
 
 
 class TestUpdTiers:
-    @on_both_fold_paths
+    @on_every_fold_path
     def test_upd_tiers_bitwise_identical(self, rng):
         p = ConvParams(N=2, C=8, K=8, H=6, W=6, R=3, S=3, stride=1,
                        pad_h=1, pad_w=1)
@@ -318,7 +475,7 @@ class TestUpdTiers:
 
 
 class TestBackwardTiers:
-    @on_both_fold_paths
+    @on_every_fold_path
     def test_duality_modes_thread_the_tier(self, rng):
         for p in (
             ConvParams(N=1, C=8, K=8, H=6, W=6, R=3, S=3, stride=1,
@@ -368,7 +525,7 @@ class TestTraceForcesInterpreter:
 
 
 class TestCompiledKernelStandalone:
-    @on_both_fold_paths
+    @on_every_fold_path
     def test_gemm_program_compiles_exactly(self, rng):
         desc = GemmDesc(vlen=4, k=3, n=5, a_sk=4, b_sk=1, b_sn=3, c_sn=4)
         prog = generate_gemm_kernel(desc)
@@ -423,7 +580,7 @@ class TestCompiledKernelStandalone:
         )
         assert _same_bits(got, ref)
 
-    @on_both_fold_paths
+    @on_every_fold_path
     def test_vbcast_reaches_add_and_store(self, rng):
         """A broadcast register stored as is and added to a weight
         vector (the scalar-broadcast node), next to a chain seeded from
@@ -494,7 +651,7 @@ class TestBatchRounds:
     """``.batch`` schedules calls that store to the same block into
     dependency rounds; the result must be exactly sequential replay."""
 
-    @on_both_fold_paths
+    @on_every_fold_path
     def test_repeated_output_blocks_out_of_order(self, rng):
         # cb-outer loop order: variant 1 accumulates into its output
         p = ConvParams(N=1, C=8, K=8, H=6, W=6, R=3, S=3, stride=1,
@@ -527,7 +684,7 @@ class TestBatchRounds:
         assert np.array_equal(got.view(np.uint32), single.view(np.uint32))
         assert np.array_equal(got.view(np.uint32), ref.view(np.uint32))
 
-    @on_both_fold_paths
+    @on_every_fold_path
     def test_one_dw_block_accumulated_by_every_call(self, rng):
         p = ConvParams(N=2, C=16, K=8, H=4, W=4, R=1, S=1, stride=1)
         eng = DirectConvUpd(p, machine=TINY)
@@ -549,7 +706,7 @@ class TestBatchRounds:
         assert np.array_equal(got.view(np.uint32), single.view(np.uint32))
         assert np.array_equal(got.view(np.uint32), ref.view(np.uint32))
 
-    @on_both_fold_paths
+    @on_every_fold_path
     def test_store_outside_the_offset_args_keeps_call_order(self, rng):
         """A stored tensor no offset argument moves sits at one base for
         every call, so every call depends on the one before."""
@@ -637,7 +794,7 @@ class TestStreakSchedule:
 
     @pytest.mark.parametrize("hoist", [True, False],
                              ids=["hoisted", "unhoisted"])
-    @on_both_fold_paths
+    @on_every_fold_path
     def test_cb_outer_four_variants(self, rng, hoist):
         eng, outs = _fwd_tiers(SCHED_FWD, rng,
                                plan=_q_remainder_plan(SCHED_FWD, hoist))
@@ -646,7 +803,7 @@ class TestStreakSchedule:
         assert len(set(eng.streams[0].kinds.tolist())) == 4
         _assert_bitwise(outs)
 
-    @on_both_fold_paths
+    @on_every_fold_path
     def test_cb_outer_fused_ops_parallel_threads(self, rng):
         bias = rng.standard_normal(SCHED_FWD.K).astype(np.float32)
         eng, outs = _fwd_tiers(
@@ -657,7 +814,7 @@ class TestStreakSchedule:
         assert len(eng.streams) == 2
         _assert_bitwise(outs)
 
-    @on_both_fold_paths
+    @on_every_fold_path
     def test_update_pass_with_a_bp_remainder(self, rng):
         p = SCHED_UPD
         x, _, dy = rand_conv_tensors(p, rng)
@@ -669,7 +826,7 @@ class TestStreakSchedule:
         assert len(eng.descs) == 2
         _assert_bitwise(dws)
 
-    @on_both_fold_paths
+    @on_every_fold_path
     def test_one_dispatch_per_round_and_variant(self, rng, monkeypatch):
         """24 calls alternate a zero-init and an accumulate variant in
         runs of three; replay evaluates the plan twice, one round each."""
@@ -695,7 +852,7 @@ class TestStreakSchedule:
             assert sizes == [12, 12]
             assert np.array_equal(got.view(np.uint32), ref.view(np.uint32))
 
-    @on_both_fold_paths
+    @on_every_fold_path
     def test_rounds_are_weight_by_input_grids(self, rng):
         """Each group of the dispatch-count engine is the cross product
         of 2 weight blocks and 6 input rows."""
@@ -741,7 +898,7 @@ class TestStreakSchedule:
             outs[tier] = bufs["O"]
         _assert_bitwise(outs)
 
-    @on_both_fold_paths
+    @on_every_fold_path
     def test_grid_wider_than_the_cap_is_cut_both_ways(self, rng,
                                                       monkeypatch):
         p = ConvParams(N=2, C=8, K=8, H=6, W=6, R=3, S=3, stride=1,

@@ -9,7 +9,7 @@ from repro.gxm.nodes import ConvNode
 from repro.gxm.topology import TopologySpec
 from repro.gxm.trainer import SGD, Trainer
 from repro.models.resnet50 import resnet_mini_topology
-from tests.conftest import on_both_fold_paths
+from tests.conftest import on_every_fold_path
 
 
 def tiny_topo(num_classes=4):
@@ -109,11 +109,11 @@ class TestGradientCheck:
 
 
 class TestTierBitwise:
-    @on_both_fold_paths
+    @on_every_fold_path
     def test_blocked_train_step_compiled_equals_interpret(self, rng):
         """A blocked train step of the perfbench model (every conv in
         forward, backward and update) gives the interpreter's loss and
-        gradients bit for bit, on both fold paths."""
+        gradients bit for bit, on every fold path."""
         topo = resnet_mini_topology(num_classes=4, width=32)
         x = rng.standard_normal((2, 16, 8, 8)).astype(np.float32)
         y = rng.integers(0, 4, 2)
