@@ -1,6 +1,6 @@
 """Serving benchmark: dynamic batching vs batch-1, cold vs warm boot.
 
-Seven measurements, one JSON report:
+Five measurements, one JSON report:
 
 1. **Batching throughput** -- identical closed-loop load against two
    servers: one with dynamic batching disabled (``buckets=(1,)``, every
@@ -14,25 +14,13 @@ Seven measurements, one JSON report:
    stream) vs warm boot from a saved stream artifact (dryrun skipped).
    Both boots run in the same process *after* a throwaway boot, so the
    JIT kernel cache is hot and the delta isolates the dryrun itself.
-4. **Fleet sweep** -- the same closed-loop load against an
-   ``InferenceFleet`` at 1/2/4/8 replica processes vs the 1-process
-   server baseline.  Every sweep row re-checks bitwise identity vs
-   direct predict and asserts the shared-memory hot path never copied
-   (``serve.router.bytes_copied == 0``).  Throughput scaling tracks
-   available cores -- the report records ``host.cpus`` so a 1-core
-   container's flat curve is not mistaken for a fleet regression; the
-   ``--min-fleet-scaling`` gate is meant for multi-core runners.
-5. **Fleet warm boot** -- blocked-engine fleet boot from one shared
-   verified stream bundle at 1/2/4/8 replicas: per-replica
-   ``serve.boot.warm_ms`` must stay flat as the fleet grows (the
-   bundle is loaded and verified once, not once per replica).
-6. **Event-recording overhead** -- identical closed-loop load with the
+4. **Event-recording overhead** -- identical closed-loop load with the
    process-wide tracer (:mod:`repro.obs.tracer`) off vs in its
    ``"events"`` state, the one an incident directory arms (an admission
    event per request, one ``serve.batch`` span per batch).  The record
    path is one GIL-atomic deque append, so the p50 delta must stay
    inside noise; ``--max-recorder-overhead 0.02`` gates it at 2%.
-7. **Span-recording overhead** -- the same paired measurement in the
+5. **Span-recording overhead** -- the same paired measurement in the
    ``"spans"`` state (every ETG task, conv and stream phase as a span
    too).  Reported, not gated.
 
@@ -177,161 +165,6 @@ def bench_boot(cfg: ServeConfig) -> dict:
     }
 
 
-def bench_fleet(
-    cfg: ServeConfig, requests: int, clients: int, replica_counts,
-    sample_n: int,
-) -> dict:
-    """Closed-loop throughput vs replica count, single-process baseline.
-
-    Each sweep row re-checks a sample of fleet responses bitwise against
-    direct ``InferenceSession`` predictions and asserts the router never
-    copied a tensor on the hot path (``serve.router.bytes_copied == 0``;
-    pickle fallbacks on ring exhaustion are recorded separately).
-    """
-    import os
-
-    from repro.serve import InferenceFleet
-
-    rng = np.random.default_rng(23)
-    xs = rng.standard_normal((sample_n, *cfg.input_shape)).astype(np.float32)
-    with InferenceSession(cfg.build_etg(1)) as sess:
-        refs = [sess.predict(x[None])[0].copy() for x in xs]
-
-    server = InferenceServer(cfg)
-    server.start()
-    try:
-        base = run_closed_loop(
-            server, clients=clients, requests=requests, seed=1
-        )
-    finally:
-        server.stop()
-    base_rps = base.throughput_rps
-    print(
-        f"  1-process server : {base_rps:8.0f} req/s  "
-        f"p99 {base.latency_ms['p99']:6.2f}ms"
-    )
-
-    rows = []
-    for n in replica_counts:
-        fleet = InferenceFleet(cfg, replicas=n)
-        fleet.start()
-        try:
-            rep = run_closed_loop(
-                fleet, clients=clients, requests=requests, seed=n
-            )
-            outs = [fleet.predict(x) for x in xs]
-            router = fleet._router.stats()
-        finally:
-            fleet.stop()
-        exact = all(
-            np.array_equal(out.view(np.uint32), ref.view(np.uint32))
-            for out, ref in zip(outs, refs)
-        )
-        row = {
-            "replicas": n,
-            "completed": rep.completed,
-            "throughput_rps": rep.throughput_rps,
-            "latency_ms": rep.latency_ms,
-            "scaling_vs_1proc": rep.throughput_rps / base_rps,
-            "bytes_copied": router.get("serve.router.bytes_copied", 0),
-            "shm_fallback": router.get("serve.router.shm_fallback", 0),
-            "rerouted": router.get("serve.router.rerouted", 0),
-            "exact": exact,
-        }
-        rows.append(row)
-        print(
-            f"  {n:>2} replica fleet : {rep.throughput_rps:8.0f} req/s  "
-            f"p99 {rep.latency_ms['p99']:6.2f}ms  "
-            f"({row['scaling_vs_1proc']:.2f}x, exact={exact}, "
-            f"bytes_copied={row['bytes_copied']})"
-        )
-
-    by_n = {row["replicas"]: row for row in rows}
-    at4 = by_n.get(4)
-    try:
-        usable = len(os.sched_getaffinity(0))
-    except AttributeError:  # non-Linux
-        usable = os.cpu_count() or 1
-    return {
-        "clients": clients,
-        "requests": requests,
-        "host": {"cpus": os.cpu_count(), "usable_cpus": usable},
-        "baseline_rps": base_rps,
-        "baseline_p99_ms": base.latency_ms["p99"],
-        "levels": rows,
-        "scaling_at_4": at4["scaling_vs_1proc"] if at4 else None,
-        "p99_at_4_ok": (
-            at4["latency_ms"]["p99"] <= base.latency_ms["p99"]
-            if at4 else None
-        ),
-        "exact": all(row["exact"] for row in rows),
-        "zero_copy": all(row["bytes_copied"] == 0 for row in rows),
-    }
-
-
-def bench_fleet_boot(cfg: ServeConfig, replica_counts) -> dict:
-    """Warm fleet boot from one shared verified bundle at each size.
-
-    The bundle is loaded + verified once in the parent and shared to
-    every replica read-only, so per-replica ``serve.boot.warm_ms`` must
-    stay flat as the fleet grows -- modulo CPU oversubscription: all
-    replicas boot concurrently, so on a host with fewer cores than
-    replicas each boot's wall clock stretches by up to
-    ``replicas / cores`` without any extra work being done.  The
-    ``warm_ms_flat`` verdict normalises by that factor.
-    """
-    import os
-
-    from repro.serve import InferenceFleet
-
-    donor = InferenceServer(cfg)
-    donor.start()
-    buf = io.BytesIO()
-    donor.save_streams_artifact(buf)
-    donor.stop()
-
-    rows = []
-    for n in replica_counts:
-        buf.seek(0)
-        t0 = time.perf_counter()
-        fleet = InferenceFleet(cfg, replicas=n)
-        try:
-            boot = fleet.start(streams_artifact=buf)
-            boot_s = time.perf_counter() - t0
-        finally:
-            fleet.stop()
-        warm_ms = [boot["warm_ms"][rid] for rid in sorted(boot["warm_ms"])]
-        assert all(
-            not b["cold_buckets"] for b in boot["per_replica"].values()
-        ), "fleet warm boot left cold buckets"
-        rows.append(
-            {
-                "replicas": n,
-                "boot_s": boot_s,
-                "warm_ms": warm_ms,
-                "warm_ms_max": max(warm_ms),
-                "bundle_shared_bytes": boot["bundle_shared_bytes"],
-            }
-        )
-        print(
-            f"  {n:>2} replicas: boot {boot_s * 1e3:7.1f}ms  "
-            f"per-replica warm "
-            f"{'/'.join(f'{w:.0f}' for w in warm_ms)}ms"
-        )
-    try:
-        cores = len(os.sched_getaffinity(0))
-    except AttributeError:  # non-Linux
-        cores = os.cpu_count() or 1
-    base_ms = max(rows[0]["warm_ms_max"], 1.0)
-    oversub = max(1.0, rows[-1]["replicas"] / cores)
-    return {
-        "engine": cfg.engine,
-        "buckets": list(cfg.buckets),
-        "levels": rows,
-        "warm_ms_flat": rows[-1]["warm_ms_max"] <= 3.0 * oversub * base_ms,
-    }
-
-
 def bench_tracer_overhead(
     cfg: ServeConfig, requests: int, clients: int, rounds: int, level: str,
 ) -> dict:
@@ -416,13 +249,6 @@ def main(argv=None) -> int:
     ap.add_argument("--out", default="BENCH_serve.json")
     ap.add_argument("--min-speedup", type=float, default=0.0,
                     help="fail if batched/batch-1 throughput is below this")
-    ap.add_argument("--fleet-replicas", default="1,2,4,8",
-                    help="comma-separated fleet sizes for the replica sweep")
-    ap.add_argument("--min-fleet-scaling", type=float, default=0.0,
-                    help="fail if 4-replica throughput / 1-process "
-                         "throughput is below this (only meaningful on "
-                         "multi-core runners; bitwise identity and the "
-                         "zero-copy hot path are always enforced)")
     ap.add_argument("--max-recorder-overhead", type=float, default=0.0,
                     help="fail if the p50 with the tracer in its events "
                          "state (incident capture armed) exceeds the "
@@ -433,8 +259,6 @@ def main(argv=None) -> int:
     requests = 64 if args.quick else args.requests
     client_counts = [int(c) for c in args.clients.split(",")]
     bitwise_n = 8 if args.quick else 16
-    replica_counts = [int(c) for c in args.fleet_replicas.split(",")]
-    fleet_requests = 48 if args.quick else min(requests, 128)
 
     fast_cfg = ServeConfig()  # fast engine: the throughput path
     # boot bench: big enough that the dryrun outweighs artifact loading
@@ -463,25 +287,6 @@ def main(argv=None) -> int:
         f"  cold {boot['cold_boot_s'] * 1e3:7.1f}ms  "
         f"warm {boot['warm_boot_s'] * 1e3:7.1f}ms  "
         f"({boot['speedup']:.1f}x, {boot['stream_entries']} stream entries)"
-    )
-
-    print("fleet sweep (fast engine, closed loop):")
-    fleet = bench_fleet(
-        fast_cfg, fleet_requests, clients=client_counts[-1],
-        replica_counts=replica_counts, sample_n=bitwise_n,
-    )
-    print(
-        f"  => {fleet['host']['usable_cpus']} usable cores; scaling at 4 "
-        f"replicas: {fleet['scaling_at_4']}"
-        if fleet["scaling_at_4"] is not None
-        else f"  => {fleet['host']['usable_cpus']} usable cores"
-    )
-
-    print("fleet warm boot (blocked engine, shared bundle):")
-    fleet_boot = bench_fleet_boot(
-        blocked_cfg,
-        [n for n in replica_counts if n <= 4] if args.quick
-        else replica_counts,
     )
 
     # moderate concurrency: at heavy oversubscription on small runners
@@ -519,8 +324,6 @@ def main(argv=None) -> int:
         "batching": batching,
         "bitwise": bitwise,
         "boot": boot,
-        "fleet": fleet,
-        "fleet_boot": fleet_boot,
         "recorder": recorder,
         "spans": spans,
     }
@@ -547,39 +350,6 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return 1
-    if not fleet["exact"]:
-        print("FAIL: fleet responses are not bitwise-identical to "
-              "direct predict", file=sys.stderr)
-        return 1
-    if not fleet["zero_copy"]:
-        print("FAIL: router copied tensor bytes on the hot path",
-              file=sys.stderr)
-        return 1
-    if args.min_fleet_scaling:
-        if fleet["scaling_at_4"] is None:
-            print("FAIL: --min-fleet-scaling set but 4 is not in "
-                  "--fleet-replicas", file=sys.stderr)
-            return 1
-        if fleet["scaling_at_4"] < args.min_fleet_scaling:
-            print(
-                f"FAIL: fleet scaling at 4 replicas "
-                f"{fleet['scaling_at_4']:.2f}x < required "
-                f"{args.min_fleet_scaling}x "
-                f"({fleet['host']['usable_cpus']} usable cores)",
-                file=sys.stderr,
-            )
-            return 1
-        if not fleet["p99_at_4_ok"]:
-            at4 = next(
-                r for r in fleet["levels"] if r["replicas"] == 4
-            )
-            print(
-                f"FAIL: 4-replica p99 "
-                f"{at4['latency_ms']['p99']:.2f}ms worse than 1-process "
-                f"baseline {fleet['baseline_p99_ms']:.2f}ms",
-                file=sys.stderr,
-            )
-            return 1
     if (args.max_recorder_overhead
             and recorder["p50_overhead"] > args.max_recorder_overhead):
         print(

@@ -151,9 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--load-streams", default=None,
                        help="warm-start artifact from a previous "
                             "--save-streams run (blocked engine)")
-        p.add_argument("--replicas", type=int, default=1,
-                       help="server processes; > 1 boots an "
-                            "InferenceFleet behind the router tier")
         p.add_argument("--tune-db", default=None,
                        help="tuning database (python -m repro tune) "
                             "consulted for every blocked conv layer's "
@@ -195,9 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(closed loop only)")
     p.add_argument("--deadline-ms", type=float, default=None,
                    help="per-request deadline (relative ms)")
-    p.add_argument("--fleet", action="store_true",
-                   help="drive an InferenceFleet (implies --replicas 2 "
-                        "unless --replicas says otherwise)")
     p.add_argument("--out", default=None,
                    help="write the LoadReport JSON here")
 
@@ -461,29 +455,12 @@ def _serve_config_from_args(args):
     )
 
 
-def _boot_serve_target(args, replicas: int):
-    """Boot either one ``InferenceServer`` or an ``InferenceFleet``
-    (``replicas > 1``), print the boot banner, return the target."""
-    config = _serve_config_from_args(args)
-    if replicas > 1:
-        from repro.serve import InferenceFleet
-
-        fleet = InferenceFleet(config, replicas=replicas)
-        boot = fleet.start(streams_artifact=args.load_streams)
-        warm = boot["warm_ms"]
-        print(
-            f"booted {boot['engine']} fleet: {boot['replicas']} replicas "
-            f"in {boot['boot_s']:.3f}s (per-replica warm_ms "
-            + ", ".join(f"r{i}={warm[i]:.0f}" for i in sorted(warm))
-            + (", shared warm bundle "
-               f"{boot['bundle_shared_bytes']} bytes"
-               if boot["bundle_verified_once"] else "")
-            + ")"
-        )
-        return fleet
+def _boot_server(args):
+    """Boot the ``InferenceServer`` the arguments describe, print the
+    boot banner, return the server."""
     from repro.serve import InferenceServer
 
-    server = InferenceServer(config)
+    server = InferenceServer(_serve_config_from_args(args))
     boot = server.start(streams_artifact=args.load_streams)
     print(
         f"booted {boot['engine']} engine in {boot['boot_s']:.3f}s "
@@ -498,13 +475,8 @@ def _cmd_serve(args) -> int:
 
     from repro.serve import serve_http
 
-    server = _boot_serve_target(args, args.replicas)
+    server = _boot_server(args)
     if args.save_streams:
-        if args.replicas > 1:
-            print("--save-streams needs a single server "
-                  "(record once, then boot the fleet from the artifact)")
-            server.stop()
-            return 2
         n = server.save_streams_artifact(args.save_streams)
         print(f"warm-cache artifact: {args.save_streams} ({n} entries)")
     if args.boot_only:
@@ -537,10 +509,7 @@ def _cmd_loadgen(args) -> int:
         hedge=args.hedge,
         seed=args.seed,
     )
-    replicas = args.replicas
-    if args.fleet and replicas < 2:
-        replicas = 2
-    server = _boot_serve_target(args, replicas)
+    server = _boot_server(args)
     try:
         if args.mode == "closed":
             report = run_closed_loop(
@@ -563,14 +532,7 @@ def _cmd_loadgen(args) -> int:
         f"{report.timeouts} timeouts, {report.deadline_exceeded} expired, "
         f"{report.retries} retries, {report.hedges} hedges, "
         f"{report.throughput_rps:.0f} req/s"
-        + (f" across {report.replicas} replicas" if report.replicas > 1
-           else "")
     )
-    if report.router_stats:
-        print("router: " + ", ".join(
-            f"{k.removeprefix('serve.router.')}={int(v)}"
-            for k, v in sorted(report.router_stats.items())
-        ))
     if lat:
         print(
             f"latency ms: p50 {lat['p50']:.2f}  p95 {lat['p95']:.2f}  "

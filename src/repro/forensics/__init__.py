@@ -5,14 +5,13 @@ failures *inherit* that promise.  The recent history comes from the
 process-wide tracer's bounded ring (:mod:`repro.obs.tracer`): an
 incident directory raises it to at least its ``"events"`` state --
 admissions, batches, collective hops, tier degrades, fault firings,
-checkpoint/reload lifecycle -- and worker and replica rings drain into
-the parent's.  Two pieces:
+checkpoint/reload lifecycle -- and training workers' rings drain into
+the root's.  Two pieces:
 
 * :class:`IncidentWriter` (:mod:`.bundle`) -- on every typed failure
   (:class:`~repro.resilience.WorkerFailure`,
   :class:`~repro.collective.CollectiveError`,
   :class:`~repro.serve.CanaryError`,
-  :class:`~repro.serve.SlotCorruption`,
   :class:`~repro.resilience.DivergenceError`) or an explicit
   ``POST /admin/dump``, an atomic digest-verified bundle directory:
   config + fingerprints, the active fault plan, RNG/shuffle state, the

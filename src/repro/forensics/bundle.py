@@ -3,7 +3,6 @@
 When a typed failure fires (:class:`~repro.resilience.WorkerFailure`,
 :class:`~repro.collective.CollectiveError`,
 :class:`~repro.serve.CanaryError`,
-:class:`~repro.serve.SlotCorruption`,
 :class:`~repro.resilience.DivergenceError`) -- or an operator hits
 ``POST /admin/dump`` -- the :class:`IncidentWriter` freezes everything a
 later ``python -m repro incident replay`` needs into one directory:
@@ -17,8 +16,8 @@ later ``python -m repro incident replay`` needs into one directory:
   bundle file;
 * ``tensors.npz`` -- the small failing payload itself (the micro-batch
   or gradient-shard inputs, step-start weights, ...);
-* ``events.json`` -- the process-wide tracer's ring (with every worker
-  and replica ring drained into it) as one list of records.
+* ``events.json`` -- the process-wide tracer's ring (with every
+  training worker's ring drained into it) as one list of records.
 
 Writes are atomic the same way checkpoints are: everything lands in a
 ``.tmp~<pid>`` sibling directory first, then one ``os.replace`` renames

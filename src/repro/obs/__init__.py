@@ -10,8 +10,8 @@ library's hot paths:
   ``serve.batch``, ``collective.hop``, ``fault.fire`` ...).  One setting
   with three states -- ``"off"`` (default), ``"events"`` (armed by an
   incident directory) and ``"spans"`` (:func:`enable`) -- and
-  branch-cheap when off.  Worker processes and fleet replicas drain
-  their rings into the parent's.
+  branch-cheap when off.  Training worker processes drain their rings
+  into the root's.
 * :class:`MetricsRegistry` (:mod:`repro.obs.metrics`) -- named counters and
   gauges (kernels generated, cache hits/misses, stream conv calls, µops
   executed, img/s ...), thread-safe and mergeable across processes.

@@ -19,7 +19,7 @@ from __future__ import annotations
 import threading
 from collections import deque
 
-__all__ = ["Ewma", "MetricsRegistry", "get_metrics", "merge_snapshots"]
+__all__ = ["Ewma", "MetricsRegistry", "get_metrics"]
 
 #: retained samples per distribution -- a rolling window, enough for a
 #: stable p99 over any recent load burst without unbounded growth
@@ -188,21 +188,6 @@ class MetricsRegistry:
             self._gauges.clear()
             self._dists.clear()
             self._dist_counts.clear()
-
-
-def merge_snapshots(snapshots) -> dict:
-    """Fold several :meth:`MetricsRegistry.snapshot` dicts (one per
-    fleet replica) into a single cross-replica summary: counters and
-    distribution samples add, gauges last-write-wins.  Returns the
-    merged ``{"counters", "gauges", "distributions"}`` view."""
-    merged = MetricsRegistry()
-    for snap in snapshots:
-        merged.merge(snap)
-    return {
-        "counters": merged.counters(),
-        "gauges": merged.gauges(),
-        "distributions": merged.distributions(),
-    }
 
 
 #: the process-wide registry (stable identity; cleared, never replaced).

@@ -39,16 +39,6 @@ site                    kinds honoured there
 ``mp.worker.step``      additionally ``slow`` -- the training worker sleeps
                         ``delay_s`` before computing its shard (latency,
                         not death: the root's timeout must NOT reap it)
-``fleet.replica.predict``  ``crash`` (``os._exit`` of one fleet replica
-                        process mid-request: the router reroutes, the
-                        supervisor respawns) and ``hang`` (the replica's
-                        control loop sleeps ``delay_s``; health polls go
-                        unanswered until the fleet SIGKILLs it)
-``fleet.replica.reply``  ``corrupt_message`` -- the replica scribbles the
-                        shared-memory slot's generation header before
-                        replying, so the parent must refuse the payload
-                        (``SlotCorruption``) without touching any other
-                        request's answer
 ``tune.candidate``      ``corrupt_message`` -- the autotuner's compiled
                         probe output is scribbled before the bit-exact
                         comparison; the validator must reject the
@@ -83,7 +73,7 @@ artifact -- the "artifact corruption" fault for checkpoint/stream tests.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -69,23 +69,16 @@ Request lifecycle (this layer is what makes the server operable):
 * **forensics** -- with ``ServeConfig.incident_dir`` set, the
   process-wide tracer records at least its ``"events"`` state
   (:mod:`repro.obs.tracer`): admissions, one ``serve.batch`` span per
-  batch with its request ids, tier degrades and lifecycle transitions
-  (a fleet's replicas drain theirs into the parent's ring through the
-  ``stats`` op); canary rollbacks,
-  shared-memory slot corruption and ``POST /admin/dump`` each freeze a
+  batch with its request ids, tier degrades and lifecycle transitions;
+  canary rollbacks and ``POST /admin/dump`` each freeze a
   digest-verified incident bundle replayable bitwise via
   ``python -m repro incident replay``.
 
-Fleet serving (see :mod:`repro.serve.fleet`): one server is GIL-bound,
-so :class:`InferenceFleet` boots N full server *processes* behind a
-power-of-two-choices :class:`Router` fed by replica health, moves
-tensor payloads through a generation-tagged shared-memory ring
-(:class:`TensorShm` -- the router never copies activations), shares one
-verified warm-stream bundle across all replicas, supervises them with
-SIGKILL/hang detection + respawn, and rolls drain/reload (canary
-replica first) across the fleet.  It duck-types the server surface, so
-``serve_http``, :class:`ServeClient` and the load generators drive a
-fleet unchanged.
+One process serves: its worker threads share the node's cores, as GxM
+spreads one node's work over that node's cores with threads.  Replica
+processes behind a shared-memory router measured slower than one
+process, a single replica at a median 0.70x (EXPERIMENTS.md, "One
+serving process").
 
 Quick start::
 
@@ -110,18 +103,16 @@ from repro.serve.batcher import MicroBatcher
 from repro.serve.breaker import CircuitBreaker
 from repro.serve.client import ClientConfig, ServeClient
 from repro.serve.config import ServeConfig, ServeConfigError
-from repro.serve.fleet import InferenceFleet, ReplicaHandle
 from repro.serve.http import serve_http
 from repro.serve.loadgen import LoadReport, run_closed_loop, run_open_loop
 from repro.serve.request import (
     DeadlineExceeded,
     InferenceRequest,
+    InvalidImage,
     RequestShed,
     ServerClosed,
 )
-from repro.serve.router import Router
 from repro.serve.server import CanaryError, InferenceServer, LifecycleBusy
-from repro.serve.shm import ShmArrayStore, SlotCorruption, TensorShm
 from repro.serve.warmcache import StreamWarmCache
 from repro.serve.worker import EngineReplica, ReplicaSlot, SwapGate
 
@@ -129,13 +120,8 @@ __all__ = [
     "ServeConfig",
     "ServeConfigError",
     "InferenceServer",
-    "InferenceFleet",
-    "ReplicaHandle",
-    "Router",
-    "TensorShm",
-    "ShmArrayStore",
-    "SlotCorruption",
     "InferenceRequest",
+    "InvalidImage",
     "RequestShed",
     "ServerClosed",
     "DeadlineExceeded",

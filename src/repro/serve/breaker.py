@@ -103,7 +103,8 @@ class CircuitBreaker:
         ``False`` means fast-fail (counted in ``serve.breaker_fast_fail``).
         Half-open admits at most ``probes`` concurrent trial calls; the
         caller MUST report the outcome via :meth:`record_success` /
-        :meth:`record_failure` or the probe slots leak.
+        :meth:`record_failure`, or :meth:`release` the slot, or the probe
+        slots leak.
         """
         with self._lock:
             self._maybe_half_open()
@@ -128,6 +129,16 @@ class CircuitBreaker:
                     self._outcomes.clear()
                 return
             self._outcomes.append(False)
+
+    def release(self) -> None:
+        """End an admitted call without an outcome: it was refused as
+        malformed (HTTP 400), which says nothing about the server's
+        health.  Half-open, its probe slot is freed; without that, as
+        many malformed requests as there are probes would leave every
+        later call fast-failed."""
+        with self._lock:
+            if self._state == HALF_OPEN:
+                self._probes_in_flight = max(0, self._probes_in_flight - 1)
 
     def record_failure(self) -> None:
         with self._lock:

@@ -39,6 +39,7 @@ import numpy as np
 from repro.serve.breaker import CircuitBreaker
 from repro.serve.request import (
     DeadlineExceeded,
+    InvalidImage,
     RequestShed,
     ServerClosed,
 )
@@ -101,17 +102,9 @@ class _InProcessTransport:
         # slow: place the backup attempt.  If admission sheds it, the
         # hedge simply doesn't happen -- the primary is still in flight
         # and adding retries here would feed the very overload that made
-        # the primary slow.  Against a fleet, the backup is steered to a
-        # *different* replica than the one holding the slow primary --
-        # a hedge that lands behind the same queue buys nothing.
-        kwargs = {}
-        if (
-            getattr(self.server, "routes_replicas", False)
-            and primary.replica_id is not None
-        ):
-            kwargs["exclude_replica"] = primary.replica_id
+        # the primary slow.
         try:
-            backup = self.server.submit(x, deadline=deadline, **kwargs)
+            backup = self.server.submit(x, deadline=deadline)
         except (RequestShed, ServerClosed):
             backup = None
         end = time.perf_counter() + max(0.0, timeout_s - hedge_cutoff_s)
@@ -146,7 +139,10 @@ class _HttpTransport:
         self.base_url = base_url.rstrip("/")
 
     def call(self, x, timeout_s, deadline, hedge_cutoff_s):
-        body = json.dumps({"input": np.asarray(x).tolist()}).encode()
+        try:
+            body = json.dumps({"input": np.asarray(x).tolist()}).encode()
+        except (TypeError, ValueError) as err:  # complex or ragged
+            raise InvalidImage(f"image cannot be sent as JSON: {err}") from err
         headers = {"Content-Type": "application/json"}
         if deadline is not None:
             remaining_ms = (deadline - time.perf_counter()) * 1e3
@@ -160,13 +156,14 @@ class _HttpTransport:
             with urllib.request.urlopen(req, timeout=timeout_s) as resp:
                 doc = json.loads(resp.read())
         except urllib.error.HTTPError as err:
-            detail = self._error_detail(err)
+            detail, etype = self._error_detail(err)
             if err.code == 503:
                 raise RequestShed(detail) from err
             if err.code == 504:
                 raise DeadlineExceeded(detail) from err
             if 400 <= err.code < 500:
-                raise ShapeError(detail) from err
+                cls = InvalidImage if etype == "InvalidImage" else ShapeError
+                raise cls(detail) from err
             raise ReproError(f"HTTP {err.code}: {detail}") from err
         except urllib.error.URLError as err:
             if isinstance(err.reason, TimeoutError):
@@ -179,22 +176,21 @@ class _HttpTransport:
         return np.asarray(doc["probs"], dtype=np.float32), False, False
 
     @staticmethod
-    def _error_detail(err: urllib.error.HTTPError) -> str:
+    def _error_detail(err: urllib.error.HTTPError) -> tuple[str, str | None]:
+        """The body's ``error`` message and ``type`` (error class name)."""
         try:
-            return json.loads(err.read()).get("error", str(err))
+            doc = json.loads(err.read())
+            return doc.get("error", str(err)), doc.get("type")
         except Exception:  # noqa: BLE001 -- body is best-effort
-            return str(err)
+            return str(err), None
 
 
 class ServeClient:
     """Retrying, hedging, breaker-guarded front door to one server.
 
-    ``target`` is an :class:`~repro.serve.server.InferenceServer`, an
-    :class:`~repro.serve.fleet.InferenceFleet` (the fleet endpoint:
-    retries, hedging and the breaker run unchanged against the router,
-    and hedged backups are steered to a *different* replica than the
-    slow primary), or an HTTP base URL string.  Thread-safe: the load
-    generators share one client across every worker thread.
+    ``target`` is an :class:`~repro.serve.server.InferenceServer` or an
+    HTTP base URL string.  Thread-safe: the load generators share one
+    client across every worker thread.
     """
 
     def __init__(
@@ -262,7 +258,7 @@ class ServeClient:
         :class:`RequestShed` once retries are exhausted (or immediately
         when the breaker is open), :class:`DeadlineExceeded` /
         ``TimeoutError`` without any retry, and 4xx-class errors
-        (:class:`ShapeError`) untouched.
+        (:class:`ShapeError`, :class:`InvalidImage`) untouched.
         """
         cfg = self.config
         deadline = (
@@ -308,7 +304,9 @@ class ServeClient:
                 if self.breaker is not None:
                     self.breaker.record_failure()
                 raise
-            except ShapeError:
+            except (ShapeError, InvalidImage):
+                if self.breaker is not None:
+                    self.breaker.release()
                 raise  # 4xx: our fault, not the server's health
             except ReproError:
                 if self.breaker is not None:

@@ -79,10 +79,10 @@ class ServeConfig:
     incident_dir:
         Directory for :mod:`repro.forensics` incident bundles.  When
         set, the server raises the process-wide tracer to at least its
-        ``"events"`` state (:mod:`repro.obs.tracer`) and every typed
-        failure (canary rollback, shared-memory slot corruption) plus
-        ``POST /admin/dump`` freezes an atomic, digest-verified bundle
-        here.  ``None`` (default) disables capture entirely.  It does
+        ``"events"`` state (:mod:`repro.obs.tracer`), and a canary
+        rollback or ``POST /admin/dump`` freezes an atomic,
+        digest-verified bundle here.  ``None`` (default) disables
+        capture entirely.  It does
         not affect recorded streams, so it stays out of the fingerprint.
     """
 

@@ -28,7 +28,9 @@ another lifecycle operation is in flight gets a deterministic ``409``
 of queueing behind it.
 
 Load shedding and shutdown map to ``503`` (the standard back-pressure
-status), malformed input to ``400``, a timeout or missed deadline to
+status), malformed input to ``400`` (a wrong shape or an
+:class:`~repro.serve.request.InvalidImage` also names the error class in
+``"type"``), a timeout or missed deadline to
 ``504`` and any unexpected engine failure to ``500``.  A
 :class:`~repro.serve.breaker.CircuitBreaker` sits ahead of ``/predict``:
 once the recent error rate trips it, requests are fast-503'd without
@@ -58,6 +60,7 @@ import numpy as np
 from repro.serve.breaker import CircuitBreaker
 from repro.serve.request import (
     DeadlineExceeded,
+    InvalidImage,
     RequestShed,
     ServerClosed,
 )
@@ -176,8 +179,8 @@ def _make_handler(server, breaker: CircuitBreaker | None):
                 return
             try:
                 deadline = self._deadline()
-                x = np.asarray(doc["input"], dtype=np.float32)
-            except (ValueError, KeyError, TypeError) as err:
+                x = doc["input"]  # admission types and checks it
+            except (ValueError, KeyError) as err:
                 self._reply(400, {"error": f"bad request body: {err}"})
                 return
             if breaker is not None and not breaker.allow():
@@ -191,10 +194,14 @@ def _make_handler(server, breaker: CircuitBreaker | None):
                     probs = server.predict(x, deadline=deadline)
                 else:
                     probs = server.predict(x)
-            except (ShapeError,) as err:
+            except (ShapeError, InvalidImage) as err:
                 # the request is malformed, not the server unhealthy --
                 # a 4xx never feeds the breaker
-                self._reply(400, {"error": str(err)})
+                if breaker is not None:
+                    breaker.release()
+                self._reply(
+                    400, {"error": str(err), "type": type(err).__name__}
+                )
                 return
             except (RequestShed, ServerClosed) as err:
                 if breaker is not None:

@@ -52,13 +52,9 @@ class LoadReport:
     deadline_exceeded: int = 0
     retries: int = 0
     hedges: int = 0
-    #: serving processes behind the target (1 = single server)
-    replicas: int = 1
     latency_ms: dict[str, float] = field(default_factory=dict)
     client_stats: dict = field(default_factory=dict)
     server_stats: dict = field(default_factory=dict)
-    #: fleet dispatch counters (empty against a single server)
-    router_stats: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
@@ -71,13 +67,11 @@ class LoadReport:
             "deadline_exceeded": self.deadline_exceeded,
             "retries": self.retries,
             "hedges": self.hedges,
-            "replicas": self.replicas,
             "duration_s": self.duration_s,
             "throughput_rps": self.throughput_rps,
             "latency_ms": self.latency_ms,
             "client_stats": self.client_stats,
             "server_stats": self.server_stats,
-            "router_stats": self.router_stats,
         }
 
 
@@ -100,14 +94,6 @@ def _percentiles(latencies_s: list[float]) -> dict[str, float]:
 def _random_inputs(shape, count: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     return rng.standard_normal((count, *shape)).astype(np.float32)
-
-
-def _target_shape(server) -> tuple[int, dict]:
-    """``(replicas, router_stats)`` for the report: a fleet target
-    exposes both, a single server is one replica with no router."""
-    if getattr(server, "routes_replicas", False):
-        return server.replicas, server._router.stats()
-    return 1, {}
 
 
 def run_closed_loop(
@@ -166,7 +152,6 @@ def run_closed_loop(
         t.join()
     duration = time.perf_counter() - t0
     cstats = client.stats()
-    replicas, router_stats = _target_shape(server)
     return LoadReport(
         mode=f"closed:{clients}",
         requests=requests,
@@ -177,13 +162,11 @@ def run_closed_loop(
         deadline_exceeded=expired,
         retries=cstats["retries"],
         hedges=cstats["hedges"],
-        replicas=replicas,
         duration_s=duration,
         throughput_rps=completed / duration if duration > 0 else 0.0,
         latency_ms=_percentiles(latencies),
         client_stats=cstats,
         server_stats=server.stats(),
-        router_stats=router_stats,
     )
 
 
@@ -264,7 +247,6 @@ def run_open_loop(
     for t in pending:
         t.join()
     duration = time.perf_counter() - t_start
-    replicas, router_stats = _target_shape(server)
     return LoadReport(
         mode=f"open:{rate_rps:g}rps",
         requests=horizon,
@@ -273,10 +255,8 @@ def run_open_loop(
         errors=errors,
         timeouts=timeouts,
         deadline_exceeded=expired,
-        replicas=replicas,
         duration_s=duration,
         throughput_rps=completed / duration if duration > 0 else 0.0,
         latency_ms=_percentiles(latencies),
         server_stats=server.stats(),
-        router_stats=router_stats,
     )

@@ -27,6 +27,7 @@ from repro.types import ReproError
 __all__ = [
     "DeadlineExceeded",
     "InferenceRequest",
+    "InvalidImage",
     "RequestShed",
     "ServerClosed",
 ]
@@ -48,6 +49,17 @@ class DeadlineExceeded(ReproError):
     worker produced its answer (HTTP 504)."""
 
 
+class InvalidImage(ReproError, ValueError):
+    """Raised at admission for an image no answer can be trusted for:
+    a ragged nesting, values that are not real numbers (object, string,
+    complex arrays) or values that are not finite as float32 (NaN,
+    +-inf, float64 values beyond float32's range).  A NaN would otherwise come back as plausible
+    probabilities, since ReLU's ``x > 0`` mask turns it into 0.
+
+    Doubles as a ``ValueError`` so callers validating user input can
+    catch the standard type; HTTP answers it with 400."""
+
+
 _ids = itertools.count()
 
 
@@ -62,7 +74,7 @@ class InferenceRequest:
     """
 
     __slots__ = (
-        "id", "x", "t_submit", "deadline", "replica_id",
+        "id", "x", "t_submit", "deadline",
         "_event", "_value", "_error", "_cancelled",
     )
 
@@ -73,9 +85,6 @@ class InferenceRequest:
         self.t_submit = time.perf_counter()
         #: absolute monotonic deadline (None = no deadline)
         self.deadline = deadline
-        #: fleet replica serving this request (None in single-process
-        #: serving); hedged backups use it to target a different replica
-        self.replica_id: int | None = None
         self._event = threading.Event()
         self._value: np.ndarray | None = None
         self._error: BaseException | None = None

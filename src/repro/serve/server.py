@@ -66,7 +66,7 @@ from repro.resilience.faults import FaultInjector
 from repro.serve.admission import AdmissionQueue
 from repro.serve.batcher import MicroBatcher
 from repro.serve.config import ServeConfig
-from repro.serve.request import InferenceRequest, ServerClosed
+from repro.serve.request import InferenceRequest, InvalidImage, ServerClosed
 from repro.serve.warmcache import StreamWarmCache
 from repro.serve.worker import EngineReplica, ReplicaSlot, SwapGate, Worker
 from repro.streams.serialize import StaleArtifactError
@@ -280,17 +280,31 @@ class InferenceServer:
         which nobody cares about the answer; the pipeline drops the
         request (failing it with :class:`DeadlineExceeded`) instead of
         computing into the void.  Raises :class:`RequestShed` when
-        admission sheds (full queue or estimated wait over budget) and
-        :class:`ServerClosed` after :meth:`stop` or during a drain.
+        admission sheds (full queue or estimated wait over budget),
+        :class:`ServerClosed` after :meth:`stop` or during a drain,
+        :class:`ShapeError` for a wrong shape and :class:`InvalidImage`
+        for values that are not real numbers or not finite as float32.
         """
         if not self._started:
             raise ServerClosed("server not started")
-        x = np.asarray(x, dtype=np.float32)
+        try:
+            x = np.asarray(x)
+        except (TypeError, ValueError) as err:  # ragged nesting
+            raise InvalidImage(f"image is not an array: {err}") from err
+        if x.dtype != np.float32:
+            if x.dtype.kind not in "biuf":
+                raise InvalidImage(
+                    f"image dtype {x.dtype} is not a real number type"
+                )
+            with np.errstate(over="ignore"):  # overflow is refused below
+                x = x.astype(np.float32)
         if x.shape != self.config.input_shape:
             raise ShapeError(
                 f"request shape {x.shape} != configured "
                 f"{self.config.input_shape}"
             )
+        if not np.isfinite(x).all():
+            raise InvalidImage("image has NaN or infinite float32 values")
         req = InferenceRequest(x, deadline=deadline)
         self.queue.put(req)
         tracer = get_tracer()

@@ -228,14 +228,6 @@ class EngineReplica:
             )
         return self._sessions[bucket].predict(batch)
 
-    def bucket_tiers(self) -> dict[int, str]:
-        """The tier each bucket currently runs (observability)."""
-        with self._lock:
-            return {
-                bucket: str(self._current_tier(bucket))
-                for bucket in self.config.buckets
-            }
-
     def sessions(self) -> list[InferenceSession]:
         """Each distinct session exactly once (the fast replica maps
         every bucket to one)."""

@@ -439,6 +439,104 @@ class TestGemmProbe:
         assert probes == [(64, 48, 32, False)] * 2
 
 
+def _order_sensitive_chain(seed=0, terms=24, rows=64, cols=32):
+    """Weights ``(terms, rows)``, scalars ``(terms, cols)`` and a float64
+    init ``(rows, cols)`` built like the ``dgemm`` probe's operands: the
+    products are exact in float64, and the sums round differently in
+    almost any other order."""
+    rng = np.random.default_rng(seed)
+    w = jit_compile._probe_operand(rng, (terms, rows))
+    s = jit_compile._probe_operand(rng, (terms, cols))
+    init = np.ldexp(rng.standard_normal((rows, cols)),
+                    rng.integers(-12, 13, (rows, cols)))
+    return w, s, init
+
+
+def _left_fold(w, s, init):
+    """``init + w[0] s[0]ᵀ + w[1] s[1]ᵀ + ...``, one rounding per
+    element and term, strictly in term order."""
+    acc = init.copy()
+    for t in range(w.shape[0]):
+        acc += np.multiply.outer(w[t], s[t])
+    return acc
+
+
+def _run_fold(w, s, init):
+    """Fold the chain through the compiled tier's :class:`_RunFma` (one
+    grid call, ``rows`` weight lanes shared by ``cols`` members), from
+    float32 buffers, onto a copy of ``init``."""
+    (terms, rows), cols = w.shape, s.shape[1]
+    run = jit_compile._RunFma(
+        "w", np.repeat(np.arange(terms)[:, None] * rows, cols, axis=1),
+        rows, "s", np.arange(terms)[:, None] * cols + np.arange(cols),
+    )
+    buffers = {"w": w.astype(np.float32).ravel(),
+               "s": s.astype(np.float32).ravel()}
+    acc = init.reshape(1, rows, 1, cols).copy()
+    run.fold(acc, jit_compile._Ctx(buffers, {}, None), False, False)
+    return acc.reshape(rows, cols)
+
+
+def _swapping_dger(dger):
+    """``dger`` that applies the second and third rank-1 updates it is
+    handed in swapped order."""
+    held = []
+
+    def swapped(*args):
+        held.append(args)
+        if len(held) == 3:
+            dger(*args)
+            dger(*held[1])
+        elif len(held) != 2:
+            dger(*args)
+
+    return swapped
+
+
+def _swapped_products(w, s, out):
+    """``_RunFma.products`` with the first two terms of each block of
+    products swapped, so the numpy fold adds them in swapped order."""
+    np.multiply(w, s, out=out)
+    out[[0, 1]] = out[[1, 0]]
+
+
+class TestFoldOrder:
+    """The cross-tier sweeps compare float32 outputs, so they cannot see
+    the order in which a float64 accumulator sums its terms; only the
+    ``dgemm`` probe compares float64 folds.  These tests hold the
+    ``dger`` fold and the numpy fold to a strict left fold, bit for bit,
+    on order-sensitive operands, and show that a swap of two adjacent
+    terms on either path is seen.  The int16 ``np.matmul`` fold needs no
+    such test: every product and partial sum of an int16 chain is an
+    integer below 2^35, exact in float64 in any order."""
+
+    @pytest.mark.parametrize("path", ["dger", "numpy"])
+    def test_fold_is_the_strict_left_fold(self, path):
+        if not fold_path_available(path):
+            pytest.skip(f"numpy's BLAS exports no {path}")
+        w, s, init = _order_sensitive_chain()
+        with forced_fold_path(path):
+            got = _run_fold(w, s, init)
+        want = _left_fold(w, s, init)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("path", ["dger", "numpy"])
+    def test_a_swap_of_adjacent_terms_is_seen(self, path, monkeypatch):
+        if not fold_path_available(path):
+            pytest.skip(f"numpy's BLAS exports no {path}")
+        if path == "dger":
+            monkeypatch.setattr(jit_compile, "_dger",
+                                _swapping_dger(jit_compile._dger))
+        else:
+            monkeypatch.setattr(jit_compile._RunFma, "products",
+                                staticmethod(_swapped_products))
+        w, s, init = _order_sensitive_chain()
+        with forced_fold_path(path):
+            got = _run_fold(w, s, init)
+        want = _left_fold(w, s, init)
+        assert not np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 class TestQuantTiers:
     def test_q16_tiers_bitwise_identical(self, rng):
         p = ConvParams(N=1, C=32, K=32, H=6, W=6, R=3, S=3, stride=1,

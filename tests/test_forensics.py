@@ -11,7 +11,7 @@ bundles freeze is tested with the tracer, in ``test_obs.py``):
   so a resume falls back to it with no live array half-mutated;
 * **deterministic replay** -- a training-step bundle captured during a
   mid-collective worker crash and a serving bundle captured during a
-  shared-memory slot corruption both re-execute bitwise
+  canary rollback both re-execute bitwise
   (``python -m repro incident replay``), end to end through the CLI.
 """
 
@@ -54,10 +54,8 @@ from repro.resilience.faults import (
 )
 from repro.serve import (
     CanaryError,
-    InferenceFleet,
     InferenceServer,
     ServeConfig,
-    SlotCorruption,
 )
 
 pytestmark = pytest.mark.timeout(180)
@@ -348,45 +346,8 @@ class TestTrainIncidentDrill:
 
 # ---------------------------------------------------------------------------
 class TestServeIncidentDrill:
-    """Tentpole drill, serving side: shared-memory slot corruption in a
-    fleet and a canary rollback on a single server each freeze one
-    replayable bundle."""
-
-    def test_slot_corruption_bundle_replays_bitwise(self, tmp_path):
-        inc = str(tmp_path / "incidents")
-        plan = FaultPlan(specs=(
-            FaultSpec(site="fleet.replica.reply", kind="corrupt_message",
-                      rank=0),
-        ))
-        cfg = ServeConfig(buckets=(1, 2), batch_window_ms=1.0, workers=1,
-                          incident_dir=inc)
-        xs = serve_images(6, seed=8)
-        with InferenceFleet(cfg, replicas=2, fault_plan=plan) as fleet:
-            reqs = [fleet.submit(x) for x in xs]
-            failures = 0
-            for r in reqs:
-                try:
-                    r.result(30.0)
-                except SlotCorruption:
-                    failures += 1
-            assert failures == 1
-            written = list(fleet._incidents.written)
-            ring_kinds = {r.name for r in get_tracer().events()}
-
-        assert len(written) == 1, "exactly one bundle per corruption"
-        assert "fleet.slot_corruption" in ring_kinds
-        doc = load_incident(written[0])
-        m = doc["manifest"]
-        assert m["kind"] == "serve"
-        assert m["error"]["type"] == "SlotCorruption"
-        assert m["extra"]["trigger"] == "slot_corruption"
-        # the frozen request is bitwise one of the submitted images
-        # (read from the shm request region before the slot reclaim)
-        assert tensor_digest(doc["tensors"]["x"]) in {
-            tensor_digest(x[None]) for x in xs
-        }
-        rep = replay_incident(written[0])
-        assert rep["ok"] and rep["mode"] == "serve"
+    """Tentpole drill, serving side: a canary rollback and
+    ``POST /admin/dump`` each freeze one replayable bundle."""
 
     def test_canary_rollback_bundle_replays_bitwise(self, tmp_path):
         from dataclasses import replace

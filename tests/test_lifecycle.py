@@ -307,6 +307,17 @@ class TestCircuitBreaker:
         assert b.state == "closed"
         assert b.allow()
 
+    def test_release_frees_a_half_open_probe_without_an_outcome(self):
+        b, clock = self.make()
+        for _ in range(4):
+            b.record_failure()
+        clock.t += 1.0
+        assert b.allow() and b.allow() and not b.allow()
+        b.release()
+        b.release()
+        assert b.state == "half_open"
+        assert b.allow() and b.allow()
+
     def test_failed_probe_reopens_and_restarts_cooldown(self):
         b, clock = self.make()
         for _ in range(4):
@@ -480,6 +491,22 @@ class TestDrainResume:
             server.resume()
             assert not server.health()["draining"]
             assert server.predict(x, timeout=10.0).shape == (8,)
+
+    def test_ops_return_with_fresh_health(self, tmp_path):
+        """What :meth:`health` says the moment a lifecycle op returns is
+        that op's outcome: degraded while drained, ok after the resume,
+        the new checkpoint after a reload."""
+        cfg = tiny_config()
+        ck = make_checkpoint(tmp_path, cfg, seed=99, name="b.npz")
+        with InferenceServer(cfg) as server:
+            server.drain(timeout_s=10.0)
+            assert server.health()["status"] == "degraded"
+            server.resume()
+            assert server.health()["status"] == "ok"
+            server.reload_checkpoint(ck)
+            health = server.health()
+            assert health["status"] == "ok"
+            assert health["checkpoint"] == ck
 
     def test_drain_timeout_fails_leftovers_instead_of_hanging(self):
         injector = FaultInjector(slow_plan(0.15, count=64))
@@ -928,6 +955,32 @@ class TestHttpLifecycle:
             status, doc = _post(url2, "/predict", {"input": x})
             assert status == 503 and "breaker" in doc["error"]
             assert server.metrics.value("serve.breaker_fast_fail") >= 1
+        finally:
+            httpd.shutdown()
+
+    def test_malformed_requests_do_not_wedge_a_half_open_breaker(
+            self, served):
+        """A 400 says nothing about the server: half-open, it gives its
+        probe slot back, so well-formed requests still probe and close
+        the breaker."""
+        server, _, _, _ = served
+        clock = _Clock()
+        breaker = CircuitBreaker(min_volume=1, reset_s=1.0, probes=2,
+                                 metrics=server.metrics, clock=clock)
+        httpd = serve_http(server, port=0, breaker=breaker)
+        try:
+            host, port = httpd.server_address[:2]
+            url2 = f"http://{host}:{port}"
+            breaker.record_failure()
+            clock.t += 1.0
+            assert breaker.state == "half_open"
+            bad = np.zeros((3, 8, 8), dtype=np.float32).tolist()
+            for _ in range(2):
+                assert _post(url2, "/predict", {"input": bad})[0] == 400
+            x = images(1)[0].tolist()
+            for _ in range(2):
+                assert _post(url2, "/predict", {"input": x})[0] == 200
+            assert breaker.state == "closed"
         finally:
             httpd.shutdown()
 

@@ -117,8 +117,8 @@ class TestRing:
 
     def test_payload_may_carry_a_kind_key(self):
         """The event name is positional-only, so a fault's own ``kind``
-        rides in the payload without a TypeError (regression: the fleet
-        reaper thread died on exactly this collision)."""
+        rides in the payload without a TypeError (regression: a reaper
+        thread once died on exactly this collision)."""
         rec = Tracer("events")
         rec.record("fault.fire", site="collective.hop", kind="crash")
         (r,) = rec.events("fault.fire")
@@ -164,7 +164,7 @@ class TestRing:
 
     def test_spans_state_keeps_capacity_and_counts_drops(self):
         """A tracer left on in the spans state -- e.g. inside a
-        long-lived fleet replica -- holds at most its capacity and
+        long-lived server -- holds at most its capacity and
         counts the records it dropped."""
         t = Tracer("spans")
         for _ in range(CAPACITY + 100):

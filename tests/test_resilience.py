@@ -570,6 +570,31 @@ class TestServeResilience:
         finally:
             server.stop()
 
+    def test_stale_artifact_cold_boots_bitwise(self, tmp_path,
+                                              clean_metrics):
+        """An artifact recorded at another width is refused at boot;
+        every bucket boots cold and answers bitwise like a direct
+        batch-1 predict."""
+        from repro.gxm.inference import InferenceSession
+        from repro.serve import InferenceServer
+
+        art = str(tmp_path / "streams.npz")
+        with InferenceServer(self._config(engine="blocked")) as donor:
+            donor.save_streams_artifact(art)
+        other = self._config(engine="blocked", width=64)
+        x = self._image(other, seed=14)
+        with InferenceSession(other.build_etg(1)) as sess:
+            ref = sess.predict(x[None])[0].copy()
+        server = InferenceServer(other)
+        try:
+            boot = server.start(streams_artifact=art)
+            assert "artifact_error" in boot
+            assert boot["warm_buckets"] == []
+            assert server.metrics.value("serve.artifact_rejected") == 1
+            assert np.array_equal(server.predict(x), ref)
+        finally:
+            server.stop()
+
     def test_stale_fingerprint_is_catchable_and_survivable(
         self, tmp_path, clean_metrics
     ):
@@ -694,77 +719,3 @@ class TestServeResilience:
             finally:
                 httpd2.shutdown()
         assert exc.value.code == 503  # stopped server reports down
-
-
-# ---------------------------------------------------------------------------
-class TestFleetResilience:
-    """Replica-*process* fault sites: the fleet reroutes around a killed
-    replica, respawns it from the shared warm artifact, and shm slot
-    corruption is contained to the one request owning the slot."""
-
-    def _config(self, **kw):
-        from repro.serve import ServeConfig
-
-        kw.setdefault("engine", "blocked")
-        kw.setdefault("buckets", (1, 2))
-        kw.setdefault("batch_window_ms", 1.0)
-        return ServeConfig(**kw)
-
-    def test_sigkill_respawns_from_warm_artifact(self, tmp_path):
-        from repro.serve import InferenceFleet, InferenceServer
-
-        cfg = self._config()
-        rng = np.random.default_rng(5)
-        xs = rng.standard_normal((12, *cfg.input_shape)).astype(np.float32)
-        art = str(tmp_path / "warm.npz")
-        with InferenceServer(cfg) as donor:
-            ref = [donor.predict(x) for x in xs]
-            donor.save_streams_artifact(art)
-
-        fleet = InferenceFleet(cfg, replicas=2, health_period_ms=10.0)
-        fleet.start(streams_artifact=art)
-        try:
-            reqs = [fleet.submit(x) for x in xs]
-            os.kill(fleet._handles[1].pid, signal.SIGKILL)
-            for r, req in zip(ref, reqs):
-                assert (req.result(30.0) == r).all()  # rerouted, bitwise
-            deadline = time.monotonic() + 30.0
-            while (
-                time.monotonic() < deadline
-                and fleet.health()["live_replicas"] < 2
-            ):
-                time.sleep(0.05)
-            health = fleet.health()
-            assert health["live_replicas"] == 2
-            assert health["respawns"] >= 1
-            # the respawn warm-booted from the shared store: no dryrun
-            boot = fleet._handles[1].boot
-            assert boot["warm_buckets"] == [1, 2]
-            assert boot["cold_buckets"] == []
-            for r, x in zip(ref, xs):
-                assert (fleet.predict(x) == r).all()
-        finally:
-            fleet.stop()
-
-    def test_fleet_fault_sites_fire_once_per_target_replica(self):
-        from repro.serve import InferenceFleet, SlotCorruption
-
-        plan = FaultPlan(specs=(
-            FaultSpec(site="fleet.replica.reply", kind="corrupt_message",
-                      rank=1),
-        ))
-        cfg = self._config(engine="fast")
-        rng = np.random.default_rng(6)
-        xs = rng.standard_normal((10, *cfg.input_shape)).astype(np.float32)
-        with InferenceFleet(cfg, replicas=2, fault_plan=plan) as fleet:
-            # concurrent submissions so both replicas carry traffic
-            reqs = [fleet.submit(x) for x in xs]
-            failures = 0
-            for req in reqs:
-                try:
-                    req.result(30.0)
-                except SlotCorruption:
-                    failures += 1
-            assert failures == 1  # count=1, rank=1: exactly one victim
-            assert fleet.metrics.value("serve.fleet.shm_corruption") == 1
-            assert fleet._shm.in_use == 0  # victim's slot reclaimed

@@ -20,10 +20,14 @@ from repro.gxm.inference import InferenceSession
 from repro.obs.metrics import get_metrics
 from repro.serve import (
     AdmissionQueue,
+    CircuitBreaker,
+    ClientConfig,
     InferenceRequest,
     InferenceServer,
+    InvalidImage,
     MicroBatcher,
     RequestShed,
+    ServeClient,
     ServeConfig,
     ServerClosed,
     StreamWarmCache,
@@ -566,6 +570,100 @@ class TestHttp:
             finally:
                 del server.predict  # restore the class method for stop()
                 httpd.shutdown()
+
+
+# ---------------------------------------------------------------------------
+def _with_pixel(x, value):
+    x = x.copy()
+    x[0, 0, 0] = value
+    return x
+
+
+#: images admission must refuse, each built from a valid float32 image
+INVALID_IMAGES = {
+    "object": lambda x: _with_pixel(x.astype(object), None),
+    "str": lambda x: np.full(x.shape, "pixel"),
+    "complex": lambda x: x + 1j,
+    "nan": lambda x: _with_pixel(x, np.nan),
+    "+inf": lambda x: _with_pixel(x, np.inf),
+    "-inf": lambda x: _with_pixel(x, -np.inf),
+    "float64 overflow": lambda x: _with_pixel(x.astype(np.float64), 1e300),
+    "ragged": lambda x: [x.tolist(), [0.0]],
+}
+
+
+@pytest.fixture(scope="class", params=["fast", "blocked"])
+def served(request):
+    """One server per engine, with its HTTP front end's base URL."""
+    server = InferenceServer(tiny_config(engine=request.param))
+    server.start()
+    httpd = serve_http(server)
+    yield server, f"http://127.0.0.1:{httpd.server_address[1]}"
+    httpd.shutdown()
+    server.stop()
+
+
+class TestInvalidImages:
+    """Admission refuses an image no answer can be trusted for with one
+    typed error, :class:`InvalidImage` (a ``ReproError`` and a
+    ``ValueError``), and HTTP answers it with 400 and a JSON body that
+    names it.  A NaN pixel would otherwise get plausible probabilities:
+    ReLU's ``x > 0`` mask turns it into 0."""
+
+    @pytest.mark.parametrize("case", list(INVALID_IMAGES))
+    def test_submit_raises_invalid_image(self, served, case):
+        server, _ = served
+        bad = INVALID_IMAGES[case](images(1, seed=9)[0])
+        with pytest.raises(InvalidImage) as exc:
+            server.submit(bad)
+        assert isinstance(exc.value, ReproError)
+        assert isinstance(exc.value, ValueError)
+        assert server.queue.depth == 0
+
+    # JSON has no complex numbers
+    @pytest.mark.parametrize(
+        "case", [c for c in INVALID_IMAGES if c != "complex"]
+    )
+    def test_http_answers_400_naming_the_error(self, served, case):
+        _, base = served
+        bad = INVALID_IMAGES[case](images(1, seed=9)[0])
+        body = {"input": bad.tolist() if isinstance(bad, np.ndarray)
+                else bad}
+        req = urllib.request.Request(
+            f"{base}/predict", data=json.dumps(body).encode(),
+            headers={"Content-Type": "application/json"},
+        )
+        with pytest.raises(urllib.error.HTTPError) as exc:
+            urllib.request.urlopen(req)
+        assert exc.value.code == 400
+        assert json.loads(exc.value.read())["type"] == "InvalidImage"
+
+    @pytest.mark.parametrize("transport", ["in-process", "http"])
+    @pytest.mark.parametrize("case", list(INVALID_IMAGES))
+    def test_serve_client_raises_invalid_image(self, served, transport,
+                                               case):
+        """Both transports raise the one typed error, and a malformed
+        request never counts against the client's breaker."""
+        server, base = served
+        client = ServeClient(
+            server if transport == "in-process" else base,
+            config=ClientConfig(timeout_s=30.0, max_retries=0),
+            breaker=CircuitBreaker(min_volume=1),
+        )
+        with pytest.raises(InvalidImage):
+            client.predict(INVALID_IMAGES[case](images(1, seed=9)[0]))
+        assert client.breaker.snapshot()["window"] == 0
+
+    def test_real_images_of_any_width_are_served_bitwise(self, served):
+        """float64, integer and bool images are cast to float32, not
+        refused."""
+        server, _ = served
+        x = images(1, seed=9)[0]
+        ints = np.arange(x.size, dtype=np.int64).reshape(x.shape) % 5
+        for img in (x.astype(np.float64), ints, ints > 2):
+            ref = direct_reference(server.config, [
+                np.asarray(img, dtype=np.float32)])[0]
+            assert np.array_equal(server.predict(img), ref)
 
 
 # ---------------------------------------------------------------------------
