@@ -13,8 +13,11 @@ rounds within one variant and across variants.  Every row also records
 them replay in rounds laid out as a weight-block x input-row grid with
 more than one input row; the rest run one row wide (``(B, 1)`` column
 groups, or one input row against several weight blocks).  Table-1
-layer 20 mixes both.  The int16 row runs Table-1 layer 8 on KNM, also
-under ``--quick`` (``--no-quant`` leaves it out).
+layer 20 mixes both.  ``gather_fallbacks`` counts the operand gathers
+and stores of one compiled run that took a fancy index instead of a
+strided view (``jit.gather_fallbacks``: offsets that form no lattice).
+The int16 row runs Table-1 layer 8 on KNM, also under ``--quick``
+(``--no-quant`` leaves it out).
 
 Run as a plain script (not pytest -- the timing loop is its own harness)::
 
@@ -38,6 +41,7 @@ from repro.conv.forward import DirectConvForward
 from repro.conv.params import ConvParams
 from repro.conv.upd import DirectConvUpd
 from repro.models.resnet50 import resnet50_layer
+from repro.obs.metrics import get_metrics
 from repro.quant.qconv_engine import QuantConvForward
 from repro.quant.qtensor import quantize
 from repro.tensor.blocked import BlockedTensor, block_activations, block_weights
@@ -68,6 +72,15 @@ def _time_call(fn, repeats: int) -> float:
         fn()
         best = min(best, time.perf_counter() - t0)
     return best
+
+
+def _first_run(results: dict, run) -> None:
+    """Run the compiled tier once before timing (plans, probes and views
+    are built there) and record that run's ``gather_fallbacks``."""
+    before = get_metrics().value("jit.gather_fallbacks")
+    run()
+    results["gather_fallbacks"] = int(
+        get_metrics().value("jit.gather_fallbacks") - before)
 
 
 def _grid_share(results: dict, eng, store_arg: int) -> None:
@@ -121,7 +134,7 @@ def bench_f32_layer(layer_id: int | str, p: ConvParams, repeats: int,
             eng(bx, bw, out)
 
         if tier != "interpret":
-            run()  # amortize plan building up front
+            _first_run(results, run)  # amortize plan building up front
         results[f"{tier}_s"] = _time_call(run, repeats)
         outs[tier] = out.data.copy()
     _grid_share(results, eng, store_arg=2)
@@ -146,7 +159,7 @@ def bench_upd_layer(layer_id: int, p: ConvParams, repeats: int) -> dict:
             outs[tier] = eng(bx, bdy).data
 
         if tier != "interpret":
-            run()
+            _first_run(results, run)
         results[f"{tier}_s"] = _time_call(run, repeats)
     _grid_share(results, eng, store_arg=1)
     return _compare(results, outs)
@@ -167,7 +180,7 @@ def bench_q16_layer(layer_id: int, p: ConvParams, repeats: int) -> dict:
             outs[tier] = eng.run_quantized(qx, qw)
 
         if tier != "interpret":
-            run()
+            _first_run(results, run)
         results[f"{tier}_s"] = _time_call(run, repeats)
     _grid_share(results, eng, store_arg=2)
     return _compare(results, outs)
@@ -179,7 +192,8 @@ def _print_row(row: dict) -> None:
         f"interpret {row['interpret_s']:8.3f}s  "
         f"compiled {row['compiled_s']:8.3f}s  "
         f"speedup {row['speedup']:7.1f}x  "
-        f"grid {row['grid_calls']}/{row['calls']}  exact={row['exact']}"
+        f"grid {row['grid_calls']}/{row['calls']}  "
+        f"fallbacks {row['gather_fallbacks']}  exact={row['exact']}"
     )
 
 

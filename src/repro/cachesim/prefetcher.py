@@ -12,7 +12,7 @@ accessed with the layout's row stride) and issues ``degree`` fills ahead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.cachesim.cache import Cache
 

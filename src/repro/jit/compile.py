@@ -59,6 +59,26 @@ caller passes any streak and gets the same rounds, laid out the same
 way, computed on the spot: calls that store to the same block run in
 streak order, one round each (see :meth:`_CompiledBound.batch`).
 
+The paper's microkernel reads each operand at a base pointer plus fixed
+strides, and replay hands it only the base offsets (sections II-D and
+II-H); this tier moves its operands the same way.  Every gather and
+store of a plan node (an :class:`_Operand`) reads or writes a node part
+of offsets, fixed when the plan is built, plus a tensor's base offsets,
+fixed per scheduled group and per block of it.  When both parts form a
+lattice -- along each axis, a product of ``(length, stride)`` runs
+(:func:`_lattice`, checked element by element against the offsets it
+replaces) -- the operand is one strided numpy view of the flat buffer: a
+gather is one strided float32 -> float64 copy, a store one strided
+assignment with the fancy index's cast, so the same values reach the
+same addresses.  The node part is factored when the plan is built, the
+base part once per group and block, kept in the group's ``memo``
+(:meth:`_CompiledBound.run_round`), so stream replay only looks the
+views up.  A store takes a view only when its addresses are pairwise
+distinct.  Offsets that form no lattice, a buffer that is not flat and
+C-contiguous, and direct ``batch``/``__call__`` callers take the fancy
+index, counted in ``jit.gather_fallbacks``; the analysis is timed in
+``jit.lattice_seconds``.
+
 Prefetch µops are no-ops in this tier.  When a ``MemTrace``/cache-simulator
 observer is attached, :meth:`CompiledKernel.bind` silently returns an
 interpreter-backed closure instead so traces stay exact.
@@ -71,6 +91,7 @@ fall back to the interpreter.
 from __future__ import annotations
 
 import ctypes
+import operator
 import time
 from typing import Callable, Optional, Sequence
 
@@ -632,6 +653,225 @@ def _grid_base(base) -> np.ndarray:
     return base.reshape(g, 1, h, 1)
 
 
+def _shaped(bases) -> tuple[dict, tuple[int, int]]:
+    """``bases`` shaped for the layout (:func:`_grid_base`), and the
+    ``(G, H)`` grid they span."""
+    shaped = {t: _grid_base(b) for t, b in bases.items()}
+    g, _, h, _ = np.broadcast_shapes(
+        _NO_BASE.shape, *(b.shape for b in shaped.values())
+    )
+    return shaped, (g, h)
+
+
+# ----------------------------------------------------------------------
+# strided views: offsets that form a lattice
+# ----------------------------------------------------------------------
+def _runs(line: list) -> Optional[list]:
+    """A guess at the ``(length, stride)`` runs, innermost first, whose
+    mixed-radix lattice from ``line[0]`` lists ``line`` in order, or
+    ``None`` when the guess does not tile it.
+
+    Greedy from the inside: a run is as long as the arithmetic
+    progression it starts on the lattice points found so far (a run
+    whose stride is the span of the runs inside it merges with them).
+    Only the points that start each run are read; :func:`_lattice`
+    checks every element."""
+    n, origin = len(line), line[0]
+    runs = []
+    size = 1
+    while size < n:
+        step = line[size] - origin
+        length = 2
+        while (length * size < n
+               and line[length * size] - origin == length * step):
+            length += 1
+        if n % (length * size):
+            return None
+        runs.append((length, step))
+        size *= length
+    return runs
+
+
+def _steps(runs: list) -> list:
+    """The differences between successive points of the mixed-radix
+    lattice of ``runs`` (innermost first), each run's pattern built
+    from the one inside it."""
+    steps, span = [], 0
+    for length, step in runs:
+        steps = (steps + [step - span]) * (length - 1) + steps
+        span += (length - 1) * step
+    return steps
+
+
+#: offsets :func:`_lattice` checks in plain Python; numpy is cheaper on
+#: more
+_PYTHON_CHECK = 128
+
+
+def _lattice(idx: np.ndarray) -> Optional[tuple]:
+    """Integer offsets of any shape as ``(origin, axes)``, or ``None``
+    when they are no lattice: ``axes[d]`` holds the ``(length, stride)``
+    runs of axis ``d``, outermost first (``()`` for a unit axis), and
+    every element is ``origin`` plus its position's lattice offset along
+    each axis.
+
+    Each axis's runs are guessed from its line through the first element
+    (:func:`_runs`), and the guess stands only if the lattice it spans
+    equals ``idx`` element by element -- which also checks that the
+    axes add up -- compared through successive differences in plain
+    Python, or rebuilt with numpy when ``idx`` is large."""
+    if idx.dtype.kind not in "iu" or idx.size == 0:
+        return None
+    flat = idx.ravel().tolist() if idx.size <= _PYTHON_CHECK else None
+    corner = (0,) * idx.ndim
+    axes = []
+    stride = idx.size
+    for d, n in enumerate(idx.shape):
+        stride //= n
+        if n == 1:
+            axes.append(())
+            continue
+        runs = _runs(
+            flat[: stride * n : stride] if flat is not None
+            else idx[corner[:d] + (slice(None),) + corner[d + 1:]].tolist()
+        )
+        if runs is None:
+            return None
+        axes.append(tuple(reversed(runs)))
+    origin = int(idx[corner])
+    runs = [r for a in axes for r in a]
+    if flat is not None:
+        exact = (list(map(operator.sub, flat[1:], flat[:-1]))
+                 == _steps(runs[::-1]))
+    else:
+        grid = np.int64(origin)
+        for length, step in runs:
+            grid = np.add.outer(grid, np.arange(length, dtype=np.int64)
+                                * step)
+        exact = np.array_equal(grid.reshape(idx.shape), idx)
+    return (origin, tuple(axes)) if exact else None
+
+
+def _flat(runs, itemsize: int) -> tuple:
+    """A lattice's runs as a view's ``(shape, strides)``, in bytes, and
+    the offset (elements) its negative strides reach below its origin."""
+    if not runs:
+        return (), (), 0
+    shape, strides = zip(*runs)
+    return (shape, tuple(s * itemsize for s in strides),
+            sum((n - 1) * s for n, s in runs if s < 0))
+
+
+def _distinct(shape, strides) -> bool:
+    """Whether a view's addresses are pairwise distinct: taken by stride
+    magnitude, each stride exceeds the span of all smaller ones (so a
+    stride-0 axis never passes)."""
+    span = 0
+    for n, s in sorted(zip(shape, map(abs, strides)), key=lambda r: r[1]):
+        if s <= span:
+            return False
+        span += (n - 1) * s
+    return True
+
+
+class _Operand:
+    """The elements one plan node gathers from, or stores to, ``tensor``.
+
+    ``idx`` holds their offsets from the tensor's base, shaped so that
+    the base -- ``(G|1, 1, H|1, 1)``, aligned with ``idx``'s last four
+    axes, which are unit on the grid's rows and columns -- broadcasts
+    them into the node's layout: that sum is the fancy index.  The plan
+    that owns the operand numbers it (``slot``) and finds its offsets'
+    :func:`_lattice` once (:meth:`analyse`); a block of grid calls then
+    composes it with the base's own lattice into one strided view of
+    the tensor (:meth:`view`)."""
+
+    __slots__ = ("tensor", "idx", "store", "slot", "parts")
+
+    def __init__(self, tensor: str, idx: np.ndarray,
+                 store: bool = False) -> None:
+        self.tensor = tensor
+        self.idx = idx
+        self.store = store
+        self.slot = None
+        #: the lattice split around the grid's row and column axes, in
+        #: bytes: ``(origin, reach, layout, (shape, strides) before the
+        #: row axis, between the two, after the column axis)``
+        self.parts = None
+
+    def analyse(self, itemsize: int) -> None:
+        """Find ``parts`` for a buffer of ``itemsize``-byte elements;
+        they stay ``None`` when ``idx`` is no lattice."""
+        lattice = _lattice(self.idx)
+        if lattice is None:
+            return
+        origin, axes = lattice
+        gi = len(axes) - 4  # the layout axes the grid's rows and columns fill
+        shape, strides, reach = _flat(
+            [r for a, runs in enumerate(axes) for r in runs], itemsize)
+        # the runs of the axes before, between and after the two unit ones
+        cut = [sum(map(len, axes[:a])) for a in (gi, gi + 2)]
+        layout = self.idx.shape
+        self.parts = (
+            origin, reach,
+            (layout[:gi], layout[gi + 1:gi + 2], layout[gi + 3:]),
+            (shape[:cut[0]], strides[:cut[0]]),
+            (shape[cut[0]:cut[1]], strides[cut[0]:cut[1]]),
+            (shape[cut[1]:], strides[cut[1]:]),
+        )
+
+    def view(self, base) -> Optional[tuple]:
+        """This operand's strided view over one block, as ``(shape,
+        strides, offset, layout shape)`` in bytes, given the block's
+        :func:`_base_part` for ``tensor``; ``None`` when either part is
+        no lattice, when the view would reach below the buffer (where a
+        negative fancy index wraps around), or when it would store to an
+        address twice."""
+        if self.parts is None or base is None:
+            return None
+        origin, reach, (l0, l1, l2), (s0, t0), (s1, t1), (s2, t2) = self.parts
+        b_origin, b_reach, g, h, (gs, gt), (hs, ht), itemsize = base
+        start = origin + b_origin
+        if start + reach + b_reach < 0:
+            return None
+        shape = s0 + gs + s1 + hs + s2
+        strides = t0 + gt + t1 + ht + t2
+        if self.store and not _distinct(shape, strides):
+            return None
+        return shape, strides, start * itemsize, l0 + (g,) + l1 + (h,) + l2
+
+
+def _base_part(base: np.ndarray, itemsize: int) -> Optional[tuple]:
+    """A block's 2-D base offsets for one tensor as :meth:`_Operand.view`
+    composes them: ``(origin, reach, G, H, row (shape, strides), column
+    (shape, strides), itemsize)``; ``None`` when they are no lattice."""
+    lattice = _lattice(base)
+    if lattice is None:
+        return None
+    origin, (g_runs, h_runs) = lattice
+    gs, gt, g_reach = _flat(g_runs, itemsize)
+    hs, ht, h_reach = _flat(h_runs, itemsize)
+    g, h = base.shape
+    return origin, g_reach + h_reach, g, h, (gs, gt), (hs, ht), itemsize
+
+
+class _Block(dict):
+    """One batched evaluation of a grid round: the 2-D base offsets by
+    tensor (what :meth:`_Plan.run` takes as ``bases``), with the count of
+    calls they span and what is derived from them once -- the bases
+    shaped for the layout, the grid, and each operand's strided view
+    (``views[slot]``, ``None`` where the fancy index must take it; no
+    list at all for a block that was not analysed)."""
+
+    __slots__ = ("batch", "shaped", "grid", "views")
+
+    def __init__(self, bases, batch: int) -> None:
+        super().__init__(bases)
+        self.batch = batch
+        self.shaped, self.grid = _shaped(self)
+        self.views = None
+
+
 class _Ctx:
     """One batched evaluation of a plan over a ``(G, H)`` grid of calls.
 
@@ -644,35 +884,83 @@ class _Ctx:
     ``(G, H)`` for the stored tensor, and ``(B, 1)`` for all three in a
     column group (``H = 1``).  A tensor's operands are gathered over its
     own base's shape only, so a row's weights are gathered once, not
-    once per column."""
+    once per column.
 
-    __slots__ = ("buffers", "bases", "scale", "grid")
+    An operand moves through its strided view of the buffer when the
+    ``bases`` are an analysed :class:`_Block` that has one for it, and
+    through the fancy index otherwise; ``fallbacks`` counts the
+    latter."""
+
+    __slots__ = ("buffers", "bases", "scale", "grid", "views", "fallbacks")
 
     def __init__(self, buffers, bases, scale) -> None:
         self.buffers = buffers
-        self.bases = {t: _grid_base(b) for t, b in bases.items()}
-        g, _, h, _ = np.broadcast_shapes(
-            _NO_BASE.shape, *(b.shape for b in self.bases.values())
-        )
-        self.grid = (g, h)
         self.scale = scale
+        self.fallbacks = 0
+        if isinstance(bases, _Block):
+            self.bases, self.grid, self.views = (bases.shaped, bases.grid,
+                                                 bases.views)
+        else:
+            self.bases, self.grid = _shaped(bases)
+            self.views = None
 
     def base(self, tensor: str) -> np.ndarray:
-        """``tensor``'s base offsets shaped ``(G|1, 1, H|1, 1)``; indices
-        of shape ``(n, 1, m)`` or ``(T, 1, n, 1, m)`` broadcast against
-        it into the layout."""
+        """``tensor``'s base offsets shaped ``(G|1, 1, H|1, 1)``; an
+        operand's ``idx`` broadcasts against it into the layout."""
         return self.bases.get(tensor, _NO_BASE)
+
+    def _view(self, op: _Operand):
+        """``op``'s strided view of its buffer and its layout shape, or
+        ``None`` -- counted -- when the fancy index must take it: no
+        view for this block, a buffer that is not flat and C-contiguous,
+        or one too short for the view."""
+        spec = None if self.views is None else self.views[op.slot]
+        if spec is not None:
+            buf = self.buffers[op.tensor]
+            shape, strides, offset, layout = spec
+            if buf.ndim == 1:
+                try:
+                    return (np.ndarray(shape, buf.dtype, buf, offset,
+                                       strides), layout)
+                except ValueError:
+                    pass
+        self.fallbacks += 1
+        return None
+
+    def gather(self, op: _Operand) -> np.ndarray:
+        """``op``'s elements widened to float64 in its node's layout: a
+        new C-contiguous array, which the caller may overwrite."""
+        got = self._view(op)
+        if got is not None:
+            view, layout = got
+            return view.astype(np.float64, order="C").reshape(layout)
+        return _f64(self.buffers[op.tensor][op.idx + self.base(op.tensor)])
+
+    def scatter(self, op: _Operand, val: np.ndarray) -> None:
+        """Store ``val`` (the layout, or broadcasting to it) to ``op``'s
+        elements, cast to the buffer's dtype."""
+        got = self._view(op)
+        if got is not None:
+            view, layout = got
+            if val.shape != layout:
+                val = np.broadcast_to(val, layout)
+            view[...] = val.reshape(view.shape)
+            return
+        buf = self.buffers[op.tensor]
+        buf[op.idx + self.base(op.tensor)] = val
 
 
 def _f64(a: np.ndarray) -> np.ndarray:
     return a.astype(np.float64) if a.dtype != np.float64 else a
 
 
-def _lanes(offs: np.ndarray, n: int) -> np.ndarray:
-    """Element offsets of ``n``-wide vectors at ``offs`` (one per member),
-    shaped ``(n, 1, m)`` and contiguous, so gathers come out in the
-    ``(G, n, H, m)`` layout in C order."""
-    return np.ascontiguousarray((offs[:, None] + np.arange(n)).T[:, None])
+def _lanes(offs: np.ndarray, n: int, step: int = 1) -> np.ndarray:
+    """Element offsets of ``n`` lanes ``step`` apart at ``offs`` (one
+    per member), shaped ``(1, n, 1, m)`` and contiguous, so gathers come
+    out in the ``(G, n, H, m)`` layout in C order."""
+    return np.ascontiguousarray(
+        (offs[None, :] + step * np.arange(n)[:, None])[None, :, None]
+    )
 
 
 class _EZero:
@@ -688,34 +976,18 @@ class _EZero:
 
 
 class _EGather:
-    """Vector load: ``buf[base + off : base + off + n]`` per member."""
+    """Vector load ``buf[base + off : base + off + n]`` per member; with
+    ``step`` 0, the scalar ``buf[base + off]`` broadcast across the
+    ``n`` lanes."""
 
-    __slots__ = ("tensor", "lanes")
+    __slots__ = ("op",)
 
-    def __init__(self, tensor: str, offs: np.ndarray, n: int) -> None:
-        self.tensor = tensor
-        self.lanes = _lanes(offs, n)
-
-    def eval(self, ctx: _Ctx) -> np.ndarray:
-        buf = ctx.buffers[self.tensor]
-        return _f64(buf[self.lanes + ctx.base(self.tensor)])
-
-
-class _EBcastS:
-    """Scalar broadcast ``buf[base + off]`` materialized across the ``n``
-    lanes, per member."""
-
-    __slots__ = ("tensor", "offs", "n")
-
-    def __init__(self, tensor: str, offs: np.ndarray, n: int) -> None:
-        self.tensor = tensor
-        self.offs = offs  # (m,)
-        self.n = n
+    def __init__(self, tensor: str, offs: np.ndarray, n: int,
+                 step: int = 1) -> None:
+        self.op = _Operand(tensor, _lanes(offs, n, step))
 
     def eval(self, ctx: _Ctx) -> np.ndarray:
-        buf = ctx.buffers[self.tensor]
-        v = _f64(buf[self.offs + ctx.base(self.tensor)])  # (G, 1, H, m)
-        return np.repeat(v, self.n, axis=1)
+        return ctx.gather(self.op)
 
 
 class _ECast:
@@ -772,35 +1044,34 @@ class _EBin:
 
 class _Run:
     """A maximal run of chain terms sharing (kind, weight tensor, scalar
-    tensor).  ``widx`` is ``(T, 1, wn, 1, m)``, or ``(T, 1, wn, 1, 1)``
-    when every member of the store group reads the same weight vector at
-    each term -- then the vector is gathered once per term, not once per
-    member.  ``sidx`` is ``(T, 1, pair, 1, m)``.  The unit axes take the
-    grid's rows and columns from the tensors' bases, so the weight
-    vectors of a grid row are gathered ``(T, G, wn, 1, 1)`` and the
-    scalars of an input column ``(T, 1, pair, H, m)``: the run is then a
-    product of a ``(G*n) x T`` and a ``T x (H*m)`` matrix added to the
-    accumulator, which a subclass's ``fast`` may hand to one call per
-    window (:func:`_fold_blas`, ``np.matmul``)."""
+    tensor).  Its weight operand ``w`` has offsets ``(T, 1, wn, 1, m)``,
+    or ``(T, 1, wn, 1, 1)`` when every member of the store group reads
+    the same weight vector at each term -- then the vector is gathered
+    once per term, not once per member.  Its scalar operand ``s`` has
+    ``(T, 1, pair, 1, m)``.  The unit axes take the grid's rows and
+    columns from the tensors' bases, so the weight vectors of a grid row
+    are gathered ``(T, G, wn, 1, 1)`` and the scalars of an input column
+    ``(T, 1, pair, H, m)``: the run is then a product of a ``(G*n) x T``
+    and a ``T x (H*m)`` matrix added to the accumulator, which a
+    subclass's ``fast`` may hand to one call per window
+    (:func:`_fold_blas`, ``np.matmul``)."""
 
-    __slots__ = ("T", "wtensor", "widx", "stensor", "sidx")
+    __slots__ = ("T", "w", "s")
     pair = 1  # scalar operands per term
 
     def __init__(self, wtensor, woffs, wn, stensor, soffs) -> None:
         self.T = woffs.shape[0]
         if (woffs == woffs[:, :1]).all():
             woffs = woffs[:, :1]
-        self.wtensor = wtensor
-        self.widx = (woffs[:, None, None, None, :]
-                     + np.arange(wn)[:, None, None])
-        self.stensor = stensor
-        self.sidx = (soffs[:, None, None, None, :]
-                     + np.arange(self.pair)[:, None, None])
+        self.w = _Operand(wtensor, woffs[:, None, None, None, :]
+                          + np.arange(wn)[:, None, None])
+        self.s = _Operand(stensor, soffs[:, None, None, None, :]
+                          + np.arange(self.pair)[:, None, None])
 
     @property
     def elements(self) -> int:
         """float64 operands one call gathers for this run."""
-        return self.widx.size + self.sidx.size
+        return self.w.idx.size + self.s.idx.size
 
     def fold(self, acc: np.ndarray, ctx: _Ctx, fresh: bool,
              integer: bool) -> None:
@@ -816,12 +1087,11 @@ class _Run:
         with one multiply (the per-term multiply of a small batch costs
         more in numpy call overhead than in arithmetic), then adds them
         one term at a time."""
-        wb = ctx.buffers[self.wtensor]
-        sb = ctx.buffers[self.stensor]
-        w = _f64(wb[self.widx + ctx.base(self.wtensor)])
-        s = _f64(sb[self.sidx + ctx.base(self.stensor)])
-        t = self.fast(w, s, acc, fresh, integer,
-                      wb.dtype == sb.dtype == np.float32)
+        f32 = (ctx.buffers[self.w.tensor].dtype
+               == ctx.buffers[self.s.tensor].dtype == np.float32)
+        w = ctx.gather(self.w)
+        s = ctx.gather(self.s)
+        t = self.fast(w, s, acc, fresh, integer, f32)
         if t == self.T:
             return
         k = max(1, min(self.T - t, _PRODUCT_BLOCK // acc.size))
@@ -911,37 +1181,54 @@ class _EAcc:
 class _EStore:
     """Scatter a store group's ``(G, n, H, m)`` values."""
 
-    __slots__ = ("tensor", "lanes", "node")
+    __slots__ = ("op", "node")
 
     def __init__(self, tensor: str, offs: np.ndarray, n: int, node) -> None:
-        self.tensor = tensor
-        self.lanes = _lanes(offs, n)
+        self.op = _Operand(tensor, _lanes(offs, n), store=True)
         self.node = node
 
     @property
     def idx(self) -> np.ndarray:
         """The ``(m, n)`` element offsets the members store, one row
         each."""
-        return self.lanes[:, 0].T
+        return self.op.idx[0, :, 0].T
 
     def execute(self, ctx: _Ctx) -> None:
-        val = self.node.eval(ctx)
-        buf = ctx.buffers[self.tensor]
-        buf[self.lanes + ctx.base(self.tensor)] = val
+        ctx.scatter(self.op, self.node.eval(ctx))
 
 
 class _Plan:
-    """Dtype-resolved evaluation plan: ordered store groups."""
+    """Dtype-resolved evaluation plan: ordered store groups, and every
+    operand their nodes gather or store, numbered, with its lattice."""
 
-    __slots__ = ("stores", "store_tensors", "batch_cap")
+    __slots__ = ("stores", "store_tensors", "batch_cap", "operands",
+                 "itemsize")
 
-    def __init__(self, stores: list, store_tensors: set, est: int) -> None:
+    def __init__(self, stores: list, store_tensors: set, est: int,
+                 operands: list, itemsize: dict) -> None:
         self.stores = stores
         self.store_tensors = store_tensors
         # calls per batched evaluation: ``est`` is one call's float64
         # working set (stored values plus every chain's accumulator and
         # gathered operands, nested chains included)
         self.batch_cap = max(1, _BATCH_BUDGET // max(1, est))
+        self.operands = operands
+        self.itemsize = itemsize
+        t0 = time.perf_counter()
+        for slot, op in enumerate(operands):
+            op.slot = slot
+            op.analyse(itemsize[op.tensor])
+        get_metrics().inc("jit.lattice_seconds", time.perf_counter() - t0)
+
+    def views(self, bases: dict) -> list:
+        """Every operand's strided view (:meth:`_Operand.view`) over a
+        block of calls whose offset arguments' tensors sit at ``bases``
+        (2-D arrays); a tensor no argument moves sits at 0."""
+        parts = {
+            t: _base_part(bases.get(t, _NO_BASE[0, 0]), itemsize)
+            for t, itemsize in self.itemsize.items()
+        }
+        return [op.view(parts[op.tensor]) for op in self.operands]
 
     def run(self, buffers, bases, scale, batch) -> None:
         """Evaluate ``batch`` calls at once: a ``(G, H)`` grid, ``G * H ==
@@ -949,11 +1236,15 @@ class _Plan:
         ctx = _Ctx(buffers, bases, scale)
         for st in self.stores:
             st.execute(ctx)
+        if ctx.fallbacks:
+            get_metrics().inc("jit.gather_fallbacks", ctx.fallbacks)
 
 
-def _build_plan(final_stores, vlen: int, widths: dict) -> _Plan:
+def _build_plan(final_stores, vlen: int, dtypes: dict) -> _Plan:
     """Group isomorphic stores and lower each group to eval nodes."""
     est = 0
+    operands: list[_Operand] = []
+    widths = {t: 2 if dt == np.int16 else 1 for t, dt in dtypes.items()}
 
     def width(tensor: str) -> int:
         return widths[tensor] * vlen
@@ -965,10 +1256,14 @@ def _build_plan(final_stores, vlen: int, widths: dict) -> _Plan:
             return _EZero(m, vlen)
         if isinstance(rep, _SLoad):
             offs = np.array([node.off for node in members], dtype=np.int64)
-            return _EGather(rep.tensor, offs, width(rep.tensor))
+            node = _EGather(rep.tensor, offs, width(rep.tensor))
+            operands.append(node.op)
+            return node
         if isinstance(rep, _SBcast):
             offs = np.array([node.off for node in members], dtype=np.int64)
-            return _EBcastS(rep.tensor, offs, vlen)
+            node = _EGather(rep.tensor, offs, vlen, step=0)
+            operands.append(node.op)
+            return node
         if isinstance(rep, _SPair):
             raise CompileUnsupported(
                 "pair-broadcast register escapes its VNNI consumer"
@@ -1031,6 +1326,7 @@ def _build_plan(final_stores, vlen: int, widths: dict) -> _Plan:
                             "FMA weight vector width != accumulator width"
                         )
                     runs.append(_RunFma(wt, woffs, width(wt), st, soffs))
+                operands.extend((runs[-1].w, runs[-1].s))
                 t0 = t1
             integer = isinstance(init, _EZero) and all(
                 isinstance(r, _RunVnni) for r in runs
@@ -1060,7 +1356,9 @@ def _build_plan(final_stores, vlen: int, widths: dict) -> _Plan:
         node = build(entries[0][1], [n for _, n in entries])
         est += len(entries) * vlen
         stores.append(_EStore(tensor, offs, vlen, node))
-    return _Plan(stores, store_tensors, est)
+        operands.append(stores[-1].op)
+    itemsize = {t: dt.itemsize for t, dt in dtypes.items()}
+    return _Plan(stores, store_tensors, est, operands, itemsize)
 
 
 def _grid_shape(arrs) -> tuple[int, int]:
@@ -1082,14 +1380,13 @@ class _CompiledBound:
 
     tier = "compiled"
 
-    __slots__ = ("plan", "buffers", "args", "scale", "extra", "store_arg")
+    __slots__ = ("plan", "buffers", "args", "scale", "store_arg")
 
-    def __init__(self, plan, buffers, args, scale, extra) -> None:
+    def __init__(self, plan, buffers, args, scale) -> None:
         self.plan = plan
         self.buffers = buffers
         self.args = args
         self.scale = scale
-        self.extra = extra
         #: index of the offset argument that selects the block a call
         #: stores to; ``None`` when no single argument selects every store
         stores = plan.store_tensors
@@ -1099,17 +1396,11 @@ class _CompiledBound:
             else None
         )
 
-    def _run(self, i_off, w_off, o_off, batch: int) -> None:
-        bases = dict(self.extra) if self.extra else {}
-        bases[self.args[0]] = i_off
-        bases[self.args[1]] = w_off
-        bases[self.args[2]] = o_off
-        self.plan.run(self.buffers, bases, self.scale, batch)
-
     def __call__(self, i_off, w_off, o_off, pi=0, pw=0, po=0) -> None:
-        self._run(i_off, w_off, o_off, 1)
+        bases = dict(zip(self.args, (i_off, w_off, o_off)))
+        self.plan.run(self.buffers, bases, self.scale, 1)
 
-    def run_round(self, i_arr, w_arr, o_arr) -> None:
+    def run_round(self, i_arr, w_arr, o_arr, memo=None) -> None:
         """Run one dependency round -- calls that store to pairwise
         distinct blocks -- given as 2-D offset arrays that broadcast to
         one ``(G, H)`` grid of calls.
@@ -1122,13 +1413,34 @@ class _CompiledBound:
         grid is cut into blocks of up to ``batch_cap`` columns and as
         many rows as the cap leaves.  Raises :class:`ShapeError` when the
         arrays are not 2-D or do not broadcast together.
+
+        ``memo`` is a dict that belongs to these offsets (a schedule
+        group's): the first call keeps there the blocks and every
+        operand's strided view of each (:meth:`_Plan.views`), and later
+        calls with the same plan only look them up.  Without one, the
+        blocks are cut on the spot and every operand takes the fancy
+        index.
         """
-        arrs = [np.asarray(a) for a in (i_arr, w_arr, o_arr)]
+        plan = self.plan
+        key = (plan.batch_cap, self.args)
+        got = None if memo is None else memo.get(plan)
+        if got is None or got[0] != key:
+            got = (key, self._blocks((i_arr, w_arr, o_arr), memo is not None))
+            if memo is not None:
+                memo[plan] = got
+        for block in got[1]:
+            plan.run(self.buffers, block, self.scale, block.batch)
+
+    def _blocks(self, arrs, analyse: bool) -> list:
+        """The :class:`_Block` s :meth:`run_round` evaluates, with their
+        views when ``analyse`` (timed in ``jit.lattice_seconds``)."""
+        arrs = [np.asarray(a) for a in arrs]
         rows, cols = _grid_shape(arrs)
         cap = self.plan.batch_cap
         h = max(1, min(cols, cap))
         g = max(1, min(rows, cap // h))
         whole = slice(None)  # a broadcast axis spans every block
+        blocks = []
         for r in range(0, rows, g):
             rs = slice(r, r + g)
             for c in range(0, cols, h):
@@ -1138,7 +1450,15 @@ class _CompiledBound:
                       cs if a.shape[1] > 1 else whole]
                     for a in arrs
                 ]
-                self._run(*part, min(g, rows - r) * min(h, cols - c))
+                blocks.append(_Block(zip(self.args, part),
+                                     min(g, rows - r) * min(h, cols - c)))
+        if analyse:
+            t0 = time.perf_counter()
+            for block in blocks:
+                block.views = self.plan.views(block)
+            get_metrics().inc("jit.lattice_seconds",
+                              time.perf_counter() - t0)
+        return blocks
 
     def batch(self, i_arr, w_arr, o_arr) -> None:
         """Run any streak of calls at once, bitwise equal to calling them
@@ -1181,32 +1501,26 @@ class _InterpretBound:
 
     tier = "interpret"
 
-    __slots__ = ("program", "buffers", "args", "scale", "trace", "touch",
-                 "extra")
+    __slots__ = ("program", "buffers", "args", "scale", "trace", "touch")
 
-    def __init__(self, program, buffers, args, scale, trace, touch,
-                 extra) -> None:
+    def __init__(self, program, buffers, args, scale, trace, touch) -> None:
         self.program = program
         self.buffers = buffers
         self.args = args
         self.scale = scale
         self.trace = trace
         self.touch = touch
-        self.extra = extra
 
     def __call__(self, i_off, w_off, o_off, pi=0, pw=0, po=0) -> None:
         a0, a1, a2 = self.args
-        bases = dict(self.extra) if self.extra else {}
-        bases.update(
-            {
-                a0: i_off,
-                a1: w_off,
-                a2: o_off,
-                a0 + "_pf": pi,
-                a1 + "_pf": pw,
-                a2 + "_pf": po,
-            }
-        )
+        bases = {
+            a0: i_off,
+            a1: w_off,
+            a2: o_off,
+            a0 + "_pf": pi,
+            a1 + "_pf": pw,
+            a2 + "_pf": po,
+        }
         execute_kernel(
             self.program,
             self.buffers,
@@ -1221,8 +1535,9 @@ class CompiledKernel:
     """A µop program translated into batched-numpy form.
 
     The symbolic pass runs once at construction; dtype-dependent evaluation
-    plans (int16 loads fill a double-width register) are built lazily per
-    buffer-dtype signature and cached.
+    plans (int16 loads fill a double-width register, and a strided view
+    counts its strides in bytes) are built lazily per buffer-dtype
+    signature and cached.
     """
 
     tier = "compiled"
@@ -1239,20 +1554,22 @@ class CompiledKernel:
         return list(self._order)
 
     def _plan_for(self, buffers) -> _Plan:
-        widths = {}
+        dtypes = {}
         for t in self._order:
             try:
-                buf = buffers[t]
+                dtypes[t] = buffers[t].dtype
             except KeyError:
                 raise ReproError(
                     f"kernel references unbound tensor {t!r}"
                 ) from None
-            widths[t] = 2 if buf.dtype == np.int16 else 1
-        key = tuple(widths[t] for t in self._order)
+        key = tuple(dtypes.values())
         plan = self._plans.get(key)
         if plan is None:
-            plan = _build_plan(self._stores, self.program.vlen, widths)
-            self._plans[key] = plan
+            # the first plan stored wins, so every bind of one signature
+            # shares one plan (and so its schedule-group memo entries)
+            plan = self._plans.setdefault(
+                key, _build_plan(self._stores, self.program.vlen, dtypes)
+            )
         return plan
 
     def bind(
@@ -1262,7 +1579,6 @@ class CompiledKernel:
         scale: float = 1.0,
         trace=None,
         touch: Optional[Callable] = None,
-        extra_bases: Optional[dict] = None,
     ):
         """Specialize to concrete buffers; returns a replay-callable closure
         ``fn(i_off, w_off, o_off, pi, pw, po)`` with a ``.batch`` method.
@@ -1276,10 +1592,10 @@ class CompiledKernel:
         args = tuple(args)
         if trace is not None or touch is not None:
             return _InterpretBound(
-                self.program, buffers, args, scale, trace, touch, extra_bases
+                self.program, buffers, args, scale, trace, touch
             )
         plan = self._plan_for(buffers)
-        return _CompiledBound(plan, buffers, args, scale, extra_bases)
+        return _CompiledBound(plan, buffers, args, scale)
 
     def __call__(
         self,

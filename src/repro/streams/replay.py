@@ -27,7 +27,10 @@ When every kernel of the table can run a round at once -- the compiled
 execution tier's binds (:mod:`repro.jit.compile`), which name the offset
 argument they store through as ``store_arg`` -- each group is one batched
 ``run_round`` dispatch, across variants (a ``c_b``-outer streak alternates
-its zero-init and accumulate variants).  Groups run in order, so each
+its zero-init and accumulate variants).  The dispatch hands the kernel
+the group's ``memo`` too, where a compiled kernel keeps the strided
+operand views it finds once for the group's offsets, so replay itself
+hashes no offsets and builds no index arrays.  Groups run in order, so each
 block's read-modify-write chain keeps its recorded order; the calls of a
 group store to distinct blocks and read the stored tensor only inside
 their own, so neither batching nor the grid's row-major order changes a
@@ -94,8 +97,9 @@ def _replay(
             continue
         # CONV-STREAK: Algorithm 5's inner loop
         if schedule is not None:
-            for variant, i, w, o in schedule[seg.start]:
-                kernels[variant].run_round(i, w, o)
+            for group in schedule[seg.start]:
+                variant, i, w, o = group
+                kernels[variant].run_round(i, w, o, group.memo)
         else:
             for t in range(seg.start, seg.start + seg.info):
                 # prefetch args = next conv call's offsets (APPLYs skip)

@@ -8,6 +8,7 @@ round-trip losslessly through ``.npz``.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import zipfile
 import zlib
@@ -54,25 +55,48 @@ def save_streams(path_or_file, streams: list[FrozenStream], meta: dict | None = 
     np.savez_compressed(path_or_file, **payload)
 
 
+@contextlib.contextmanager
+def _unusable_is_stale(what: str):
+    """Raise :class:`StaleArtifactError` for every way a stream artifact
+    can fail to load inside the block -- an empty, truncated or garbled
+    file, missing metadata or arrays -- and let a missing path stay
+    :class:`FileNotFoundError` (a caller error, not a stale artifact)."""
+    try:
+        yield
+    except (FileNotFoundError, StaleArtifactError):
+        raise
+    except (zipfile.BadZipFile, zlib.error, ValueError, EOFError, OSError,
+            KeyError, UnicodeDecodeError) as err:
+        raise StaleArtifactError(f"unreadable {what}: {err}") from err
+
+
+def _read_meta(z, what: str) -> dict:
+    """The ``__meta__`` document of an opened artifact."""
+    try:
+        return json.loads(bytes(z["__meta__"]).decode())
+    except (KeyError, UnicodeDecodeError, json.JSONDecodeError) as err:
+        raise StaleArtifactError(
+            f"not a {what} (bad __meta__): {err}"
+        ) from err
+
+
 def load_streams(path_or_file) -> tuple[list[FrozenStream], dict]:
-    """Load streams saved by :func:`save_streams`; returns (streams, meta)."""
-    with np.load(path_or_file) as z:
-        meta = json.loads(bytes(z["__meta__"]).decode())
+    """Load streams saved by :func:`save_streams`; returns (streams, meta).
+
+    An unusable file -- unreadable, truncated, garbled, without its
+    metadata or arrays, or of another format version -- raises
+    :class:`StaleArtifactError`, as :func:`load_stream_bundle` does; a
+    missing path raises :class:`FileNotFoundError`."""
+    with _unusable_is_stale("stream file"), np.load(path_or_file) as z:
+        meta = _read_meta(z, "stream file")
         if meta.get("version") != _FORMAT_VERSION:
-            raise ReproError(
+            raise StaleArtifactError(
                 f"unsupported stream file version {meta.get('version')}"
             )
-        streams = []
-        for i in range(meta["threads"]):
-            streams.append(
-                FrozenStream(
-                    kinds=z[f"kinds_{i}"],
-                    i_off=z[f"i_off_{i}"],
-                    w_off=z[f"w_off_{i}"],
-                    o_off=z[f"o_off_{i}"],
-                    apply_op=z[f"apply_op_{i}"],
-                )
-            )
+        streams = [
+            FrozenStream(**{field: z[f"{field}_{i}"] for field in _FIELDS})
+            for i in range(meta["threads"])
+        ]
     return streams, meta
 
 
@@ -121,58 +145,44 @@ def load_stream_bundle(path_or_file) -> tuple[dict[str, list[FrozenStream]], dic
     :class:`StaleArtifactError`, so callers can fall back to a cold
     dryrun with one ``except`` clause.
     """
-    try:
-        with np.load(path_or_file) as z:
+    with _unusable_is_stale("stream bundle"), np.load(path_or_file) as z:
+        meta = _read_meta(z, "stream bundle")
+        if meta.get("bundle_version") != _BUNDLE_VERSION:
+            raise StaleArtifactError(
+                f"unsupported stream bundle version "
+                f"{meta.get('bundle_version')}"
+            )
+        bundle: dict[str, list[FrozenStream]] = {}
+        try:
+            items = list(meta["entries"].items())
+        except (KeyError, AttributeError) as err:
+            raise StaleArtifactError(
+                f"stream bundle metadata lacks entries: {err}"
+            ) from err
+        for name, entry in items:
             try:
-                meta = json.loads(bytes(z["__meta__"]).decode())
-            except (KeyError, UnicodeDecodeError,
-                    json.JSONDecodeError) as err:
-                raise StaleArtifactError(
-                    f"not a stream bundle (bad __meta__): {err}"
-                ) from err
-            if meta.get("bundle_version") != _BUNDLE_VERSION:
-                raise StaleArtifactError(
-                    f"unsupported stream bundle version "
-                    f"{meta.get('bundle_version')}"
-                )
-            bundle: dict[str, list[FrozenStream]] = {}
-            try:
-                items = list(meta["entries"].items())
-            except (KeyError, AttributeError) as err:
-                raise StaleArtifactError(
-                    f"stream bundle metadata lacks entries: {err}"
-                ) from err
-            for name, entry in items:
-                try:
-                    streams = [
-                        FrozenStream(
-                            **{
-                                field: z[f"{name}::{field}_{i}"]
-                                for field in _FIELDS
-                            }
-                        )
-                        for i in range(entry["threads"])
-                    ]
-                except KeyError as err:
-                    raise StaleArtifactError(
-                        f"stream bundle entry {name!r} is incomplete: "
-                        f"missing array {err}"
-                    ) from err
-                digest = streams_digest(streams)
-                if digest != entry["digest"]:
-                    raise StaleArtifactError(
-                        f"stream bundle entry {name!r} digest mismatch "
-                        f"({digest} != {entry['digest']}); artifact is "
-                        f"stale or corrupted"
+                streams = [
+                    FrozenStream(
+                        **{
+                            field: z[f"{name}::{field}_{i}"]
+                            for field in _FIELDS
+                        }
                     )
-                bundle[name] = streams
-    except FileNotFoundError:
-        raise  # a missing artifact is a caller error, not a stale one
-    except (zipfile.BadZipFile, zlib.error, ValueError, EOFError,
-            OSError) as err:
-        raise StaleArtifactError(
-            f"unreadable stream bundle: {err}"
-        ) from err
+                    for i in range(entry["threads"])
+                ]
+            except KeyError as err:
+                raise StaleArtifactError(
+                    f"stream bundle entry {name!r} is incomplete: "
+                    f"missing array {err}"
+                ) from err
+            digest = streams_digest(streams)
+            if digest != entry["digest"]:
+                raise StaleArtifactError(
+                    f"stream bundle entry {name!r} digest mismatch "
+                    f"({digest} != {entry['digest']}); artifact is "
+                    f"stale or corrupted"
+                )
+            bundle[name] = streams
     return bundle, meta
 
 

@@ -16,7 +16,8 @@ import numpy as np
 from repro.types import ReproError
 
 __all__ = [
-    "KernelStream", "CONV_CALL", "APPLY_CALL", "store_rounds", "round_grid",
+    "KernelStream", "CONV_CALL", "APPLY_CALL", "ScheduleGroup",
+    "store_rounds", "round_grid",
 ]
 
 #: sentinel kernel ids; real conv variants are numbered 0..N-1
@@ -145,6 +146,21 @@ def round_grid(i_off, w_off, o_off, store_arg) -> tuple:
     return tuple(a[:, None] for a in arrs)
 
 
+class ScheduleGroup(tuple):
+    """One group of a replay schedule, ``(variant, i_off, w_off,
+    o_off)``, with ``memo``: a dict in which the kernels that run the
+    group keep what they derive once from its fixed offsets (the
+    compiled tier: its blocks and their strided operand views, see
+    :meth:`repro.jit.compile._CompiledBound.run_round`).  Filling it is
+    deterministic and idempotent, so threads replaying one stream may
+    share it."""
+
+    def __new__(cls, group: tuple) -> "ScheduleGroup":
+        self = super().__new__(cls, group)
+        self.memo = {}
+        return self
+
+
 @dataclass(frozen=True)
 class FrozenStream:
     """Immutable, array-backed form used by replay.
@@ -220,13 +236,13 @@ class FrozenStream:
         2 ``o_off``) that selects the block each call stores to.  A
         call's round is the number of earlier calls in its streak that
         store to the same block (:func:`store_rounds`).  A streak's
-        groups are ``(variant, i_off, w_off, o_off)``, one per (round,
-        variant), rounds in order.  Each group is laid out by
-        :func:`round_grid`: a weight-block x input-row grid when its
-        calls are that cross product, else ``(B, 1)`` columns in streak
-        order.  Running the groups in order keeps every block's
-        read-modify-write chain in recorded order, and the calls of one
-        group store to pairwise distinct blocks.
+        groups are :class:`ScheduleGroup` s ``(variant, i_off, w_off,
+        o_off)``, one per (round, variant), rounds in order.  Each group
+        is laid out by :func:`round_grid`: a weight-block x input-row
+        grid when its calls are that cross product, else ``(B, 1)``
+        columns in streak order.  Running the groups in order keeps
+        every block's read-modify-write chain in recorded order, and the
+        calls of one group store to pairwise distinct blocks.
         """
         cache = self.__dict__.get("_schedules")
         if cache is None:
@@ -254,8 +270,8 @@ class FrozenStream:
             (np.diff(rounds[order]) != 0) | (np.diff(kinds[order]) != 0)
         )
         return tuple(
-            (int(self.kinds[idx[0]]),)
-            + round_grid(*(a[idx] for a in offs), store_arg)
+            ScheduleGroup((int(self.kinds[idx[0]]),)
+                          + round_grid(*(a[idx] for a in offs), store_arg))
             for idx in np.split(order + lo, cut + 1)
         )
 

@@ -31,7 +31,6 @@ import numpy as np
 
 from repro.arch.machine import MachineConfig
 from repro.cachesim.hierarchy import CacheHierarchy, LevelTraffic
-from repro.conv.blocking import BlockingPlan
 from repro.conv.params import ConvParams
 from repro.jit.codegen import ConvKernelDesc, generate_conv_kernel
 from repro.jit.interpreter import execute_kernel

@@ -90,22 +90,51 @@ def fold_path_available(path: str) -> bool:
     return path == "numpy" or jit_compile._dger is not None
 
 
+@contextlib.contextmanager
+def forced_gather_path(path: str):
+    """Move the compiled tier's operands inside the block through their
+    strided views (``"strided"``, the default, where a block has one) or
+    through the fancy index only (``"fancy"``), and yield a dict counting
+    the operands each way.  A forced ``strided`` block fails unless it
+    moved something through a view."""
+    view = jit_compile._Ctx._view
+    counts = {"strided": 0, "fancy": 0}
+
+    def counting(ctx, op):
+        if path == "fancy":
+            ctx.views = None
+        got = view(ctx, op)
+        counts["fancy" if got is None else "strided"] += 1
+        return got
+
+    jit_compile._Ctx._view = counting
+    try:
+        yield counts
+    finally:
+        jit_compile._Ctx._view = view
+    assert path == "fancy" or counts["strided"], (
+        "no operand moved through a strided view"
+    )
+
+
 def on_every_fold_path(test):
     """Run a test once per fold path of the compiled tier's fp32 chains,
     ``dgemm``, ``dger`` then ``numpy`` (see :func:`forced_fold_path`; a
-    BLAS path numpy does not export is left out).  The test keeps its
-    id."""
+    BLAS path numpy does not export is left out), then once more with
+    every operand on the fancy index (:func:`forced_gather_path`).  The
+    test keeps its id."""
 
     @functools.wraps(test)
     def run(*args, **kwargs):
-        for path in FOLD_PATHS:
-            if not fold_path_available(path):
-                continue
-            with forced_fold_path(path):
+        paths = [(p, forced_fold_path(p)) for p in FOLD_PATHS
+                 if fold_path_available(p)]
+        paths.append(("fancy gather", forced_gather_path("fancy")))
+        for name, forced in paths:
+            with forced:
                 try:
                     test(*args, **kwargs)
                 except AssertionError as e:
-                    raise AssertionError(f"{path} fold path: {e}") from e
+                    raise AssertionError(f"{name} path: {e}") from e
 
     return run
 

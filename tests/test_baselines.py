@@ -1,6 +1,5 @@
 """Baselines: functional equivalence and the Fig. 4 ordering."""
 
-import numpy as np
 import pytest
 
 from repro.arch.machine import SKX

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.arch.machine import MachineConfig, SKX
+from repro.arch.machine import MachineConfig
 from repro.cachesim.cache import Cache
 from repro.cachesim.hierarchy import CacheHierarchy
 from repro.jit.codegen import ConvKernelDesc, generate_conv_kernel

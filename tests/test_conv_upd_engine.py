@@ -1,6 +1,5 @@
 """DirectConvUpd: Algorithm 9 + section II-J strategies."""
 
-import numpy as np
 import pytest
 
 from repro.arch.machine import KNM, SKX

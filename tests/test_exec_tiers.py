@@ -8,6 +8,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.arch.isa import KernelProgram, Op, Uop
 from repro.arch.machine import KNM, SKX
@@ -18,6 +20,9 @@ from repro.conv.forward import DirectConvForward
 from repro.conv.fusion import Bias, ReLU
 from repro.conv.params import ConvParams
 from repro.conv.upd import DirectConvUpd
+from repro.gxm.etg import ExecutionTaskGraph
+from repro.gxm.inference import InferenceSession
+from repro.gxm.trainer import Trainer
 from repro.jit import compile as jit_compile
 from repro.jit.compile import (
     EXECUTION_TIERS,
@@ -31,10 +36,12 @@ from repro.jit.gemm import GemmDesc, generate_gemm_kernel
 from repro.jit.interpreter import execute_kernel
 from repro.jit.kernel_cache import KernelCache
 from repro.jit.tiers import ExecutionTier, UnknownTierError, as_tier
-from repro.models.resnet50 import resnet50_layer
+from repro.models.resnet50 import resnet50_layer, resnet_mini_topology
+from repro.obs.metrics import get_metrics
 from repro.quant.qconv_engine import QuantConvForward
 from repro.quant.qtensor import quantize
 from repro.conv.reference import conv2d_forward
+from repro.serve.config import ServeConfig
 from repro.streams.replay import replay
 from repro.streams.stream import KernelStream
 from repro.tensor.blocked import block_activations, block_weights
@@ -45,6 +52,7 @@ from tests.conftest import (
     assert_close,
     fold_path_available,
     forced_fold_path,
+    forced_gather_path,
     on_every_fold_path,
     rand_conv_tensors,
 )
@@ -1156,3 +1164,220 @@ class TestTierRegistry:
         traced = eng.compiled[0].bind(buffers, trace=[])
         assert traced.tier == "interpret"
         assert not hasattr(traced, "batch")
+
+
+# ----------------------------------------------------------------------
+# strided operand views
+# ----------------------------------------------------------------------
+def _axis_offsets(runs):
+    """The offsets of one axis's ``(length, stride)`` runs, outermost
+    first, the innermost varying fastest."""
+    vec = np.zeros(1, np.int64)
+    for length, step in reversed(runs):
+        vec = np.add.outer(np.arange(length, dtype=np.int64) * step,
+                           vec).ravel()
+    return vec
+
+
+def _offsets(origin, axes):
+    """``origin`` plus each axis's run offsets, broadcast into one array
+    (the inverse of :func:`repro.jit.compile._lattice`)."""
+    vecs = [_axis_offsets(runs) for runs in axes]
+    idx = np.full([v.size for v in vecs], origin, np.int64)
+    for d, v in enumerate(vecs):
+        idx += v.reshape([-1 if a == d else 1 for a in range(len(vecs))])
+    return idx
+
+
+#: one axis: up to three runs (none or length 1 is a unit axis), strides
+#: negative, zero or positive
+_AXIS = st.lists(st.tuples(st.integers(1, 4), st.integers(-9, 9)),
+                 max_size=3)
+#: runs a lattice merges: a stride equal to the span of the runs inside
+MERGED = [((3, 4), (4, 1)), ((2, 0), (3, 0)), ((2, -6), (3, -2))]
+
+
+def _gather_both_ways(idx, base, buf, store_vals=None):
+    """Gather ``idx`` (a ``(1, n, 1, m)`` operand) over a block whose
+    base is ``base`` (``(G, H)``) from ``buf`` through its strided view
+    and through the fancy index; with ``store_vals``, store them both
+    ways instead.  Returns the two results and the view's spec."""
+    op = jit_compile._Operand("x", idx, store=store_vals is not None)
+    op.slot = 0
+    op.analyse(buf.itemsize)
+    spec = op.view(jit_compile._base_part(base, buf.itemsize))
+    block = jit_compile._Block({"x": base}, base.size)
+    block.views = [spec]
+    results = []
+    for bases in (block, {"x": base}):
+        ctx = jit_compile._Ctx({"x": buf.copy()}, bases, 1.0)
+        if store_vals is None:
+            results.append(ctx.gather(op))
+        else:
+            ctx.scatter(op, store_vals)
+            results.append(ctx.buffers["x"])
+        assert ctx.fallbacks == (spec is None or bases is not block)
+    return results, spec
+
+
+def _placed(idx_axes, base_axes, rng, pad=0):
+    """A ``(1, n, 1, m)`` operand and a ``(G, H)`` base from their runs,
+    shifted so the lowest address is 0, and a float32 buffer that holds
+    every address and ``pad`` elements more."""
+    idx = _offsets(0, [(), idx_axes[0], (), idx_axes[1]])
+    base = _offsets(0, base_axes)
+    low = idx.min() + base.min()
+    idx -= low
+    size = int(idx.max() + base.max()) + 1 + pad
+    return idx, base, rng.standard_normal(size).astype(np.float32)
+
+
+class TestStridedViews:
+    """Every operand of a compiled plan moves through one strided view of
+    its buffer when its offsets form a lattice; the view must move the
+    same elements as the fancy index it replaces."""
+
+    @given(origin=st.integers(-50, 50),
+           axes=st.lists(_AXIS, min_size=1, max_size=3))
+    @settings(max_examples=300, deadline=None)
+    def test_random_lattices_factor_back_exactly(self, origin, axes):
+        idx = _offsets(origin, axes)
+        got = jit_compile._lattice(idx)
+        assert got is not None
+        assert np.array_equal(_offsets(*got), idx)
+
+    @pytest.mark.parametrize("runs", MERGED)
+    def test_merged_runs_factor_back_exactly(self, runs):
+        idx = _offsets(7, [runs, ((2, 100),)])
+        origin, axes = jit_compile._lattice(idx)
+        assert len(axes[0]) == 1  # one run: the two merge
+        assert np.array_equal(_offsets(origin, axes), idx)
+
+    @given(origin=st.integers(0, 50),
+           axes=st.lists(_AXIS, min_size=1, max_size=3),
+           where=st.integers(0, 10**6), by=st.integers(-5, 5))
+    @settings(max_examples=300, deadline=None)
+    def test_a_moved_offset_refuses_or_still_matches(self, origin, axes,
+                                                      where, by):
+        idx = _offsets(origin, axes)
+        idx.flat[where % idx.size] += by or 1
+        got = jit_compile._lattice(idx)
+        assert got is None or np.array_equal(_offsets(*got), idx)
+
+    @given(n_runs=_AXIS, m_runs=_AXIS, g_runs=_AXIS, h_runs=_AXIS,
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_view_moves_what_the_fancy_index_moves(
+            self, n_runs, m_runs, g_runs, h_runs, seed):
+        rng = np.random.default_rng(seed)
+        idx, base, buf = _placed((n_runs, m_runs), (g_runs, h_runs), rng)
+        (got, want), spec = _gather_both_ways(idx, base, buf)
+        assert spec is not None
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        vals = rng.standard_normal(got.shape)
+        (got, want), spec = _gather_both_ways(idx, base, buf, vals)
+        addresses = (idx + base.reshape(base.shape[0], 1, -1, 1)).ravel()
+        if spec is not None:
+            assert len(set(addresses.tolist())) == addresses.size
+            assert _same_bits(got, want)
+
+    def test_a_store_that_repeats_an_address_takes_the_fancy_index(
+            self, rng):
+        """Two calls of one block store to the same address: the store
+        has no view (a stride-0 axis) and falls back, its gathers keep
+        theirs, and the buffer ends up as the fancy write leaves it."""
+        uops = [Uop(Op.VLOAD, dst=0, tensor="W", offset=0),
+                Uop(Op.VZERO, dst=1)]
+        uops += [Uop(Op.VFMA_MEM, dst=1, src1=0, tensor="I", offset=k)
+                 for k in range(3)]
+        uops.append(Uop(Op.VSTORE, src1=1, tensor="O", offset=0))
+        ck = compile_kernel(KernelProgram(name="alias", vlen=4, uops=uops))
+        buffers = {"I": rng.standard_normal(16).astype(np.float32),
+                   "W": rng.standard_normal(8).astype(np.float32)}
+        grid = (np.array([[0, 5]]), np.array([[4]]), np.array([[8, 8]]))
+        outs = {}
+        for path in ("strided", "fancy"):
+            bufs = dict(buffers, O=np.zeros(16, np.float32))
+            fn = ck.bind(bufs)
+            memo = {}
+            before = get_metrics().value("jit.gather_fallbacks")
+            with forced_gather_path(path) as counts:
+                fn.run_round(*grid, memo)
+            fallbacks = get_metrics().value("jit.gather_fallbacks") - before
+            outs[path] = bufs["O"]
+            (block,) = memo[fn.plan][1]
+            store = fn.plan.stores[0].op
+            assert block.views[store.slot] is None
+            if path == "strided":
+                assert counts == {"strided": 2, "fancy": 1}
+                assert fallbacks == 1
+        assert _same_bits(outs["strided"], outs["fancy"])
+        assert outs["fancy"][8:12].any()
+
+    def test_perfbench_model_takes_no_fancy_index(self):
+        """perfbench's model (``resnet_mini`` at width 32 on the blocked
+        engine) serves a bucket-1 and a bucket-16 batch and trains one
+        step with every operand on a strided view, and gives the fancy
+        index's bits."""
+        x = np.random.default_rng(5).standard_normal(
+            (16, 16, 8, 8)).astype(np.float32)
+        labels = np.arange(8) % 8
+        cfg = ServeConfig(model="resnet_mini", width=32, num_classes=8,
+                          input_shape=(16, 8, 8), engine="blocked")
+        results = {}
+        for path in ("strided", "fancy"):
+            before = get_metrics().value("jit.gather_fallbacks")
+            with forced_gather_path(path):
+                probs = [InferenceSession(cfg.build_etg(b)).predict(x[:b])
+                         for b in (1, 16)]
+                trainer = Trainer(ExecutionTaskGraph(
+                    resnet_mini_topology(num_classes=8, width=32),
+                    input_shape=(8, 16, 8, 8), engine="blocked"))
+                loss = trainer.train_step(x[:8], labels)
+            fallbacks = get_metrics().value("jit.gather_fallbacks") - before
+            if path == "strided":
+                assert fallbacks == 0
+            results[path] = [*probs, np.float64(loss).reshape(1),
+                             *trainer.etg.params()]
+        for got, want in zip(results["strided"], results["fancy"]):
+            assert got.tobytes() == want.tobytes()
+
+
+def _one_stride_off(view):
+    """``_Operand.view`` with its first non-unit axis's stride one
+    element too long."""
+
+    def planted(op, base):
+        spec = view(op, base)
+        if spec is None:
+            return None
+        shape, strides, offset, layout = spec
+        d = next((a for a, n in enumerate(shape) if n > 1), None)
+        if d is None:
+            return spec
+        strides = list(strides)
+        strides[d] += base[-1]
+        return shape, tuple(strides), offset, layout
+
+    return planted
+
+
+class TestPlantedWrongStride:
+    """A view with one stride off by one element is seen by the checks
+    above: the view-vs-fancy comparison and the cross-tier sweeps."""
+
+    def test_the_view_check_sees_it(self, rng, monkeypatch):
+        monkeypatch.setattr(jit_compile._Operand, "view",
+                            _one_stride_off(jit_compile._Operand.view))
+        idx, base, buf = _placed((((4, 1),), ((3, 8),)),
+                                 (((2, 40),), ((2, 100),)), rng, pad=64)
+        (got, want), spec = _gather_both_ways(idx, base, buf)
+        assert spec is not None
+        assert not np.array_equal(got, want)
+
+    def test_the_cross_tier_sweep_sees_it(self, rng, monkeypatch):
+        monkeypatch.setattr(jit_compile._Operand, "view",
+                            _one_stride_off(jit_compile._Operand.view))
+        with forced_gather_path("strided"):
+            _eng, outs = _fwd_tiers(SPECIAL_FWD, rng)
+        assert not np.array_equal(outs["compiled"], outs["interpret"])

@@ -5,7 +5,7 @@ import pytest
 from repro.arch.machine import KNM, SKX
 from repro.gxm.e2e import dual_socket, estimate_training, fig9_scaling
 from repro.gxm.mlsl import MLSLSimulator, ring_allreduce_time
-from repro.perf.references import PAPER_MEASURED, REFERENCE_IMG_PER_S
+from repro.perf.references import REFERENCE_IMG_PER_S
 
 
 class TestRingAllreduce:

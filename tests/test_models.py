@@ -1,7 +1,6 @@
 """Model zoo: Table I fidelity and topology construction."""
 
 import numpy as np
-import pytest
 
 from repro.conv.params import ConvParams
 from repro.gxm.etg import ExecutionTaskGraph

@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.arch.machine import KNM, SKX
+from repro.arch.machine import SKX
 from repro.perf.sweep import (
-    FigureData,
     inception_averages,
     resnet50_forward_sweep,
     resnet50_lowprecision_sweep,

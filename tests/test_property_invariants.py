@@ -13,7 +13,7 @@ from repro.conv.reference import (
     conv2d_forward,
     conv2d_update_weights,
 )
-from repro.streams.rle import SegmentKind, encode_segments
+from repro.streams.rle import encode_segments
 from repro.streams.replay import replay
 from repro.streams.stream import KernelStream
 from tests.conftest import assert_close

@@ -10,7 +10,7 @@ import pytest
 from repro.arch.isa import KernelProgram, Op, Uop
 from repro.arch.machine import KNM, SKX
 from repro.jit.codegen import ConvKernelDesc, generate_conv_kernel
-from repro.jit.scheduler import CycleSimulator, ScheduleResult
+from repro.jit.scheduler import CycleSimulator
 from repro.jit.timing import time_kernel
 from repro.types import DType
 

@@ -1,6 +1,7 @@
 """Stream serialization and GxM checkpointing."""
 
 import io
+import json
 
 import numpy as np
 import pytest
@@ -12,7 +13,14 @@ from repro.gxm.checkpoint import load_checkpoint, save_checkpoint
 from repro.gxm.etg import ExecutionTaskGraph
 from repro.gxm.inference import InferenceSession, fold_batchnorms
 from repro.models.resnet50 import resnet_mini_topology
-from repro.streams.serialize import load_streams, save_streams, streams_digest
+from repro.streams.serialize import (
+    StaleArtifactError,
+    load_stream_bundle,
+    load_streams,
+    save_stream_bundle,
+    save_streams,
+    streams_digest,
+)
 from repro.types import ReproError
 
 
@@ -67,6 +75,70 @@ class TestStreamSerialization:
 
         eng.segments = [encode_segments(s) for s in eng.streams]
         assert np.array_equal(eng.run_nchw(x, w), before)
+
+
+def _stream_file(path, streams):
+    save_streams(path, streams)
+
+
+def _bundle_file(path, streams):
+    save_stream_bundle(path, {"conv1": streams})
+
+
+def _old_version(loader, path):
+    key = "version" if loader is load_streams else "bundle_version"
+    doc = json.dumps({key: 0, "threads": 0, "entries": {}}).encode()
+    np.savez(path, __meta__=np.frombuffer(doc, dtype=np.uint8))
+
+
+#: every way a stream artifact can be unusable, as (name, writer); the
+#: writer makes the artifact at ``path`` for ``loader`` from a valid one
+#: (``good(path)``) where it needs one
+_BROKEN_ARTIFACTS = [
+    ("empty", lambda loader, good, path: path.write_bytes(b"")),
+    ("truncated", lambda loader, good, path: (
+        good(path), path.write_bytes(path.read_bytes()[:200]))),
+    ("garbage", lambda loader, good, path: path.write_bytes(
+        np.random.default_rng(0).bytes(4096))),
+    ("no_meta", lambda loader, good, path: np.savez(path, x=np.zeros(3))),
+    ("old_version", lambda loader, good, path: _old_version(loader, path)),
+]
+
+
+class TestStreamLoaderErrors:
+    """Both stream loaders raise one typed error for an unusable
+    artifact and leave a missing path a :class:`FileNotFoundError`."""
+
+    LOADERS = {"load_streams": (load_streams, _stream_file),
+               "load_stream_bundle": (load_stream_bundle, _bundle_file)}
+
+    @pytest.fixture
+    def streams(self):
+        p = ConvParams(N=1, C=16, K=16, H=6, W=6, R=3, S=3, stride=1)
+        return DirectConvForward(p, machine=SKX, threads=2).streams
+
+    @pytest.mark.parametrize("loader", list(LOADERS))
+    def test_missing_path_is_file_not_found(self, tmp_path, loader):
+        load, _ = self.LOADERS[loader]
+        with pytest.raises(FileNotFoundError):
+            load(tmp_path / "absent.npz")
+
+    @pytest.mark.parametrize("case", [c for c, _ in _BROKEN_ARTIFACTS])
+    @pytest.mark.parametrize("loader", list(LOADERS))
+    def test_unusable_artifact_is_stale(self, tmp_path, streams, loader,
+                                        case):
+        load, save = self.LOADERS[loader]
+        path = tmp_path / "artifact.npz"
+        dict(_BROKEN_ARTIFACTS)[case](
+            load, lambda p: save(p, streams), path)
+        with pytest.raises(StaleArtifactError):
+            load(path)
+
+    @pytest.mark.parametrize("loader", list(LOADERS))
+    def test_valid_artifact_loads(self, tmp_path, streams, loader):
+        load, save = self.LOADERS[loader]
+        save(tmp_path / "ok.npz", streams)
+        assert load(tmp_path / "ok.npz")
 
 
 class TestCheckpoint:

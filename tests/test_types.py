@@ -1,7 +1,6 @@
 """Tests for repro.types."""
 
 import numpy as np
-import pytest
 
 from repro.types import CodegenError, DType, Pass, ReproError, ShapeError
 

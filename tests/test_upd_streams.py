@@ -1,6 +1,5 @@
 """Weight-update kernel streams (dryrun/replay over Algorithm 9)."""
 
-import numpy as np
 import pytest
 
 from repro.arch.machine import KNM, SKX
