@@ -193,7 +193,8 @@ def _print_row(row: dict) -> None:
         f"compiled {row['compiled_s']:8.3f}s  "
         f"speedup {row['speedup']:7.1f}x  "
         f"grid {row['grid_calls']}/{row['calls']}  "
-        f"fallbacks {row['gather_fallbacks']}  exact={row['exact']}"
+        f"fallbacks {row['gather_fallbacks']}  exact={row['exact']}",
+        flush=True,
     )
 
 

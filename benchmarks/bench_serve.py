@@ -1,6 +1,6 @@
-"""Serving benchmark: dynamic batching vs batch-1, cold vs warm boot.
+"""Serving benchmark: dynamic batching vs batch-1, recording overhead.
 
-Five measurements, one JSON report:
+Four measurements, one JSON report:
 
 1. **Batching throughput** -- identical closed-loop load against two
    servers: one with dynamic batching disabled (``buckets=(1,)``, every
@@ -10,17 +10,13 @@ Five measurements, one JSON report:
    ``InferenceSession.predict``.
 2. **Bitwise identity** -- every response from the concurrent run is
    compared against the direct batch-1 reference.
-3. **Boot latency** -- blocked-engine cold boot (dryrun records every
-   stream) vs warm boot from a saved stream artifact (dryrun skipped).
-   Both boots run in the same process *after* a throwaway boot, so the
-   JIT kernel cache is hot and the delta isolates the dryrun itself.
-4. **Event-recording overhead** -- identical closed-loop load with the
+3. **Event-recording overhead** -- identical closed-loop load with the
    process-wide tracer (:mod:`repro.obs.tracer`) off vs in its
    ``"events"`` state, the one an incident directory arms (an admission
    event per request, one ``serve.batch`` span per batch).  The record
    path is one GIL-atomic deque append, so the p50 delta must stay
    inside noise; ``--max-recorder-overhead 0.02`` gates it at 2%.
-5. **Span-recording overhead** -- the same paired measurement in the
+4. **Span-recording overhead** -- the same paired measurement in the
    ``"spans"`` state (every ETG task, conv and stream phase as a span
    too).  Reported, not gated.
 
@@ -33,10 +29,8 @@ Run as a plain script (not pytest -- the timing loop is its own harness)::
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import sys
-import time
 
 import numpy as np
 
@@ -130,39 +124,6 @@ def bench_bitwise(cfg: ServeConfig, n: int) -> dict:
         for out, ref in zip(outs, refs)
     )
     return {"requests": n, "exact": exact}
-
-
-def bench_boot(cfg: ServeConfig) -> dict:
-    """Cold (dryrun) vs warm (stream replay) blocked-engine boot."""
-    # throwaway boot so codegen/compilation is cached for both timed boots
-    throwaway = InferenceServer(cfg)
-    throwaway.start()
-    buf = io.BytesIO()
-    entries = throwaway.save_streams_artifact(buf)
-    throwaway.stop()
-
-    t0 = time.perf_counter()
-    cold = InferenceServer(cfg)
-    cold_boot = cold.start()
-    cold_s = time.perf_counter() - t0
-    cold.stop()
-
-    buf.seek(0)
-    t0 = time.perf_counter()
-    warm = InferenceServer(cfg)
-    warm_boot = warm.start(streams_artifact=buf)
-    warm_s = time.perf_counter() - t0
-    warm.stop()
-
-    assert not cold_boot["warm_buckets"] and not warm_boot["cold_buckets"]
-    return {
-        "engine": cfg.engine,
-        "buckets": list(cfg.buckets),
-        "stream_entries": entries,
-        "cold_boot_s": cold_s,
-        "warm_boot_s": warm_s,
-        "speedup": cold_s / warm_s if warm_s > 0 else float("inf"),
-    }
 
 
 def bench_tracer_overhead(
@@ -261,12 +222,6 @@ def main(argv=None) -> int:
     bitwise_n = 8 if args.quick else 16
 
     fast_cfg = ServeConfig()  # fast engine: the throughput path
-    # boot bench: big enough that the dryrun outweighs artifact loading
-    blocked_cfg = ServeConfig(
-        engine="blocked", execution_tier="compiled",
-        input_shape=(16, 8, 8) if args.quick else (16, 16, 16),
-        buckets=(1, 2) if args.quick else (1, 2, 4, 8, 16),
-    )
 
     print("batching throughput (fast engine):")
     batching = bench_batching(fast_cfg, requests, client_counts)
@@ -280,14 +235,6 @@ def main(argv=None) -> int:
     bitwise = bench_bitwise(fast_cfg, bitwise_n)
     print(f"bitwise identity over {bitwise['requests']} concurrent "
           f"requests: exact={bitwise['exact']}")
-
-    print("boot latency (blocked engine):")
-    boot = bench_boot(blocked_cfg)
-    print(
-        f"  cold {boot['cold_boot_s'] * 1e3:7.1f}ms  "
-        f"warm {boot['warm_boot_s'] * 1e3:7.1f}ms  "
-        f"({boot['speedup']:.1f}x, {boot['stream_entries']} stream entries)"
-    )
 
     # moderate concurrency: at heavy oversubscription on small runners
     # scheduler noise is 5-10x the effect being measured
@@ -323,7 +270,6 @@ def main(argv=None) -> int:
         "host": {"cpus": os.cpu_count(), "usable_cpus": usable},
         "batching": batching,
         "bitwise": bitwise,
-        "boot": boot,
         "recorder": recorder,
         "spans": spans,
     }

@@ -15,8 +15,7 @@ command                   what it does
 ``disasm``                JIT one kernel variant and print its µop listing
 ``profile``               trace N training steps through :mod:`repro.obs`;
                           dump a ``chrome://tracing`` JSON + flat metrics
-``serve``                 dynamic-batching inference server over HTTP, with
-                          optional kernel-stream warm-start artifact
+``serve``                 dynamic-batching inference server over HTTP
 ``loadgen``               drive an in-process server with synthetic closed-
                           or open-loop load; print the SLO report
 ``tune``                  mapspace-autotune Table I layers; persist the
@@ -36,7 +35,7 @@ Examples::
     python -m repro scaling --machine KNM
     python -m repro disasm --layer 8 --machine KNM
     python -m repro profile resnet_mini --steps 2 --trace-out trace.json
-    python -m repro serve --engine blocked --save-streams /tmp/streams.npz
+    python -m repro serve --engine blocked --buckets 1,2 --boot-only
     python -m repro loadgen --mode open --rate 200 --duration 2
     python -m repro tune --layers 2,4,8 --db tune.json
     python -m repro incident list --dir incidents
@@ -139,7 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=EXECUTION_TIERS)
         p.add_argument("--buckets", default="1,2,4,8,16",
                        help="comma-separated ascending micro-batch sizes")
-        p.add_argument("--workers", type=int, default=1)
         p.add_argument("--queue-capacity", type=int, default=256)
         p.add_argument("--batch-window-ms", type=float, default=2.0)
         p.add_argument("--max-queue-wait-ms", type=float, default=None,
@@ -148,9 +146,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "depth) exceeds this budget")
         p.add_argument("--checkpoint", default=None,
                        help="trained weights (.npz) to load into replicas")
-        p.add_argument("--load-streams", default=None,
-                       help="warm-start artifact from a previous "
-                            "--save-streams run (blocked engine)")
         p.add_argument("--tune-db", default=None,
                        help="tuning database (python -m repro tune) "
                             "consulted for every blocked conv layer's "
@@ -163,11 +158,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_serve_config_args(p)
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=8757)
-    p.add_argument("--save-streams", default=None,
-                   help="dump the warm cache after boot, then keep serving")
     p.add_argument("--boot-only", action="store_true",
-                   help="boot, report, save streams if asked, and exit "
-                        "(for scripting / CI)")
+                   help="boot, report and exit (for scripting / CI)")
 
     p = sub.add_parser(
         "loadgen", help="synthetic load against an in-process server"
@@ -446,7 +438,6 @@ def _serve_config_from_args(args):
         engine=args.engine,
         execution_tier=args.execution_tier,
         buckets=tuple(int(b) for b in args.buckets.split(",")),
-        workers=args.workers,
         queue_capacity=args.queue_capacity,
         batch_window_ms=args.batch_window_ms,
         max_queue_wait_ms=args.max_queue_wait_ms,
@@ -461,11 +452,10 @@ def _boot_server(args):
     from repro.serve import InferenceServer
 
     server = InferenceServer(_serve_config_from_args(args))
-    boot = server.start(streams_artifact=args.load_streams)
+    boot = server.start()
     print(
         f"booted {boot['engine']} engine in {boot['boot_s']:.3f}s "
-        f"(warm buckets {boot['warm_buckets']}, "
-        f"cold {boot['cold_buckets']})"
+        f"(buckets {list(server.config.buckets)})"
     )
     return server
 
@@ -476,9 +466,6 @@ def _cmd_serve(args) -> int:
     from repro.serve import serve_http
 
     server = _boot_server(args)
-    if args.save_streams:
-        n = server.save_streams_artifact(args.save_streams)
-        print(f"warm-cache artifact: {args.save_streams} ({n} entries)")
     if args.boot_only:
         server.stop()
         return 0

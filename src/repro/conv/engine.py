@@ -137,7 +137,6 @@ def make_engine(
     kernel_cache: KernelCache | None = None,
     strategy=None,
     execution_tier: str | None = None,
-    streams=None,
     tuned=False,
 ) -> ConvEngine:
     """Construct the engine for ``pass_`` with one uniform keyword set.
@@ -177,10 +176,6 @@ def make_engine(
         (:func:`repro.jit.set_default_execution_tier`).  Unknown names
         raise :class:`~repro.jit.UnknownTierError` listing the valid
         tiers.
-    streams:
-        Forward f32 engine only: pre-recorded per-thread
-        :class:`~repro.streams.stream.FrozenStream` list (e.g. from a
-        serve warm cache) adopted instead of running the dryrun phase.
     tuned:
         Consult the :mod:`repro.tune` database for a validated blocking
         plan before falling back to the paper heuristics.  ``True`` uses
@@ -206,10 +201,6 @@ def make_engine(
         prefetch = "both"
     if strategy is not None and p is not Pass.UPD:
         raise ReproError("'strategy' applies only to the update pass")
-    if streams is not None and (quant or p is not Pass.FWD):
-        raise ReproError(
-            "'streams' warm-start applies only to the f32 forward engine"
-        )
 
     if quant:
         if p is not Pass.FWD:
@@ -228,7 +219,7 @@ def make_engine(
             params, machine, dtype=dtype, fused_ops=fused_ops,
             threads=threads, plan=plan, prefetch=prefetch,
             kernel_cache=kernel_cache,
-            execution_tier=execution_tier, streams=streams,
+            execution_tier=execution_tier,
         )
     if p is Pass.BWD:
         return DirectConvBackward(

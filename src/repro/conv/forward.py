@@ -82,7 +82,6 @@ class DirectConvForward:
         prefetch: str = "both",
         kernel_cache: KernelCache | None = None,
         execution_tier: str | None = None,
-        streams: Sequence | None = None,
     ) -> None:
         self.params = params
         self.machine = machine
@@ -111,20 +110,12 @@ class DirectConvForward:
         self.compiled = []  # CompiledKernel | None, parallel to self._descs
         self._build_variants()
         metrics = get_metrics()
-        if streams is not None:
-            with get_tracer().span(
-                "conv.stream_restore", pass_="fwd",
-                layer=params.describe(), threads=self.threads,
-            ):
-                self._restore_streams(streams)
-            metrics.inc("conv.streams_restored", len(self.streams))
-        else:
-            with get_tracer().span(
-                "conv.dryrun", pass_="fwd", layer=params.describe(),
-                threads=self.threads,
-            ):
-                self._dryrun()
-            metrics.inc("conv.streams_recorded", len(self.streams))
+        with get_tracer().span(
+            "conv.dryrun", pass_="fwd", layer=params.describe(),
+            threads=self.threads,
+        ):
+            self._dryrun()
+        metrics.inc("conv.streams_recorded", len(self.streams))
         metrics.inc("conv.engines_built")
         metrics.inc(
             "conv.segments_recorded", sum(len(s) for s in self.segments)
@@ -214,57 +205,6 @@ class DirectConvForward:
                 else:
                     self._dryrun_cb_outer(st, n, kb, ojb_range, oj_chunk)
             streams.append(st.freeze())
-        self.streams = streams
-        self.segments = [s.segments() for s in streams]
-
-    def _restore_streams(self, streams) -> None:
-        """Adopt pre-recorded frozen streams (section II-H: the dryrun
-        "has to be performed only once"; a restored engine does not even
-        pay it once per process).  Streams are validated structurally --
-        variant ids must index this engine's variant table and every
-        offset must fall inside the corresponding buffer -- so a stream
-        recorded for a different layer setup is rejected instead of
-        replaying out of bounds."""
-        streams = list(streams)
-        if len(streams) != self.threads:
-            raise ShapeError(
-                f"restored stream count {len(streams)} != threads "
-                f"{self.threads} for {self.params.describe()}"
-            )
-        n_variants = len(self._descs)
-        n_ops = len(self.fused_ops)
-        for st in streams:
-            if len(st) == 0:
-                continue
-            kinds = np.asarray(st.kinds)
-            conv = kinds >= 0
-            if kinds.max(initial=-1) >= n_variants:
-                raise ShapeError(
-                    f"restored stream uses variant {int(kinds.max())} but "
-                    f"engine has {n_variants} for {self.params.describe()}"
-                )
-            ops = np.asarray(st.apply_op)[~conv]
-            if ops.size and (
-                int(ops.min()) < 0 or int(ops.max()) >= n_ops
-            ):
-                bad = int(ops.min()) if int(ops.min()) < 0 else int(ops.max())
-                raise ShapeError(
-                    f"restored stream applies fused op {bad} but engine "
-                    f"has {n_ops} for {self.params.describe()}"
-                )
-            for offs, size, what in (
-                (st.i_off, self.in_layout.size, "input"),
-                (st.w_off, self.w_layout.size, "weight"),
-                (st.o_off, self.out_layout.size, "output"),
-            ):
-                offs = np.asarray(offs)[conv]
-                if offs.size and (
-                    int(offs.min()) < 0 or int(offs.max()) >= size
-                ):
-                    raise ShapeError(
-                        f"restored stream {what} offsets fall outside the "
-                        f"{what} buffer for {self.params.describe()}"
-                    )
         self.streams = streams
         self.segments = [s.segments() for s in streams]
 

@@ -50,10 +50,6 @@ class ExecutionTaskGraph:
         Kernel-stream execution tier for ``"blocked"`` conv nodes -- an
         :class:`~repro.jit.ExecutionTier` or its string spelling
         (``"compiled"``/``"interpret"``; ``None`` = process default).
-    conv_streams:
-        Optional pre-recorded forward kernel streams per conv-node name
-        (from :meth:`conv_stream_state` or a serve warm cache); blocked
-        conv nodes with an entry skip the dryrun phase.
     tuned:
         Forwarded to :func:`repro.conv.make_engine` for every
         ``"blocked"`` conv node: ``True`` / a path / a
@@ -72,7 +68,6 @@ class ExecutionTaskGraph:
         seed: int = 0,
         fuse: bool = False,
         execution_tier: str | None = None,
-        conv_streams: dict | None = None,
         tuned=False,
     ):
         if fuse:
@@ -107,7 +102,6 @@ class ExecutionTaskGraph:
             self.nodes[layer.name] = build_node(
                 layer, in_shapes, engine, machine, threads, rng,
                 execution_tier=execution_tier,
-                streams=(conv_streams or {}).get(layer.name),
                 tuned=tuned,
             )
         self.shapes = shapes
@@ -148,16 +142,6 @@ class ExecutionTaskGraph:
         pass -- the public face of the softmax output (inference callers
         must not reach into loss-node internals)."""
         return self._loss_nodes[0].layer.probabilities
-
-    def conv_stream_state(self) -> dict[str, list]:
-        """Recorded forward kernel streams per blocked conv node, keyed by
-        node name -- the warm-start payload for ``conv_streams``."""
-        out: dict[str, list] = {}
-        for name, node in self.nodes.items():
-            streams = getattr(node, "forward_streams", None)
-            if streams is not None:
-                out[name] = streams
-        return out
 
     # ------------------------------------------------------------------
     def train_step(self, x: np.ndarray, labels: np.ndarray) -> float:

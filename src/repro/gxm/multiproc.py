@@ -124,6 +124,7 @@ def _worker_main(
     rank: int = 0,
     fault_plan: FaultPlan | None = None,
     collective: dict | None = None,
+    incarnation: int = 0,
 ) -> None:
     """Worker loop.  The worker keeps a weight and velocity replica and
     applies every committed average to it.  Root-pipe protocol (all
@@ -156,7 +157,8 @@ def _worker_main(
     from repro.collective.worker import CollectiveStepRunner
     from repro.collective.bucketing import layer_param_indices
 
-    injector = FaultInjector(fault_plan)
+    # this process's own fault stream: a respawned rank draws afresh
+    injector = FaultInjector(fault_plan, spawn_key=(rank, incarnation))
     # follow the root's state; this worker's records (and, with spans
     # on, its counters) are drained after every step into the root's
     tracer = obs.enable(level)
@@ -455,6 +457,7 @@ class ProcessParallelTrainer(Trainer):
         self._mesh.reset_all()
         self._sockdir = None
         self._authkey = os.urandom(16)
+        #: processes spawned so far; numbers each worker incarnation
         self._spawn_gen = 0
         #: a mesh (re)build may legitimately wait for a fresh worker's
         #: ETG construction -- give it more room than one step
@@ -468,14 +471,13 @@ class ProcessParallelTrainer(Trainer):
     def _spawn(self, rank: int) -> None:
         ctx = mp.get_context("fork")
         parent, child = ctx.Pipe()
+        incarnation = self._spawn_gen
+        self._spawn_gen += 1
         collective = None
         if self.allreduce == "ring":
             # fresh socket path per incarnation: a crashed predecessor's
             # bound path must never collide with the replacement's
-            address = os.path.join(
-                self._sockdir, f"w{rank}.g{self._spawn_gen}"
-            )
-            self._spawn_gen += 1
+            address = os.path.join(self._sockdir, f"w{rank}.g{incarnation}")
             self._mesh.addresses[rank] = address
             collective = {
                 "nodes": self.nodes,
@@ -490,7 +492,8 @@ class ProcessParallelTrainer(Trainer):
             target=_worker_main,
             args=(child, self._topo_text, self._input_shape, self._seed,
                   (opt.lr, opt.momentum, opt.weight_decay),
-                  get_tracer().level, rank, self.fault_plan, collective),
+                  get_tracer().level, rank, self.fault_plan, collective,
+                  incarnation),
             daemon=True,
         )
         proc.start()

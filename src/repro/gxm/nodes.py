@@ -84,7 +84,6 @@ class ConvNode(Node):
         threads: int = 1,
         rng: np.random.Generator | None = None,
         execution_tier: str | None = None,
-        streams=None,
         tuned=False,
     ):
         super().__init__(spec)
@@ -126,7 +125,7 @@ class ConvNode(Node):
             self._fwd = make_engine(
                 Pass.FWD, self.p, machine=machine, threads=threads,
                 fused_ops=fused_ops, execution_tier=execution_tier,
-                streams=streams, tuned=tuned,
+                tuned=tuned,
             )
         elif engine != "fast":
             raise ReproError(f"unknown conv engine {engine!r}")
@@ -208,15 +207,6 @@ class ConvNode(Node):
 
     def grads(self):
         return [self.dweight]
-
-    @property
-    def forward_streams(self):
-        """The forward engine's recorded kernel streams (blocked engine
-        only; ``None`` for the fast engine) -- serve warm caches persist
-        these so a rebooted server skips the dryrun phase."""
-        if self.engine != "blocked":
-            return None
-        return list(self._fwd.streams)
 
 
 class _LayerNode(Node):
@@ -346,7 +336,6 @@ def build_node(
     threads: int = 1,
     rng: np.random.Generator | None = None,
     execution_tier: str | None = None,
-    streams=None,
     tuned=False,
 ) -> Node:
     """Instantiate the runtime node for a layer spec."""
@@ -356,7 +345,7 @@ def build_node(
     if t == "Convolution":
         return ConvNode(
             spec, in_shapes[0], engine, machine, threads, rng,
-            execution_tier=execution_tier, streams=streams, tuned=tuned,
+            execution_tier=execution_tier, tuned=tuned,
         )
     if t == "ReLU":
         return _LayerNode(spec, ReLULayer())

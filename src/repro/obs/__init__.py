@@ -22,8 +22,8 @@ The resilience machinery (:mod:`repro.resilience`) reports through the
 same counters: ``resilience.faults_injected``, ``resilience.respawns``,
 ``resilience.degraded_steps``, ``resilience.skipped_steps`` and
 ``resilience.nan_grads_detected`` on the process-wide registry, plus
-``serve.worker_restarts``, ``serve.worker_crashes``,
-``serve.tier_degraded`` and ``serve.artifact_rejected`` on each
+``serve.worker_restarts``, ``serve.worker_crashes`` and
+``serve.tier_degraded`` on each
 :class:`~repro.serve.server.InferenceServer`'s private registry.
 
 So does the overlapped all-reduce (:mod:`repro.collective`):

@@ -12,10 +12,8 @@ faults such runs meet first-class and testable:
   gradient screen with per-node attribution and a skip-step-or-raise
   policy.
 * Typed failures -- :class:`WorkerFailure` (a training worker died,
-  hung, or replied garbage), :class:`DivergenceError` (numerics),
-  :class:`InjectedFault` (a fault acting itself out),
-  and :class:`~repro.streams.serialize.StaleArtifactError` for
-  corrupt/stale on-disk artifacts.
+  hung, or replied garbage), :class:`DivergenceError` (numerics) and
+  :class:`InjectedFault` (a fault acting itself out).
 
 The systems wired to survive these faults:
 
@@ -34,16 +32,14 @@ The systems wired to survive these faults:
   autosave (weights + SGD velocity + step + metrics) and exact-to-the-
   step ``resume()``.
 * :class:`~repro.serve.server.InferenceServer` -- worker supervisor
-  (crashed replica threads restarted with backoff), degrade-to-
-  ``interpret`` on compiled-tier failure, cold-dryrun fallback on a
-  stale/corrupt warm-cache artifact, and a ``/healthz`` readiness
-  payload reporting live workers and degraded state.
+  (a crashed worker thread restarted with backoff), degrade-to-
+  ``interpret`` on compiled-tier failure, and a ``/healthz`` readiness
+  payload reporting the worker's liveness and degraded state.
 
 Observability (:mod:`repro.obs` counters): ``resilience.faults_injected``,
 ``resilience.respawns``, ``resilience.degraded_steps``,
 ``resilience.skipped_steps``, ``resilience.nan_grads_detected``,
-``serve.worker_restarts``, ``serve.tier_degraded``,
-``serve.artifact_rejected``.
+``serve.worker_restarts``, ``serve.tier_degraded``.
 """
 
 from repro.resilience.faults import (

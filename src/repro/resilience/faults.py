@@ -7,7 +7,8 @@ must treat faults as a first-class, *tested* scenario.  The pieces:
   ``site``), *when* (``step``/``rank`` filters, an optional seeded
   ``probability``) and *how often* (``count``).
 * :class:`FaultPlan` -- a picklable set of specs plus the RNG seed, so
-  worker **processes** rebuild bit-identical injectors from the plan.
+  worker **processes** rebuild their injectors from the plan, each
+  drawing from its own stream (keyed by rank and incarnation).
 * :class:`FaultInjector` -- the runtime hook.  Call sites ask
   ``injector.fire(site, step=..., rank=...)``; a returned spec means
   "this fault fires here, now".  The injector is cheap when no plan is
@@ -67,7 +68,7 @@ firing is recorded into the process's tracer ring (``fault.fire``
 events, :mod:`repro.obs.tracer`), so an incident bundle shows exactly
 which injected faults preceded the failure.
 :func:`corrupt_file` deterministically flips bytes of an on-disk
-artifact -- the "artifact corruption" fault for checkpoint/stream tests.
+artifact -- the "artifact corruption" fault for checkpoint tests.
 """
 
 from __future__ import annotations
@@ -156,7 +157,8 @@ class FaultSpec:
 @dataclass(frozen=True)
 class FaultPlan:
     """A picklable fault campaign: specs + the seed every injector built
-    from this plan uses, so root and workers draw identical sequences."""
+    from this plan draws from (see :class:`FaultInjector`'s
+    ``spawn_key``)."""
 
     specs: tuple[FaultSpec, ...] = ()
     seed: int = 0
@@ -171,16 +173,28 @@ class FaultInjector:
     ``fire`` returns the matching :class:`FaultSpec` (decrementing its
     remaining count) or ``None``.  With no plan armed the injector is a
     no-op costing one attribute check per site.
+
+    Probability draws come from ``SeedSequence(plan.seed,
+    spawn_key=spawn_key)``.  The default empty key is
+    ``default_rng(plan.seed)``; a trainer worker process passes
+    ``(rank, incarnation)``, so workers draw independent sequences and a
+    respawned worker does not replay its predecessor's draws.
     """
 
-    def __init__(self, plan: FaultPlan | None = None, metrics=None):
+    def __init__(
+        self, plan: FaultPlan | None = None, metrics=None,
+        spawn_key: tuple[int, ...] = (),
+    ):
         self.plan = plan
+        self.spawn_key = tuple(spawn_key)
         self._metrics = metrics if metrics is not None else get_metrics()
         self._lock = threading.Lock()
         self._remaining = (
             [spec.count for spec in plan.specs] if plan else []
         )
-        self._rng = np.random.default_rng(plan.seed if plan else 0)
+        self._rng = np.random.default_rng(np.random.SeedSequence(
+            plan.seed if plan else 0, spawn_key=self.spawn_key,
+        ))
 
     @property
     def enabled(self) -> bool:
@@ -227,7 +241,7 @@ class FaultInjector:
     # -- picklability: the lock stays root-side; a worker process
     # rebuilds its own injector from the (picklable) plan ------------
     def __reduce__(self):
-        return (FaultInjector, (self.plan,))
+        return (FaultInjector, (self.plan, None, self.spawn_key))
 
 
 def corrupt_file(path: str, n_bytes: int = 64, seed: int = 0) -> int:

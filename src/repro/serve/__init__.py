@@ -16,12 +16,10 @@ Pieces (one module each):
   place a request can be rejected.
 * :class:`MicroBatcher` -- coalesces single-image requests into
   shape-bucketed minibatches (pad-to-bucket, outputs scattered back).
-* :class:`StreamWarmCache` -- per-bucket frozen kernel streams keyed by
-  content digest; persists to a ``.npz`` artifact so a rebooted server
-  skips every dryrun.
-* :class:`EngineReplica` / worker threads -- forward-only
-  :class:`~repro.gxm.inference.InferenceSession` instances per batch
-  bucket executing the batches.
+* :class:`EngineReplica` and the worker thread that drives it --
+  forward-only :class:`~repro.gxm.inference.InferenceSession` instances
+  per batch bucket executing the batches; a blocked replica records
+  each bucket's kernel streams by its own dryrun when it is built.
 * :class:`InferenceServer` -- composition + SLO plumbing: per-request
   latency percentiles, queue depth, batch occupancy and shed counts all
   flow through :mod:`repro.obs`.
@@ -30,15 +28,13 @@ Pieces (one module each):
 * :func:`serve_http` -- a stdlib HTTP front end (``POST /predict``,
   ``GET /metrics``, ``GET /healthz``).
 
-Resilience (see :mod:`repro.resilience`): boot survives a corrupt or
-stale warm-cache artifact by falling back to cold dryruns
-(``serve.artifact_rejected``); a supervisor thread restarts crashed
-worker threads with bounded exponential backoff
+Resilience (see :mod:`repro.resilience`): a supervisor thread restarts
+a crashed worker thread with bounded exponential backoff
 (``serve.worker_restarts``); a blocked replica whose compiled execution
 tier fails rebuilds that bucket on the ``interpret`` tier and retries
 (``serve.tier_degraded``); and ``GET /healthz`` serves
 :meth:`InferenceServer.health` -- ``ok``/``degraded``/``down`` plus
-live-worker counts and every degradation reason.
+whether the worker is alive and every degradation reason.
 
 Request lifecycle (this layer is what makes the server operable):
 
@@ -48,7 +44,7 @@ Request lifecycle (this layer is what makes the server operable):
   (``serve.deadline_expired``, :class:`DeadlineExceeded`, HTTP 504) so
   a stale batch never wastes an engine pass.
 * **adaptive backpressure** -- ``max_queue_wait_ms`` sheds on the
-  *estimated queue wait* (service-time EWMA x depth / workers), not a
+  *estimated queue wait* (service-time EWMA x depth), not a
   raw depth threshold (``serve.shed_backpressure``).
 * **circuit breaker** -- :class:`CircuitBreaker` fast-fails ``/predict``
   (and :class:`ServeClient` calls) once the recent error rate trips,
@@ -58,11 +54,10 @@ Request lifecycle (this layer is what makes the server operable):
   p95 hedging; both load generators drive it.
 * **drain + hot reload** -- :meth:`InferenceServer.drain` stops
   admission and finishes in-flight batches;
-  :meth:`InferenceServer.reload_checkpoint` canaries new weights on
-  shadow replicas against the numerics contract, atomically swaps on
-  success (rebuilding the stream warm cache) and rolls back on failure
-  (:class:`CanaryError`, HTTP 409) with the old weights never leaving
-  service.  ``POST /admin/drain`` / ``/admin/resume`` /
+  :meth:`InferenceServer.reload_checkpoint` canaries new weights on a
+  shadow replica against the numerics contract, atomically swaps on
+  success and rolls back on failure (:class:`CanaryError`, HTTP 409)
+  with the old weights never leaving service.  ``POST /admin/drain`` / ``/admin/resume`` /
   ``/admin/reload`` expose the same over HTTP.  Lifecycle operations
   never interleave: a second drain/resume/reload while one is in flight
   is refused deterministically (:class:`LifecycleBusy`, HTTP 409).
@@ -74,11 +69,12 @@ Request lifecycle (this layer is what makes the server operable):
   digest-verified incident bundle replayable bitwise via
   ``python -m repro incident replay``.
 
-One process serves: its worker threads share the node's cores, as GxM
-spreads one node's work over that node's cores with threads.  Replica
-processes behind a shared-memory router measured slower than one
-process, a single replica at a median 0.70x (EXPERIMENTS.md, "One
-serving process").
+One process serves, with one replica driven by one worker thread.
+Replica processes behind a shared-memory router measured slower than
+one process, a single replica at a median 0.70x (EXPERIMENTS.md, "One
+serving process"), and a second worker thread with its own replica at
+0.66x (``fast``) and 0.72x (``blocked``) of one (EXPERIMENTS.md, "One
+replica per server").
 
 Quick start::
 
@@ -113,8 +109,7 @@ from repro.serve.request import (
     ServerClosed,
 )
 from repro.serve.server import CanaryError, InferenceServer, LifecycleBusy
-from repro.serve.warmcache import StreamWarmCache
-from repro.serve.worker import EngineReplica, ReplicaSlot, SwapGate
+from repro.serve.worker import EngineReplica, SwapGate
 
 __all__ = [
     "ServeConfig",
@@ -132,9 +127,7 @@ __all__ = [
     "CircuitBreaker",
     "ClientConfig",
     "ServeClient",
-    "StreamWarmCache",
     "EngineReplica",
-    "ReplicaSlot",
     "SwapGate",
     "LoadReport",
     "run_closed_loop",

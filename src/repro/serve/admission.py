@@ -50,8 +50,7 @@ class AdmissionQueue:
     ``metrics`` scopes the queue's counters/gauges to one server; it
     defaults to the process-wide registry for standalone use.
     ``max_wait_s`` enables adaptive backpressure (``None`` = depth-only
-    shedding); ``workers`` is the drain parallelism the wait estimate
-    divides by.
+    shedding).
     """
 
     def __init__(
@@ -60,11 +59,9 @@ class AdmissionQueue:
         metrics: MetricsRegistry | None = None,
         *,
         max_wait_s: float | None = None,
-        workers: int = 1,
     ):
         self.capacity = capacity
         self.max_wait_s = max_wait_s
-        self.workers = max(1, workers)
         self._metrics = metrics if metrics is not None else get_metrics()
         self._q: deque[InferenceRequest] = deque()
         self._cond = threading.Condition()
@@ -75,7 +72,7 @@ class AdmissionQueue:
         #: before a drain is still waited for (no lost-update race --
         #: both counters move under the queue's own lock)
         self._inflight = 0
-        #: decayed per-request service seconds, fed by the workers after
+        #: decayed per-request service seconds, fed by the worker after
         #: every batch (batch wall time / live rows)
         self._service_ewma = Ewma(alpha=0.2)
 
@@ -123,20 +120,20 @@ class AdmissionQueue:
     # -- adaptive backpressure -----------------------------------------
     def record_service(self, batch_seconds: float, n: int) -> None:
         """Fold one served batch into the service-time EWMA (called by
-        workers; ``n`` is the batch's live row count)."""
+        the worker; ``n`` is the batch's live row count)."""
         if n > 0:
             per_req = self._service_ewma.update(batch_seconds / n)
             self._metrics.set_gauge("serve.service_ewma_ms", per_req * 1e3)
 
     def estimated_wait_s(self) -> float:
         """Expected queue wait for a request admitted *now*: decayed
-        per-request service time x current depth / drain parallelism.
-        0.0 until the first batch has been observed (optimistic start:
-        never shed before there is evidence of slowness)."""
+        per-request service time x current depth.  0.0 until the first
+        batch has been observed (optimistic start: never shed before
+        there is evidence of slowness)."""
         per_req = self._service_ewma.value
         if per_req is None:
             return 0.0
-        return per_req * self.depth / self.workers
+        return per_req * self.depth
 
     # ------------------------------------------------------------------
     def put(self, req: InferenceRequest) -> None:
@@ -161,10 +158,7 @@ class AdmissionQueue:
                 )
             if self.max_wait_s is not None:
                 per_req = self._service_ewma.value
-                est = (
-                    0.0 if per_req is None
-                    else per_req * len(self._q) / self.workers
-                )
+                est = 0.0 if per_req is None else per_req * len(self._q)
                 if est > self.max_wait_s:
                     self._metrics.inc("serve.shed")
                     self._metrics.inc("serve.shed_backpressure")

@@ -1,10 +1,9 @@
 """Serving configuration: the frozen description of what a server runs.
 
-Everything shape- or engine-dependent is pinned here so that replicas,
-warm-cache artifacts and load generators all agree on it.  The
-``fingerprint`` ties a stream artifact to the exact configuration that
-recorded it -- loading streams recorded for a different model, bucket
-set or blocking setup is refused at boot.
+Everything shape- or engine-dependent is pinned here so that the
+replica, incident replays and load generators all agree on it.  The
+``fingerprint`` digests every field that changes the engines a replica
+builds; incident bundles carry it.
 """
 
 from __future__ import annotations
@@ -44,8 +43,8 @@ class ServeConfig:
         Topology and the per-request image shape ``(C, H, W)``.
     engine:
         ``"fast"`` (BLAS reference semantics; the throughput engine) or
-        ``"blocked"`` (the full kernel-stream engine; the one the stream
-        warm cache accelerates).
+        ``"blocked"`` (the full kernel-stream engine, one dryrun per conv
+        layer and bucket at boot).
     execution_tier:
         Kernel-stream tier for ``"blocked"`` -- ``"compiled"`` or
         ``"interpret"`` (an :class:`~repro.jit.ExecutionTier` or its
@@ -56,17 +55,15 @@ class ServeConfig:
         Ascending micro-batch sizes.  A batch of ``n`` pending requests
         is padded up to the smallest bucket >= n; engines exist only for
         bucket shapes, never for arbitrary ``n``.
-    workers:
-        Worker threads, each owning a full engine replica.
     queue_capacity:
         Admission bound; a request arriving at a full queue is shed.
     batch_window_ms:
-        How long a worker waits for the batch to fill once at least one
+        How long the worker waits for the batch to fill once at least one
         request is pending (the latency/occupancy trade-off knob).
     max_queue_wait_ms:
         Adaptive backpressure budget: admission sheds a request whose
         *estimated* queue wait (EWMA of per-request service time x
-        queue depth / workers) exceeds this, long before the hard
+        queue depth) exceeds this, long before the hard
         ``queue_capacity`` is hit.  ``None`` disables the estimator and
         keeps depth-only shedding.
     tune_db:
@@ -74,8 +71,8 @@ class ServeConfig:
         conv layer's blocking plan at engine build time (``None`` = paper
         heuristics).  A missing or corrupt artifact degrades to the
         heuristics per layer.  The *content digest* of the database (not
-        the path) is folded into :meth:`fingerprint`, so stream warm
-        caches recorded under different tuned plans are refused at boot.
+        the path) is folded into :meth:`fingerprint`: different tuned
+        plans record different streams.
     incident_dir:
         Directory for :mod:`repro.forensics` incident bundles.  When
         set, the server raises the process-wide tracer to at least its
@@ -95,7 +92,6 @@ class ServeConfig:
     machine: str = "SKX"
     threads: int = 1
     buckets: tuple[int, ...] = (1, 2, 4, 8, 16)
-    workers: int = 1
     queue_capacity: int = 256
     batch_window_ms: float = 2.0
     max_queue_wait_ms: float | None = None
@@ -142,10 +138,6 @@ class ServeConfig:
             raise ServeConfigError(
                 f"input_shape must be (C, H, W), got {self.input_shape}"
             )
-        if self.workers < 1:
-            raise ServeConfigError(
-                f"workers must be >= 1, got {self.workers}"
-            )
         if self.queue_capacity < 1:
             raise ServeConfigError(
                 f"queue_capacity (max queue depth) must be >= 1, got "
@@ -170,7 +162,7 @@ class ServeConfig:
         """Content digest of every field that affects recorded streams."""
         doc = asdict(self)
         # runtime-only knobs do not change the streams an engine records
-        for k in ("workers", "queue_capacity", "batch_window_ms",
+        for k in ("queue_capacity", "batch_window_ms",
                   "max_queue_wait_ms", "checkpoint", "incident_dir"):
             doc.pop(k)
         # the tuning DB changes blocking plans, hence recorded streams --
@@ -206,9 +198,7 @@ class ServeConfig:
             num_classes=self.num_classes, width=self.width
         )
 
-    def build_etg(
-        self, bucket: int, conv_streams=None, execution_tier=_UNSET,
-    ):
+    def build_etg(self, bucket: int, execution_tier=_UNSET):
         """One :class:`~repro.gxm.etg.ExecutionTaskGraph` sized for a
         batch bucket (the blocked engine records streams per fixed N).
         ``execution_tier`` overrides the configured tier -- the degrade-
@@ -228,6 +218,5 @@ class ServeConfig:
                 if execution_tier is _UNSET
                 else execution_tier
             ),
-            conv_streams=conv_streams,
             tuned=self.tune_db if self.tune_db is not None else False,
         )

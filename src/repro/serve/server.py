@@ -1,9 +1,9 @@
-"""The inference server: queue + batcher + warm cache + workers.
+"""The inference server: queue + batcher + one replica + its worker.
 
 Boot does everything expensive exactly once -- graph construction,
-JIT codegen, dryrun stream recording (or warm-cache replay, skipping
-the dryrun entirely) -- so the steady state per request is: admission,
-a short batching wait, one engine call, scatter.  SLO signals use the
+JIT codegen, each bucket's dryrun recording its kernel streams -- so
+the steady state per request is: admission, a short batching wait, one
+engine call, scatter.  SLO signals use the
 :mod:`repro.obs` machinery on a per-server registry
 (:attr:`InferenceServer.metrics`): ``serve.latency_ms`` (distribution
 -> p50/p95/p99), ``serve.queue_depth``, ``serve.batch_occupancy``,
@@ -18,21 +18,19 @@ operations on the running server rather than kill-and-reboot:
 * :meth:`drain` -- stop admission, let in-flight and queued batches
   finish, fail (and report) anything left after the timeout.  Admission
   can be re-opened with :meth:`resume`.
-* :meth:`reload_checkpoint` -- load new weights into a **shadow**
-  replica set (reusing the stream warm cache, so no dryrun), validate a
-  canary batch per bucket against the numerics contract (finite values,
-  correct shape, probability simplex), then atomically swap the shadows
-  in under the :class:`~repro.serve.worker.SwapGate` and rebuild the
-  warm cache from the new replicas.  Any canary failure rolls back:
-  shadows are discarded, the old replicas never stopped serving, and
-  the error is raised to the operator (``serve.reload.rollbacks``).
+* :meth:`reload_checkpoint` -- build a **shadow** replica on the new
+  weights (its dryruns record its streams, as at boot, off the request
+  path), validate a canary batch per bucket against the numerics
+  contract (finite values, correct shape, probability simplex), then
+  atomically swap it in under the
+  :class:`~repro.serve.worker.SwapGate`.  Any canary failure rolls
+  back: the shadow is discarded, the old replica never stopped serving,
+  and the error is raised to the operator (``serve.reload.rollbacks``).
 
-Resilience: boot falls back to a cold dryrun when the warm-cache
-artifact is stale or corrupt (:class:`StaleArtifactError` -> counted in
-``serve.artifact_rejected``, never a boot abort); a supervisor thread
-restarts crashed worker threads with exponential backoff
-(``serve.worker_restarts``); and :meth:`health` -- the ``/healthz``
-payload -- reports live-worker count and every degraded state.
+Resilience: a supervisor thread restarts a crashed worker thread with
+exponential backoff (``serve.worker_restarts``); and :meth:`health` --
+the ``/healthz`` payload -- reports whether the worker is alive and
+every degraded state.
 
 Lifecycle operations never interleave: drain/resume/reload serialize on
 one lock, and a second operation arriving while one is in flight is
@@ -67,9 +65,7 @@ from repro.serve.admission import AdmissionQueue
 from repro.serve.batcher import MicroBatcher
 from repro.serve.config import ServeConfig
 from repro.serve.request import InferenceRequest, InvalidImage, ServerClosed
-from repro.serve.warmcache import StreamWarmCache
-from repro.serve.worker import EngineReplica, ReplicaSlot, SwapGate, Worker
-from repro.streams.serialize import StaleArtifactError
+from repro.serve.worker import EngineReplica, SwapGate, Worker
 from repro.types import ReproError, ShapeError
 
 __all__ = ["CanaryError", "InferenceServer", "LifecycleBusy"]
@@ -83,7 +79,7 @@ _BACKOFF_MAX_S = 2.0
 class CanaryError(ReproError):
     """A shadow replica's canary batch violated the numerics contract
     during :meth:`InferenceServer.reload_checkpoint`; the reload was
-    rolled back and the old replicas kept serving."""
+    rolled back and the old replica kept serving."""
 
 
 class LifecycleBusy(ReproError):
@@ -93,14 +89,6 @@ class LifecycleBusy(ReproError):
     the running one and never interleaves with it."""
 
 
-def _config_doc(config: ServeConfig) -> dict:
-    """JSON-serializable config document for an incident manifest
-    (``replay`` is a runtime object, not part of the capture)."""
-    doc = asdict(config)
-    doc.pop("replay", None)
-    return doc
-
-
 class InferenceServer:
     """Dynamic-batching front end over bucket-sized inference engines.
 
@@ -108,7 +96,7 @@ class InferenceServer:
     sites (``serve.worker.crash``, ``serve.worker.slow``,
     ``serve.replica.run``, ``serve.reload.canary_fail``);
     ``max_worker_restarts`` bounds how many times the supervisor will
-    replace any one worker slot before leaving it down (and reporting it
+    replace the worker thread before leaving it down (and reporting it
     through :meth:`health`).
     """
 
@@ -133,16 +121,16 @@ class InferenceServer:
                 if config.max_queue_wait_ms is not None
                 else None
             ),
-            workers=config.workers,
         )
         self.batcher = MicroBatcher(config.buckets, metrics=self.metrics)
-        self.warm_cache = StreamWarmCache(config.fingerprint())
-        #: read side held per batch by workers, write side by replica
-        #: swaps (reload) and drain's in-flight barrier
+        #: read side held per batch by the worker, write side by the
+        #: replica swap (reload), worker restarts and drain's barrier
         self.gate = SwapGate()
-        self._slots: list[ReplicaSlot] = []
-        self._workers: list[Worker] = []
-        self._restarts: list[int] = []
+        #: the engines that serve; built by :meth:`start`, swapped by
+        #: :meth:`reload_checkpoint`
+        self.replica: EngineReplica | None = None
+        self._worker: Worker | None = None
+        self._restarts = 0
         self._supervisor: threading.Thread | None = None
         self._stopping = threading.Event()
         #: serializes lifecycle operations (drain/resume/reload/stop)
@@ -154,61 +142,23 @@ class InferenceServer:
         self._started = False
         self._draining = False
 
-    @property
-    def _replicas(self) -> list[EngineReplica]:
-        """The live replica set (compat accessor; tests patch
-        ``server._replicas[0].run``)."""
-        return [slot.replica for slot in self._slots]
-
     # ------------------------------------------------------------------
-    def start(self, streams_artifact=None) -> dict:
-        """Build every replica and start the worker threads.
-
-        ``streams_artifact`` (path or file object) warm-starts the
-        blocked engine from saved kernel streams; buckets present in the
-        artifact skip their dryrun.  A stale or corrupt artifact does
-        NOT abort boot: it is rejected (``serve.artifact_rejected``) and
-        every bucket cold-boots through its dryrun.  Returns
-        :attr:`boot_stats`.
-        """
+    def start(self) -> dict:
+        """Build the replica (each blocked bucket records its kernel
+        streams by dryrun) and start the worker thread.  Returns
+        :attr:`boot_stats`."""
         if self._started:
             raise ReproError("server already started")
         t0 = time.perf_counter()
-        artifact_error: str | None = None
-        if streams_artifact is not None:
-            if self.config.engine != "blocked":
-                raise ReproError(
-                    "stream warm-start applies only to the blocked engine"
-                )
-            try:
-                self.warm_cache.load(streams_artifact)
-            except StaleArtifactError as err:
-                # graceful degradation: cold dryrun instead of boot abort
-                artifact_error = str(err)
-                self.metrics.inc("serve.artifact_rejected")
-        for i in range(self.config.workers):
-            replica = EngineReplica(
-                self.config, self.warm_cache, metrics=self.metrics,
-                injector=self.injector,
-            )
-            self._slots.append(ReplicaSlot(replica))
-            self._workers.append(self._make_worker(i, self._slots[i]))
-            self._restarts.append(0)
-        if self.config.checkpoint:
-            self._load_checkpoint(self.config.checkpoint, self._replicas)
+        self.replica = EngineReplica(
+            self.config, metrics=self.metrics, injector=self.injector,
+        )
         boot_s = time.perf_counter() - t0
-        first = self._slots[0].replica
-        self.boot_stats = {
-            "boot_s": boot_s,
-            "engine": self.config.engine,
-            "warm_buckets": list(first.warm_buckets),
-            "cold_buckets": list(first.cold_buckets),
-        }
-        if artifact_error is not None:
-            self.boot_stats["artifact_error"] = artifact_error
+        self.boot_stats = {"boot_s": boot_s, "engine": self.config.engine}
         self.metrics.set_gauge("serve.boot_s", boot_s)
-        for w in self._workers:
-            w.start()
+        self._restarts = 0
+        self._worker = self._make_worker()
+        self._worker.start()
         self._stopping.clear()
         self._supervisor = threading.Thread(
             target=self._supervise, name="serve-supervisor", daemon=True
@@ -217,58 +167,45 @@ class InferenceServer:
         self._started = True
         return self.boot_stats
 
-    def _make_worker(self, slot_idx: int, slot: ReplicaSlot) -> Worker:
+    def _make_worker(self) -> Worker:
         return Worker(
-            name=f"serve-worker-{slot_idx}",
+            name="serve-worker",
             queue=self.queue,
             batcher=self.batcher,
-            replica=slot,
+            replica=self.replica,
             batch_window_s=self.config.batch_window_ms / 1e3,
             metrics=self.metrics,
             injector=self.injector,
             gate=self.gate,
         )
 
-    @staticmethod
-    def _load_checkpoint(path: str, replicas) -> None:
-        """Copy trained parameters from a checkpoint into every graph of
-        every replica (all graphs share one layout, so loading is a flat
-        parameter copy per graph)."""
-        from repro.gxm.checkpoint import load_checkpoint
-
-        for replica in replicas:
-            for session in replica.sessions():
-                load_checkpoint(session.etg, path)
-
     # -- self-healing ---------------------------------------------------
     def _supervise(self) -> None:
-        """Restart crashed worker threads (bounded, with backoff).
+        """Restart a crashed worker thread (bounded, with backoff).
 
         A worker that exited because the queue closed
         (``exited_cleanly``) is never restarted; one that died any other
-        way is replaced on its own replica slot -- engines are stateless
-        between batches, so the replacement picks up immediately (and a
-        slot repointed by a hot reload restarts onto the new replica).
+        way is replaced on the current replica -- engines are stateless
+        between batches, so the replacement picks up immediately.  The
+        replacement is made under the swap gate, so it can never start
+        on a replica a concurrent hot reload has just retired.
         """
         while not self._stopping.wait(_SUPERVISE_S):
-            for slot_idx, worker in enumerate(self._workers):
-                if worker.is_alive() or worker.exited_cleanly:
-                    continue
-                if self._restarts[slot_idx] >= self.max_worker_restarts:
-                    continue  # slot abandoned; health() reports it
-                delay = min(
-                    _BACKOFF_BASE_S * (2 ** self._restarts[slot_idx]),
-                    _BACKOFF_MAX_S,
-                )
-                if self._stopping.wait(delay):
-                    return
-                self._restarts[slot_idx] += 1
-                self.metrics.inc("serve.worker_restarts")
-                replacement = self._make_worker(
-                    slot_idx, self._slots[slot_idx]
-                )
-                self._workers[slot_idx] = replacement
-                replacement.start()
+            worker = self._worker
+            if worker.is_alive() or worker.exited_cleanly:
+                continue
+            if self._restarts >= self.max_worker_restarts:
+                continue  # left down; health() reports it
+            delay = min(
+                _BACKOFF_BASE_S * (2 ** self._restarts), _BACKOFF_MAX_S
+            )
+            if self._stopping.wait(delay):
+                return
+            self._restarts += 1
+            self.metrics.inc("serve.worker_restarts")
+            with self.gate.write():
+                self._worker = self._make_worker()
+            self._worker.start()
 
     # ------------------------------------------------------------------
     def submit(
@@ -343,7 +280,7 @@ class InferenceServer:
         batches, report what was left.
 
         New submissions fail with :class:`ServerClosed` ("draining") the
-        moment this is called; workers keep draining the queue.  When the
+        moment this is called; the worker keeps draining the queue.  When the
         queue has not emptied within ``timeout_s`` the leftovers are
         failed with :class:`ServerClosed` and counted in the report --
         nothing is ever left hanging on ``result()``.  The server stays
@@ -364,7 +301,7 @@ class InferenceServer:
                 req._fail(ServerClosed(
                     "server drained before this request ran"
                 ))
-            # barrier: wait for every in-flight batch to finish
+            # barrier: wait for the in-flight batch to finish
             with self.gate.write():
                 pass
             report = {
@@ -389,7 +326,7 @@ class InferenceServer:
     def _canary_contract(self, probs, bucket: int) -> str | None:
         """Why ``probs`` violates the serving numerics contract, or
         ``None`` if it honours it.  The contract is what every response
-        from the *old* replicas already satisfies: a finite, row-wise
+        from the *old* replica already satisfies: a finite, row-wise
         probability simplex of the configured class count."""
         probs = np.asarray(probs)
         want = (bucket, self.config.num_classes)
@@ -406,19 +343,19 @@ class InferenceServer:
     def reload_checkpoint(self, path: str, canary_seed: int = 0) -> dict:
         """Hot-swap to new weights with zero dropped requests.
 
-        Mechanics: (1) build a **shadow** replica set from the warm
-        cache (stream replay, no dryrun) and load ``path`` into it --
-        the live replicas keep serving untouched; (2) run one canary
-        batch per bucket on a shadow and validate the numerics contract
-        (finite, correct shape, probability simplex); (3) only if every
-        canary passes, take the swap gate's write side (waits for
-        in-flight batches, holds new ones back for the swap instant),
-        repoint every worker slot at its shadow, and rebuild the stream
-        warm cache from the new replicas; (4) close the old replicas.
+        Mechanics: (1) build a **shadow** replica on the weights at
+        ``path`` -- its blocked buckets record their streams by dryrun,
+        as at boot -- while the live replica keeps serving untouched;
+        (2) run one canary batch per bucket on the shadow and validate
+        the numerics contract (finite, correct shape, probability
+        simplex); (3) only if every canary passes, take the swap gate's
+        write side (waits for the in-flight batch, holds new ones back
+        for the swap instant) and repoint the worker at the shadow;
+        (4) close the old replica.
 
         On *any* canary failure -- including an injected
-        ``serve.reload.canary_fail`` -- the shadows are discarded, the
-        old replicas never stopped serving, ``serve.reload.rollbacks``
+        ``serve.reload.canary_fail`` -- the shadow is discarded, the
+        old replica never stopped serving, ``serve.reload.rollbacks``
         is bumped and :class:`CanaryError` raised.  Client requests in
         flight observe either the old or the new weights, never an
         error, never a hang."""
@@ -427,21 +364,18 @@ class InferenceServer:
         with self._lifecycle_op("reload"):
             t0 = time.perf_counter()
             new_config = replace(self.config, checkpoint=path)
-            shadows: list[EngineReplica] = []
+            shadow: EngineReplica | None = None
             try:
-                for _ in self._slots:
-                    shadows.append(EngineReplica(
-                        new_config, self.warm_cache,
-                        metrics=self.metrics, injector=self.injector,
-                    ))
-                self._load_checkpoint(path, shadows)
-                # canary: one deterministic batch per bucket, on shadows
+                shadow = EngineReplica(
+                    new_config, metrics=self.metrics, injector=self.injector,
+                )
+                # canary: one deterministic batch per bucket, on the shadow
                 rng = np.random.default_rng(canary_seed)
                 for bucket in self.config.buckets:
                     x = rng.standard_normal(
                         (bucket, *self.config.input_shape)
                     ).astype(np.float32)
-                    probs = shadows[0].run(x, bucket)
+                    probs = shadow.run(x, bucket)
                     violation = self._canary_contract(probs, bucket)
                     if violation is None and self.injector is not None:
                         fault = self.injector.fire(
@@ -462,26 +396,18 @@ class InferenceServer:
                         )
                         raise err
             except BaseException:
-                # rollback: discard shadows; old replicas never stopped
-                for shadow in shadows:
+                # rollback: discard the shadow; the old replica never
+                # stopped serving
+                if shadow is not None:
                     shadow.close()
                 self.metrics.inc("serve.reload.rollbacks")
                 raise
             # every canary passed: atomic swap under the write gate
-            old: list[EngineReplica]
             with self.gate.write():
-                old = [slot.replica for slot in self._slots]
-                for slot, shadow in zip(self._slots, shadows):
-                    slot.replica = shadow
+                old, self.replica = self.replica, shadow
+                self._worker.replica = shadow
                 self.config = new_config
-                # invalidate + rebuild the warm cache from the replicas
-                # now live, so a saved artifact always reflects them
-                if new_config.engine == "blocked":
-                    self.warm_cache.clear()
-                    for bucket, state in shadows[0].stream_state().items():
-                        self.warm_cache.put(bucket, state)
-            for replica in old:
-                replica.close()
+            old.close()
             duration = time.perf_counter() - t0
             self.metrics.inc("serve.reloads")
             self.metrics.set_gauge("serve.reload_s", duration)
@@ -489,7 +415,6 @@ class InferenceServer:
                 "checkpoint": path,
                 "buckets_canaried": list(self.config.buckets),
                 "duration_s": duration,
-                "warm_cache_rebuilt": self.config.engine == "blocked",
             }
             try:
                 from repro.gxm.checkpoint import read_checkpoint_meta
@@ -507,7 +432,7 @@ class InferenceServer:
         x: np.ndarray, bucket: int, path: str,
     ) -> None:
         """Freeze the failing canary batch before the rollback discards
-        the shadows.  The bundle carries the *new* config (checkpoint =
+        the shadow.  The bundle carries the *new* config (checkpoint =
         the rejected path), so a replay rebuilds exactly the engine the
         canary ran on."""
         get_tracer().record(
@@ -519,7 +444,7 @@ class InferenceServer:
             "serve",
             error=err,
             replay={"mode": "serve", "bucket": int(bucket)},
-            config=_config_doc(new_config),
+            config=asdict(new_config),
             config_fingerprint=new_config.fingerprint(),
             fault_plan=(
                 self.injector.plan if self.injector is not None else None
@@ -548,7 +473,7 @@ class InferenceServer:
             (bucket, *self.config.input_shape)
         ).astype(np.float32)
         with self.gate.read():
-            replica = self._slots[0].replica
+            replica = self.replica
             y = np.asarray(replica.run(x, bucket))
             tensors = {"x": x}
             for i, p in enumerate(
@@ -558,7 +483,7 @@ class InferenceServer:
         path = self._incidents.capture(
             "manual",
             replay={"mode": "serve", "bucket": int(bucket)},
-            config=_config_doc(self.config),
+            config=asdict(self.config),
             config_fingerprint=self.config.fingerprint(),
             fault_plan=(
                 self.injector.plan if self.injector is not None else None
@@ -574,7 +499,7 @@ class InferenceServer:
 
     # ------------------------------------------------------------------
     def stop(self) -> None:
-        """Close admission, drain workers, fail leftover requests."""
+        """Close admission, drain the worker, fail leftover requests."""
         if not self._started:
             return
         self._stopping.set()
@@ -582,15 +507,12 @@ class InferenceServer:
             self._supervisor.join(timeout=10.0)
             self._supervisor = None
         self.queue.close()
-        for w in self._workers:
-            w.join(timeout=30.0)
+        self._worker.join(timeout=30.0)
         for req in self.queue.drain():
             req._fail(ServerClosed("server stopped before request ran"))
-        for slot in self._slots:
-            slot.replica.close()
-        self._slots.clear()
-        self._workers.clear()
-        self._restarts.clear()
+        self.replica.close()
+        self.replica = None
+        self._worker = None
         self._started = False
         self._draining = False
 
@@ -607,27 +529,18 @@ class InferenceServer:
         """The ``/healthz`` readiness payload.
 
         ``status`` is ``"ok"`` (full capacity, no degradation),
-        ``"degraded"`` (serving, but with dead workers, a degraded
-        execution tier, a warm-artifact rejection, or admission paused
-        by a drain) or ``"down"`` (not started / nothing alive to
-        serve)."""
-        live = sum(1 for w in self._workers if w.is_alive())
-        degraded_buckets = sorted(
-            {
-                b
-                for r in self._replicas
-                for b in r.degraded_buckets
-            }
+        ``"degraded"`` (serving, but with a degraded execution tier or
+        admission paused by a drain) or ``"down"`` (not started, or the
+        worker thread is dead -- awaiting its restart, or out of restart
+        budget)."""
+        live = int(self._worker is not None and self._worker.is_alive())
+        degraded_buckets = (
+            sorted(self.replica.degraded_buckets)
+            if self.replica is not None else []
         )
-        artifact_fallback = "artifact_error" in self.boot_stats
-        if not self._started or (self._workers and live == 0):
+        if not self._started or not live:
             status = "down"
-        elif (
-            live < len(self._workers)
-            or degraded_buckets
-            or artifact_fallback
-            or self._draining
-        ):
+        elif degraded_buckets or self._draining:
             status = "degraded"
         else:
             status = "ok"
@@ -636,11 +549,8 @@ class InferenceServer:
             "started": self._started,
             "draining": self._draining,
             "live_workers": live,
-            "configured_workers": self.config.workers,
             "worker_restarts": self.metrics.value("serve.worker_restarts"),
             "degraded_buckets": degraded_buckets,
-            "artifact_fallback": artifact_fallback,
-            "artifact_error": self.boot_stats.get("artifact_error"),
             "queue_depth": self.queue.depth,
             "estimated_wait_ms": self.queue.estimated_wait_s() * 1e3,
             "reloads": self.metrics.value("serve.reloads"),
@@ -653,8 +563,8 @@ class InferenceServer:
 
     def stats(self) -> dict:
         """SLO snapshot: this server's serve.* metrics, latency
-        percentiles, kernel cache state, boot stats, warm-cache digests
-        and the health payload.  Reads the per-instance registry, so the
+        percentiles, kernel cache state, boot stats and the health
+        payload.  Reads the per-instance registry, so the
         numbers cover exactly this server's lifetime -- not every server
         ever booted in the process."""
         from repro.jit.kernel_cache import get_default_cache
@@ -665,16 +575,5 @@ class InferenceServer:
             "distributions": self.metrics.distributions(),
             "kernel_cache": get_default_cache().stats(),
             "boot": dict(self.boot_stats),
-            "warm_streams": self.warm_cache.digests(),
             "health": self.health(),
         }
-
-    def save_streams_artifact(self, path_or_file) -> int:
-        """Persist the warm cache for the next boot; returns the entry
-        count.  Only meaningful for the blocked engine (the fast engine
-        records no streams)."""
-        if self.config.engine != "blocked":
-            raise ReproError(
-                "stream artifacts apply only to the blocked engine"
-            )
-        return self.warm_cache.save(path_or_file)

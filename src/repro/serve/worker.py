@@ -1,4 +1,4 @@
-"""Engine replicas and the worker threads that drive them.
+"""The engine replica and the worker thread that drives it.
 
 A replica is one complete set of forward-only engines for every
 configured batch bucket, wrapped in entered
@@ -11,17 +11,15 @@ Engine strategy per :class:`~repro.serve.config.ServeConfig`:
   serves every bucket.  This is the throughput engine (batching feeds
   BLAS bigger GEMMs).
 * ``blocked`` -- kernel streams are recorded for a fixed minibatch, so
-  the replica owns one graph *per bucket*.  Building each graph replays
-  warm-cache streams when available (no dryrun) and contributes its
-  freshly recorded streams to the cache otherwise.
+  the replica owns one graph *per bucket*, each recording its streams
+  by its own dryrun when it is built (section II-H: the dryrun "has to
+  be performed only once during the setup of the CNN layer").
 
-Hot reload support: a worker reads its replica through a
-:class:`ReplicaSlot` (a one-field holder the server repoints during
-:meth:`~repro.serve.server.InferenceServer.reload_checkpoint`) and runs
-each batch under the shared :class:`SwapGate`'s read side.  The reload
-path takes the write side, so a swap happens only between batches --
-never under a replay in flight -- and an in-flight batch always
-finishes on the replica it started on.
+Hot reload support: the worker runs each batch on its ``replica`` under
+the shared :class:`SwapGate`'s read side.  The reload path takes the
+write side to repoint the worker at the new replica, so a swap happens
+only between batches -- never under a replay in flight -- and an
+in-flight batch always finishes on the replica it started on.
 
 Request lifecycle: expired requests are dropped (and failed with
 :class:`~repro.serve.request.DeadlineExceeded`) immediately before the
@@ -32,8 +30,9 @@ build, which is exactly how tests age a batch past its deadline
 deterministically.
 
 Graceful degradation: a blocked replica whose ``compiled`` bucket fails
-at runtime rebuilds that bucket's engine on ``interpret`` and retries
-the batch.  The transition increments ``serve.tier_degraded`` plus the
+at runtime rebuilds that bucket's engine on ``interpret`` (recording its
+streams by dryrun, as at boot) and retries the batch.  The transition
+increments ``serve.tier_degraded`` plus the
 ``serve.tier_degraded.compiled_to_interpret`` pair counter and records
 the bucket in :attr:`EngineReplica.degraded_buckets`; a bucket already
 on ``interpret`` propagates the failure.  A worker thread that dies (e.g.
@@ -57,19 +56,18 @@ from repro.serve.admission import AdmissionQueue
 from repro.serve.batcher import MicroBatcher
 from repro.serve.config import ServeConfig
 from repro.serve.request import InferenceRequest
-from repro.serve.warmcache import StreamWarmCache
 
-__all__ = ["EngineReplica", "ReplicaSlot", "SwapGate", "Worker"]
+__all__ = ["EngineReplica", "SwapGate", "Worker"]
 
 
 class SwapGate:
     """Readers-writer gate between batch execution and replica swaps.
 
-    Workers hold the read side for the duration of one engine call;
-    :meth:`~repro.serve.server.InferenceServer.reload_checkpoint` (and
-    drain) take the write side, which waits for every in-flight batch
-    and briefly holds new ones back.  Writers have priority so a steady
-    request stream cannot starve a reload.
+    The worker holds the read side for the duration of one engine call;
+    :meth:`~repro.serve.server.InferenceServer.reload_checkpoint`, drain
+    and the supervisor's worker restart take the write side, which waits
+    for the in-flight batch and briefly holds new ones back.  Writers
+    have priority so a steady request stream cannot starve a reload.
     """
 
     def __init__(self) -> None:
@@ -109,36 +107,21 @@ class SwapGate:
                 self._cond.notify_all()
 
 
-class ReplicaSlot:
-    """One worker's view of "its" replica, indirected so the server can
-    atomically repoint every slot at a shadow replica set during hot
-    reload.  Plain attribute read/write under the :class:`SwapGate` --
-    no lock of its own."""
-
-    __slots__ = ("replica",)
-
-    def __init__(self, replica: "EngineReplica"):
-        self.replica = replica
-
-
 class EngineReplica:
-    """Every engine one worker thread needs, built once at boot."""
+    """Every engine the worker thread needs, built once at boot (and
+    once more per hot reload, as the shadow the canary runs on)."""
 
     def __init__(
         self,
         config: ServeConfig,
-        warm_cache: StreamWarmCache | None = None,
         metrics=None,
         injector: FaultInjector | None = None,
     ):
         self.config = config
         self.metrics = metrics if metrics is not None else get_metrics()
         self.injector = injector
-        self._warm_cache = warm_cache
         self._lock = threading.Lock()
         self._sessions: dict[int, InferenceSession] = {}
-        self.warm_buckets: list[int] = []
-        self.cold_buckets: list[int] = []
         #: buckets rebuilt on a lower tier after a runtime tier failure
         #: (graceful degradation, never silent)
         self.degraded_buckets: list[int] = []
@@ -147,22 +130,24 @@ class EngineReplica:
         self._bucket_tier: dict = {}
         if config.engine == "fast":
             # one graph handles any leading dimension
-            etg = config.build_etg(config.max_bucket)
-            session = InferenceSession(etg).__enter__()
+            session = self._session(config.max_bucket)
             for bucket in config.buckets:
                 self._sessions[bucket] = session
-            self.cold_buckets = list(config.buckets)
         else:
             for bucket in config.buckets:
-                streams = warm_cache.get(bucket) if warm_cache else None
-                etg = config.build_etg(bucket, conv_streams=streams)
-                if streams is None:
-                    self.cold_buckets.append(bucket)
-                    if warm_cache is not None:
-                        warm_cache.put(bucket, etg.conv_stream_state())
-                else:
-                    self.warm_buckets.append(bucket)
-                self._sessions[bucket] = InferenceSession(etg).__enter__()
+                self._sessions[bucket] = self._session(bucket)
+
+    def _session(self, bucket: int, **tier) -> InferenceSession:
+        """An entered session over a graph sized for ``bucket`` (its
+        blocked conv nodes record their streams by dryrun) holding the
+        configured checkpoint's weights; ``execution_tier=`` overrides
+        the configured tier."""
+        etg = self.config.build_etg(bucket, **tier)
+        if self.config.checkpoint:
+            from repro.gxm.checkpoint import load_checkpoint
+
+            load_checkpoint(etg, self.config.checkpoint)
+        return InferenceSession(etg).__enter__()
 
     def run(self, batch, bucket: int):
         """Probabilities for one ``(bucket, C, H, W)`` batch.
@@ -199,22 +184,10 @@ class EngineReplica:
             nxt = ExecutionTier.INTERPRET
             if cur == nxt:
                 raise err  # already on the reference tier: genuine failure
-            streams = (
-                self._warm_cache.get(bucket)
-                if self._warm_cache is not None
-                else None
-            )
-            etg = self.config.build_etg(
-                bucket,
-                conv_streams=streams,
-                execution_tier=nxt,
-            )
-            if self.config.checkpoint:
-                from repro.gxm.checkpoint import load_checkpoint
-
-                load_checkpoint(etg, self.config.checkpoint)
             old = self._sessions[bucket]
-            self._sessions[bucket] = InferenceSession(etg).__enter__()
+            self._sessions[bucket] = self._session(
+                bucket, execution_tier=nxt
+            )
             old.__exit__(None, None, None)
             self._bucket_tier[bucket] = nxt
             if bucket not in self.degraded_buckets:
@@ -228,25 +201,10 @@ class EngineReplica:
             )
         return self._sessions[bucket].predict(batch)
 
-    def sessions(self) -> list[InferenceSession]:
-        """Each distinct session exactly once (the fast replica maps
-        every bucket to one)."""
-        return list({id(s): s for s in self._sessions.values()}.values())
-
-    def stream_state(self) -> dict[int, dict[str, list]]:
-        """Per-bucket recorded forward streams, the payload a
-        :class:`~repro.serve.warmcache.StreamWarmCache` rebuild wants
-        after a hot reload (empty for the fast engine -- it records no
-        streams)."""
-        if self.config.engine != "blocked":
-            return {}
-        return {
-            bucket: session.etg.conv_stream_state()
-            for bucket, session in self._sessions.items()
-        }
-
     def close(self) -> None:
-        for session in self.sessions():
+        # each distinct session once: the fast replica maps every
+        # bucket to one
+        for session in {id(s): s for s in self._sessions.values()}.values():
             session.__exit__(None, None, None)
         self._sessions.clear()
 
@@ -268,12 +226,8 @@ class Worker(threading.Thread):
         super().__init__(name=name, daemon=True)
         self.queue = queue
         self.batcher = batcher
-        #: indirection for hot reload; a bare replica is wrapped so
-        #: standalone construction (tests, benchmarks) keeps working
-        self.slot = (
-            replica if isinstance(replica, ReplicaSlot)
-            else ReplicaSlot(replica)
-        )
+        #: repointed by a hot reload under the gate's write side
+        self.replica = replica
         self.batch_window_s = batch_window_s
         self.metrics = metrics if metrics is not None else get_metrics()
         self.injector = injector
@@ -281,10 +235,6 @@ class Worker(threading.Thread):
         #: set when the thread exits because the queue closed (orderly);
         #: a dead thread without this flag crashed and may be restarted
         self.exited_cleanly = False
-
-    @property
-    def replica(self) -> EngineReplica:
-        return self.slot.replica
 
     def run(self) -> None:
         try:
@@ -347,9 +297,9 @@ class Worker(threading.Thread):
         gate's read side so a concurrent reload cannot close the replica
         out from under the replay."""
         if self.gate is None:
-            return self.slot.replica.run(batch, bucket)
+            return self.replica.run(batch, bucket)
         with self.gate.read():
-            return self.slot.replica.run(batch, bucket)
+            return self.replica.run(batch, bucket)
 
     def _serve_batch(
         self, requests: list[InferenceRequest], metrics, tracer

@@ -12,7 +12,6 @@ prefetch arguments taken from the next record (Fig. 1's
 from repro.streams.stream import KernelStream, CONV_CALL, APPLY_CALL
 from repro.streams.rle import Segment, SegmentKind, encode_segments
 from repro.streams.replay import replay
-from repro.streams.serialize import StaleArtifactError
 
 __all__ = [
     "KernelStream",
@@ -22,5 +21,4 @@ __all__ = [
     "SegmentKind",
     "encode_segments",
     "replay",
-    "StaleArtifactError",
 ]

@@ -12,7 +12,8 @@ The subsystem ROADMAP item 1 asks for, FactorFlow-style:
   empirical refinement, bit-exact interpreter validation of winners;
 * :mod:`repro.tune.db` -- the atomic, digest-verified tuning database
   keyed by ``(machine fingerprint, dtype, layer shape)`` that
-  ``make_engine(tuned=...)`` and serve warm boot consult transparently.
+  ``make_engine(tuned=...)`` and the blocked serve engine consult
+  transparently.
 
 Offline population: ``python -m repro tune --layers 2,4 --db tune.json``.
 """

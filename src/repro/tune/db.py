@@ -20,12 +20,10 @@ File format (``repro.tune/v1``)::
     }
 
 Writes go through a same-directory temp file + ``os.replace`` (atomic on
-POSIX), the pattern used by the checkpoint and stream-bundle writers.
-Loads verify the digest; a corrupt, truncated or foreign-format file
-raises :class:`TuningDBError` -- a
-:class:`~repro.streams.serialize.StaleArtifactError` subtype, so every
-caller that already catch-and-falls-back on stale stream artifacts
-(serve boot, ``make_engine``) treats a bad tuning DB the same way:
+POSIX), the pattern the checkpoint writer uses.  Loads verify the
+digest; a corrupt, truncated or foreign-format file raises
+:class:`TuningDBError`, which every consumer (``make_engine``, the
+serve config's fingerprint) catches by name and turns into the
 heuristics, not a crash.
 """
 
@@ -40,8 +38,7 @@ from dataclasses import dataclass
 from repro.arch.machine import MachineConfig
 from repro.conv.blocking import BlockingPlan
 from repro.conv.params import ConvParams
-from repro.streams.serialize import StaleArtifactError
-from repro.types import DType
+from repro.types import DType, ReproError
 
 __all__ = [
     "TuningDBError",
@@ -63,11 +60,11 @@ _PLAN_FIELDS = (
 )
 
 
-class TuningDBError(StaleArtifactError):
+class TuningDBError(ReproError):
     """The tuning database is unusable -- unreadable, corrupt (digest
-    mismatch), truncated, or from a different format version.  A
-    :class:`StaleArtifactError` subtype so existing catch-and-fallback
-    paths degrade to the paper heuristics without string matching."""
+    mismatch), truncated, or from a different format version.  Typed so
+    catch-and-fallback paths degrade to the paper heuristics without
+    string matching."""
 
 
 def layer_key(p: ConvParams) -> str:
@@ -218,8 +215,9 @@ class TuningDatabase:
         return sorted(self._entries)
 
     def digest(self) -> str:
-        """Content digest -- folded into serve fingerprints so warm
-        artifacts go stale when the tuning DB changes underneath them."""
+        """Content digest -- folded into serve fingerprints, which
+        incident bundles carry, so a replay can tell the tuned plans
+        its engine was built under."""
         with self._lock:
             entries = {k: dict(v) for k, v in sorted(self._entries.items())}
         return _entries_digest(entries)

@@ -438,8 +438,9 @@ class TestIncidentCLI:
         self, tmp_path, capsys
     ):
         """Older bundles hold ``events.json`` as two lists (``ring``
-        events and ``spans``) and a config with the retired
-        ring-capacity field; they still list, show and replay."""
+        events and ``spans``) and a config with retired fields (the
+        ring capacity, the worker count); they still list, show and
+        replay."""
         import hashlib
 
         inc, path = self._dump_bundle(tmp_path)
@@ -461,6 +462,7 @@ class TestIncidentCLI:
         with open(mpath) as fh:
             manifest = json.load(fh)
         manifest["config"]["recorder"] = 64
+        manifest["config"]["workers"] = 2
         with open(epath, "rb") as fh:
             manifest["files"]["events.json"] = hashlib.sha256(
                 fh.read()

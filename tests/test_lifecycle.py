@@ -12,7 +12,6 @@ The acceptance-critical invariants:
   in-flight request.
 """
 
-import io
 import json
 import threading
 import time
@@ -26,7 +25,7 @@ import pytest
 from repro.gxm.checkpoint import load_checkpoint, save_checkpoint
 from repro.gxm.inference import InferenceSession
 from repro.gxm.nodes import _LayerNode
-from repro.obs.metrics import Ewma, MetricsRegistry
+from repro.obs.metrics import Ewma, MetricsRegistry, get_metrics
 from repro.resilience.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.serve import (
     AdmissionQueue,
@@ -188,7 +187,7 @@ class TestDeadlines:
         deadlined request expires and the engine runs zero batches."""
         injector = FaultInjector(slow_plan(0.08, count=16))
         server = InferenceServer(
-            tiny_config(workers=1), fault_injector=injector
+            tiny_config(), fault_injector=injector
         )
         server.start()
         try:
@@ -230,7 +229,7 @@ class TestAdaptiveBackpressure:
     def test_sheds_on_estimated_wait_not_depth(self):
         reg = MetricsRegistry()
         q = AdmissionQueue(
-            capacity=1000, metrics=reg, max_wait_s=0.05, workers=1
+            capacity=1000, metrics=reg, max_wait_s=0.05
         )
         # one observed batch at 1s/request: the EWMA now predicts any
         # queued request waits ~1s -- way over the 50ms budget
@@ -243,7 +242,7 @@ class TestAdaptiveBackpressure:
         assert q.depth == 1  # nowhere near the capacity of 1000
 
     def test_no_shedding_before_evidence(self):
-        q = AdmissionQueue(capacity=10, max_wait_s=0.0001, workers=1,
+        q = AdmissionQueue(capacity=10, max_wait_s=0.0001,
                            metrics=MetricsRegistry())
         for x in images(5):
             q.put(InferenceRequest(x))  # optimistic start: no EWMA yet
@@ -511,7 +510,7 @@ class TestDrainResume:
     def test_drain_timeout_fails_leftovers_instead_of_hanging(self):
         injector = FaultInjector(slow_plan(0.15, count=64))
         server = InferenceServer(
-            tiny_config(workers=1, batch_window_ms=0.0),
+            tiny_config(batch_window_ms=0.0),
             fault_injector=injector,
         )
         server.start()
@@ -535,7 +534,7 @@ class TestDrainResume:
     def test_drain_waits_for_inflight_batches(self):
         injector = FaultInjector(slow_plan(0.1, count=1))
         server = InferenceServer(
-            tiny_config(workers=1, batch_window_ms=0.0),
+            tiny_config(batch_window_ms=0.0),
             fault_injector=injector,
         )
         server.start()
@@ -564,7 +563,7 @@ class TestLifecycleBusy:
         lock waiting for it."""
         injector = FaultInjector(slow_plan(0.4, count=1))
         server = InferenceServer(
-            tiny_config(workers=1, batch_window_ms=0.0),
+            tiny_config(batch_window_ms=0.0),
             fault_injector=injector,
         )
         server.start()
@@ -648,7 +647,7 @@ class TestReload:
     def test_inflight_requests_survive_reload(self, tmp_path):
         """Concurrent clients across the swap: every request completes
         and every answer is bitwise old-weights or new-weights."""
-        cfg = tiny_config(workers=2)
+        cfg = tiny_config()
         ck_a = make_checkpoint(tmp_path, cfg, seed=11, name="a.npz")
         ck_b = make_checkpoint(tmp_path, cfg, seed=22, name="b.npz")
         x = images(1, seed=3)[0]
@@ -751,6 +750,67 @@ class TestReload:
             assert server.metrics.value("serve.reload.rollbacks") == 1
             assert (server.predict(x, timeout=10.0) == ref_a).all()
 
+    def test_worker_restarts_racing_reloads_serve_live_replicas(
+        self, tmp_path
+    ):
+        """The supervisor replaces a crashed worker while reloads swap
+        the replica: each restart and each swap happens under the gate,
+        so no worker ever runs on a replica a reload has closed -- every
+        answer is old- or new-weights, none is an error."""
+        import sys
+
+        cfg = tiny_config()
+        cks = [make_checkpoint(tmp_path, cfg, seed=s, name=f"{s}.npz")
+               for s in (11, 22)]
+        x = images(1, seed=3)[0]
+        refs = [reference_probs(cfg, ck, x) for ck in cks]
+        injector = FaultInjector(FaultPlan((
+            FaultSpec(site="serve.worker.crash", kind="crash", count=3),
+        )))
+        server = InferenceServer(replace(cfg, checkpoint=cks[0]),
+                                 fault_injector=injector)
+        outputs, errors = [], []
+        lock = threading.Lock()
+        stop = threading.Event()
+
+        def hammer():
+            while not stop.is_set():
+                try:
+                    out = server.predict(x, timeout=10.0)
+                    with lock:
+                        outputs.append(out)
+                except Exception as err:  # noqa: BLE001
+                    with lock:
+                        errors.append(err)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        server.start()
+        threads = [threading.Thread(target=hammer) for _ in range(6)]
+        try:
+            for t in threads:
+                t.start()
+            deadline = time.perf_counter() + 20.0
+            for i in range(6):
+                server.reload_checkpoint(cks[(i + 1) % 2])
+            while (server.metrics.value("serve.worker_restarts") < 3
+                   and time.perf_counter() < deadline):
+                server.reload_checkpoint(cks[0])
+            stop.set()
+            for t in threads:
+                t.join(timeout=15.0)
+                assert not t.is_alive()
+        finally:
+            stop.set()
+            sys.setswitchinterval(interval)
+            server.stop()
+        assert server.metrics.value("serve.worker_restarts") == 3
+        assert not errors
+        assert outputs
+        assert all(
+            any(np.array_equal(out, ref) for ref in refs) for out in outputs
+        )
+
     def test_missing_checkpoint_rolls_back_cleanly(self, tmp_path):
         with InferenceServer(tiny_config()) as server:
             with pytest.raises((ReproError, FileNotFoundError)):
@@ -758,22 +818,23 @@ class TestReload:
             assert server.metrics.value("serve.reload.rollbacks") == 1
             assert server.predict(images(1)[0], timeout=10.0) is not None
 
-    def test_blocked_reload_rebuilds_warm_cache(self, tmp_path):
+    def test_blocked_reload_records_streams_by_dryrun(self, tmp_path):
+        """The shadow a blocked reload builds records every bucket's
+        streams by its own dryrun, as boot does, and then serves the new
+        weights bitwise."""
         cfg = tiny_config(engine="blocked", buckets=(1, 2))
         ck_b = make_checkpoint(tmp_path, cfg, seed=22, name="b.npz")
         x = images(1, seed=3)[0]
+        metrics = get_metrics()
+        before = metrics.value("conv.streams_recorded")
         with InferenceServer(cfg) as server:
-            before = server.warm_cache.digests()
-            assert before
-            report = server.reload_checkpoint(ck_b)
-            assert report["warm_cache_rebuilt"]
-            after = server.warm_cache.digests()
-            # same buckets cached, streams re-recorded from the live set
-            assert sorted(after) == sorted(before)
-            # artifact save still works against the rebuilt cache
-            buf = io.BytesIO()
-            assert server.save_streams_artifact(buf) == len(after)
-            # and serving matches the unbatched new-weights reference
+            at_boot = metrics.value("conv.streams_recorded") - before
+            assert at_boot > 0
+            server.reload_checkpoint(ck_b)
+            assert (
+                metrics.value("conv.streams_recorded") - before
+                == 2 * at_boot
+            )
             ref_b = reference_probs(cfg, ck_b, x)
             assert (server.predict(x, timeout=30.0) == ref_b).all()
 
@@ -784,7 +845,7 @@ class TestSubmitRacingStop:
     ``ServerClosed`` (or complete) -- never hang."""
 
     def test_no_request_hangs_across_stop(self):
-        server = InferenceServer(tiny_config(workers=2))
+        server = InferenceServer(tiny_config())
         server.start()
         start = threading.Event()
         admitted = []
@@ -867,8 +928,7 @@ class TestHttpLifecycle:
     def test_deadline_header_maps_to_504(self, served):
         server, url, _, _ = served
         server.injector = FaultInjector(slow_plan(0.1, count=8))
-        for w in server._workers:
-            w.injector = server.injector
+        server._worker.injector = server.injector
         x = images(1)[0].tolist()
         status, doc = _post(url, "/predict", {"input": x},
                             headers={"X-Deadline-Ms": "15"})
@@ -1059,7 +1119,7 @@ class TestLoadgenLifecycle:
     def test_closed_loop_counts_deadline_misses(self):
         injector = FaultInjector(slow_plan(0.12, count=64))
         server = InferenceServer(
-            tiny_config(workers=1), fault_injector=injector
+            tiny_config(), fault_injector=injector
         )
         server.start()
         try:

@@ -1,144 +1,13 @@
-"""Stream serialization and GxM checkpointing."""
-
-import io
-import json
+"""GxM checkpointing and inference sessions."""
 
 import numpy as np
 import pytest
 
-from repro.arch.machine import SKX
-from repro.conv.forward import DirectConvForward
-from repro.conv.params import ConvParams
 from repro.gxm.checkpoint import load_checkpoint, save_checkpoint
 from repro.gxm.etg import ExecutionTaskGraph
 from repro.gxm.inference import InferenceSession, fold_batchnorms
 from repro.models.resnet50 import resnet_mini_topology
-from repro.streams.serialize import (
-    StaleArtifactError,
-    load_stream_bundle,
-    load_streams,
-    save_stream_bundle,
-    save_streams,
-    streams_digest,
-)
 from repro.types import ReproError
-
-
-class TestStreamSerialization:
-    def _engine(self):
-        p = ConvParams(N=1, C=16, K=16, H=6, W=6, R=3, S=3, stride=1)
-        return DirectConvForward(p, machine=SKX, threads=2)
-
-    def test_roundtrip(self, tmp_path):
-        eng = self._engine()
-        path = tmp_path / "streams.npz"
-        save_streams(path, eng.streams, meta={"layer": "conv1"})
-        loaded, meta = load_streams(path)
-        assert meta["layer"] == "conv1"
-        assert len(loaded) == len(eng.streams)
-        for a, b in zip(eng.streams, loaded):
-            assert np.array_equal(a.kinds, b.kinds)
-            assert np.array_equal(a.i_off, b.i_off)
-            assert np.array_equal(a.o_off, b.o_off)
-
-    def test_digest_stable_and_sensitive(self):
-        eng = self._engine()
-        d1 = streams_digest(eng.streams)
-        d2 = streams_digest(self._engine().streams)
-        assert d1 == d2  # deterministic dryrun
-        other = DirectConvForward(
-            ConvParams(N=1, C=16, K=16, H=8, W=8, R=3, S=3, stride=1),
-            machine=SKX, threads=2,
-        )
-        assert streams_digest(other.streams) != d1
-
-    def test_in_memory_file(self):
-        eng = self._engine()
-        buf = io.BytesIO()
-        save_streams(buf, eng.streams)
-        buf.seek(0)
-        loaded, meta = load_streams(buf)
-        assert meta["threads"] == 2
-        assert loaded[0].conv_calls == eng.streams[0].conv_calls
-
-    def test_replay_from_loaded_streams(self, tmp_path, rng):
-        """Streams reloaded from disk must replay to the same result."""
-        p = ConvParams(N=1, C=16, K=16, H=6, W=6, R=3, S=3, stride=1)
-        eng = DirectConvForward(p, machine=SKX, threads=2)
-        x = rng.standard_normal((p.N, p.C, p.H, p.W)).astype(np.float32)
-        w = rng.standard_normal((p.K, p.C, p.R, p.S)).astype(np.float32)
-        before = eng.run_nchw(x, w)
-        path = tmp_path / "s.npz"
-        save_streams(path, eng.streams)
-        eng.streams, _ = load_streams(path)
-        from repro.streams.rle import encode_segments
-
-        eng.segments = [encode_segments(s) for s in eng.streams]
-        assert np.array_equal(eng.run_nchw(x, w), before)
-
-
-def _stream_file(path, streams):
-    save_streams(path, streams)
-
-
-def _bundle_file(path, streams):
-    save_stream_bundle(path, {"conv1": streams})
-
-
-def _old_version(loader, path):
-    key = "version" if loader is load_streams else "bundle_version"
-    doc = json.dumps({key: 0, "threads": 0, "entries": {}}).encode()
-    np.savez(path, __meta__=np.frombuffer(doc, dtype=np.uint8))
-
-
-#: every way a stream artifact can be unusable, as (name, writer); the
-#: writer makes the artifact at ``path`` for ``loader`` from a valid one
-#: (``good(path)``) where it needs one
-_BROKEN_ARTIFACTS = [
-    ("empty", lambda loader, good, path: path.write_bytes(b"")),
-    ("truncated", lambda loader, good, path: (
-        good(path), path.write_bytes(path.read_bytes()[:200]))),
-    ("garbage", lambda loader, good, path: path.write_bytes(
-        np.random.default_rng(0).bytes(4096))),
-    ("no_meta", lambda loader, good, path: np.savez(path, x=np.zeros(3))),
-    ("old_version", lambda loader, good, path: _old_version(loader, path)),
-]
-
-
-class TestStreamLoaderErrors:
-    """Both stream loaders raise one typed error for an unusable
-    artifact and leave a missing path a :class:`FileNotFoundError`."""
-
-    LOADERS = {"load_streams": (load_streams, _stream_file),
-               "load_stream_bundle": (load_stream_bundle, _bundle_file)}
-
-    @pytest.fixture
-    def streams(self):
-        p = ConvParams(N=1, C=16, K=16, H=6, W=6, R=3, S=3, stride=1)
-        return DirectConvForward(p, machine=SKX, threads=2).streams
-
-    @pytest.mark.parametrize("loader", list(LOADERS))
-    def test_missing_path_is_file_not_found(self, tmp_path, loader):
-        load, _ = self.LOADERS[loader]
-        with pytest.raises(FileNotFoundError):
-            load(tmp_path / "absent.npz")
-
-    @pytest.mark.parametrize("case", [c for c, _ in _BROKEN_ARTIFACTS])
-    @pytest.mark.parametrize("loader", list(LOADERS))
-    def test_unusable_artifact_is_stale(self, tmp_path, streams, loader,
-                                        case):
-        load, save = self.LOADERS[loader]
-        path = tmp_path / "artifact.npz"
-        dict(_BROKEN_ARTIFACTS)[case](
-            load, lambda p: save(p, streams), path)
-        with pytest.raises(StaleArtifactError):
-            load(path)
-
-    @pytest.mark.parametrize("loader", list(LOADERS))
-    def test_valid_artifact_loads(self, tmp_path, streams, loader):
-        load, save = self.LOADERS[loader]
-        save(tmp_path / "ok.npz", streams)
-        assert load(tmp_path / "ok.npz")
 
 
 class TestCheckpoint:

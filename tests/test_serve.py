@@ -1,4 +1,4 @@
-"""repro.serve: admission, batching, warm cache, server, loadgen, HTTP.
+"""repro.serve: admission, batching, server, loadgen, HTTP.
 
 The load-bearing guarantee is bitwise identity: whatever bucket the
 dynamic batcher packs a request into -- and whatever engine/tier runs
@@ -6,7 +6,6 @@ the batch -- the probability vector must equal the one an unbatched
 ``InferenceSession.predict`` produces for the same image.
 """
 
-import io
 import json
 import threading
 import time
@@ -30,7 +29,6 @@ from repro.serve import (
     ServeClient,
     ServeConfig,
     ServerClosed,
-    StreamWarmCache,
     run_closed_loop,
     run_open_loop,
     serve_http,
@@ -83,7 +81,7 @@ class TestServeConfig:
             {"buckets": (1, 1, 2)},
             {"buckets": (0, 1)},
             {"input_shape": (8, 8)},
-            {"workers": 0},
+            {"batch_window_ms": -1.0},
             {"queue_capacity": 0},
         ],
     )
@@ -105,9 +103,9 @@ class TestServeConfig:
         assert base.fingerprint() != ServeConfig(width=16).fingerprint()
         assert base.fingerprint() != ServeConfig(
             buckets=(1, 2)).fingerprint()
-        # runtime-only knobs must NOT invalidate a stream artifact
+        # runtime-only knobs do not change the engines a replica builds
         assert base.fingerprint() == ServeConfig(
-            workers=2, queue_capacity=8, batch_window_ms=9.0
+            queue_capacity=8, batch_window_ms=9.0
         ).fingerprint()
 
 
@@ -237,137 +235,6 @@ class TestBitwiseIdentity:
         assert server.metrics.value("serve.responses") == len(xs)
         assert batches < len(xs)
 
-    def test_multiworker_requests_complete_and_workers_survive(self):
-        """Sparse sequential traffic against two workers: every request
-        completes and no worker thread self-terminates on a lost
-        batch-window race."""
-        cfg = tiny_config(workers=2, batch_window_ms=5.0)
-        xs = images(6, seed=13)
-        refs = direct_reference(cfg, xs)
-        with InferenceServer(cfg) as server:
-            outs = []
-            for x in xs:
-                outs.append(server.predict(x, timeout=10.0))
-                time.sleep(0.01)
-            assert all(w.is_alive() for w in server._workers)
-        for out, ref in zip(outs, refs):
-            assert (out == ref).all()
-
-
-# ---------------------------------------------------------------------------
-class TestWarmCache:
-    def test_artifact_round_trip_skips_dryrun(self, clean_metrics):
-        cfg = tiny_config(engine="blocked", execution_tier="compiled",
-                          buckets=(1, 2))
-        xs = images(3, seed=9)
-
-        cold = InferenceServer(cfg)
-        boot1 = cold.start()
-        assert boot1["cold_buckets"] == [1, 2] and not boot1["warm_buckets"]
-        cold_recorded = clean_metrics.value("conv.streams_recorded")
-        assert clean_metrics.value("conv.streams_restored") == 0
-        ref = [cold.predict(x) for x in xs]
-        buf = io.BytesIO()
-        n_entries = cold.save_streams_artifact(buf)
-        assert n_entries > 0
-        digests = cold.warm_cache.digests()
-        cold.stop()
-
-        buf.seek(0)
-        clean_metrics.clear()
-        warm = InferenceServer(cfg)
-        boot2 = warm.start(streams_artifact=buf)
-        assert boot2["warm_buckets"] == [1, 2] and not boot2["cold_buckets"]
-        # every forward engine replayed saved offsets instead of
-        # re-dryrunning (the recorded counter is shared with the UPD
-        # engines, which a full ETG still builds -- hence the delta)
-        assert clean_metrics.value("conv.streams_restored") == n_entries
-        assert (
-            clean_metrics.value("conv.streams_recorded")
-            == cold_recorded - n_entries
-        )
-        assert warm.warm_cache.digests() == digests
-        out = [warm.predict(x) for x in xs]
-        warm.stop()
-        for a, b in zip(out, ref):
-            assert (a == b).all()
-
-    def test_replay_meta_round_trips_with_streams(self, clean_metrics):
-        """Artifacts from releases with a closure-chain tier carry a
-        ``replay_meta`` block next to the streams; they still load, and
-        the streams come back intact."""
-        from repro.streams.serialize import save_stream_bundle
-
-        cfg = tiny_config(engine="blocked", buckets=(1, 2))
-        server = InferenceServer(cfg)
-        server.start()
-        try:
-            cache = server.warm_cache
-            bundle = {
-                f"{bucket}/{node}": streams
-                for bucket in cache.buckets
-                for node, streams in cache.get(bucket).items()
-            }
-            digests = cache.digests()
-        finally:
-            server.stop()
-        buf = io.BytesIO()
-        save_stream_bundle(buf, bundle, meta={
-            "kind": "serve_warm_streams",
-            "fingerprint": cfg.fingerprint(),
-            "buckets": [1, 2],
-            "replay_meta": {
-                "1": {"conv1": {"tier": "stream_compiled", "streams": 1,
-                                "chunks": 4, "conv_calls": 32}},
-            },
-        })
-        buf.seek(0)
-        other = StreamWarmCache(cfg.fingerprint())
-        assert other.load(buf) == [1, 2]
-        assert other.digests() == digests
-
-    def test_restore_rejects_unknown_fused_ops(self):
-        """A stream carrying APPLY records for fused ops the engine does
-        not have must fail validation at restore time -- replay would
-        otherwise IndexError in the hot path."""
-        from repro.streams.stream import KernelStream
-
-        cfg = tiny_config(engine="blocked", buckets=(1,))
-        etg = cfg.build_etg(1)
-        state = etg.conv_stream_state()
-        name, streams = next(iter(state.items()))
-        frozen = streams[0]
-        tampered = KernelStream(
-            kinds=frozen.kinds.tolist(),
-            i_off=frozen.i_off.tolist(),
-            w_off=frozen.w_off.tolist(),
-            o_off=frozen.o_off.tolist(),
-            apply_op=frozen.apply_op.tolist(),
-        )
-        tampered.record_apply(7, int(frozen.o_off[0]), 0)
-        state[name] = [tampered.freeze(), *streams[1:]]
-        with pytest.raises(ShapeError, match="fused op"):
-            cfg.build_etg(1, conv_streams=state)
-
-    def test_rejects_foreign_fingerprint(self):
-        cache = StreamWarmCache("aaaa")
-        cfg = tiny_config(engine="blocked", buckets=(1,))
-        etg = cfg.build_etg(1)
-        cache.put(1, etg.conv_stream_state())
-        buf = io.BytesIO()
-        cache.save(buf)
-        buf.seek(0)
-        other = StreamWarmCache("bbbb")
-        with pytest.raises(ReproError, match="fingerprint"):
-            other.load(buf)
-
-    def test_fast_engine_has_no_artifacts(self):
-        server = InferenceServer(tiny_config(engine="fast"))
-        with pytest.raises(ReproError):
-            server.save_streams_artifact(io.BytesIO())
-        with pytest.raises(ReproError):
-            server.start(streams_artifact=io.BytesIO())
-
 
 # ---------------------------------------------------------------------------
 class TestServerSLO:
@@ -408,7 +275,7 @@ class TestServerSLO:
             def bad_run(batch, bucket):
                 raise boom
 
-            server._replicas[0].run = bad_run
+            server.replica.run = bad_run
             with pytest.raises(RuntimeError, match="engine exploded"):
                 server.predict(images(1)[0], timeout=5.0)
             assert server.metrics.value("serve.errors") == 1
@@ -519,9 +386,7 @@ class TestHttp:
                 health = json.loads(
                     urllib.request.urlopen(f"{base}/healthz").read())
                 assert health["status"] == "ok"
-                assert health["live_workers"] == health[
-                    "configured_workers"
-                ]
+                assert health["live_workers"] == 1
                 metrics = json.loads(
                     urllib.request.urlopen(f"{base}/metrics").read())
                 assert metrics["counters"]["serve.responses"] >= 1

@@ -144,6 +144,13 @@ def test_collective_chaos_soak(tmp_path, allreduce):
     # chaos actually happened and was absorbed, not dodged
     if chaos_kills[0] or failures:
         assert get_metrics().value("resilience.respawns") > 0
+    # healthy ring steps commit between the repairs: each worker process
+    # draws its own fault stream, so a respawned worker does not replay
+    # the draws that brought its predecessor down
+    if allreduce == "ring":
+        assert counters.get("collective.steps", 0) > 0, (
+            "no ring step committed during the soak"
+        )
     # the trainer came out of the soak alive, not wedged
     assert t.live_workers == 0  # closed cleanly
 

@@ -1,11 +1,11 @@
 """Lifecycle chaos soak: sustained load through drains, reloads,
-rollbacks, slow workers and tight deadlines.
+rollbacks, a slow worker and tight deadlines.
 
 Gated behind ``REPRO_SOAK=1`` (CI's ``lifecycle-smoke`` job runs it; a
 plain ``pytest`` does not).  For ~30 seconds (``REPRO_SOAK_S``), client
 threads hammer one server through :class:`ServeClient` while an
 operator thread cycles drain -> resume -> reload; a fault plan keeps
-workers intermittently slow and fails the first few reload canaries.
+the worker intermittently slow and fails the first few reload canaries.
 
 The soak's invariants are the PR's acceptance criteria, held under
 sustained chaos rather than in one-shot tests:
@@ -73,7 +73,7 @@ def _reference(cfg, checkpoint, x):
 
 def test_lifecycle_chaos_soak(tmp_path):
     inc_dir = str(tmp_path / "incidents")
-    cfg = ServeConfig(buckets=(1, 2, 4), workers=2, batch_window_ms=1.0,
+    cfg = ServeConfig(buckets=(1, 2, 4), batch_window_ms=1.0,
                       queue_capacity=64, max_queue_wait_ms=250.0)
     ck_a = str(tmp_path / "a.npz")
     ck_b = str(tmp_path / "b.npz")
@@ -87,7 +87,7 @@ def test_lifecycle_chaos_soak(tmp_path):
     assert not np.array_equal(ref_a, ref_b)
 
     plan = FaultPlan((
-        # intermittent slow workers for the whole soak: ages batches
+        # an intermittently slow worker for the whole soak: ages batches
         # toward their deadlines and exercises the EWMA backpressure
         FaultSpec(site="serve.worker.slow", kind="slow", delay_s=0.02,
                   probability=0.25, count=10**6),

@@ -11,7 +11,6 @@ from repro.conv.engine import make_engine
 from repro.conv.params import ConvParams
 from repro.obs.metrics import get_metrics
 from repro.resilience.faults import FaultInjector, FaultPlan, FaultSpec
-from repro.streams.serialize import StaleArtifactError
 from repro.tune import (
     TuningDatabase,
     TuningDBError,
@@ -21,7 +20,7 @@ from repro.tune import (
     search_mapspace,
     tune_layer,
 )
-from repro.types import CodegenError, DType, Pass
+from repro.types import CodegenError, DType, Pass, ReproError
 
 P_SMALL = ConvParams(N=1, C=16, K=16, H=10, W=10, R=3, S=3, stride=1)
 P_1X1 = ConvParams(N=1, C=32, K=16, H=10, W=10, R=1, S=1, stride=1)
@@ -178,7 +177,7 @@ class TestTuningDatabase:
         path.write_text("{ not json")
         with pytest.raises(TuningDBError, match="JSON"):
             TuningDatabase.load(path)
-        assert issubclass(TuningDBError, StaleArtifactError)
+        assert issubclass(TuningDBError, ReproError)
 
     def test_digest_mismatch_rejected(self, tmp_path, outcome):
         db = TuningDatabase()
