@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.layers.relu import relu
 from repro.types import ShapeError
 
 __all__ = ["FusedOp", "Bias", "ReLU", "BatchNormApply", "EltwiseAdd"]
@@ -73,12 +74,13 @@ class Bias(FusedOp):
 
 
 class ReLU(FusedOp):
-    """``O = max(O, 0)``."""
+    """``O = max(O, 0)``, with :class:`~repro.layers.ReLULayer`'s bits
+    (a NaN or ``-0.0`` becomes ``+0.0``)."""
 
     kernel_tag = "relu"
 
     def apply_block(self, block: np.ndarray, kb: int) -> None:
-        np.maximum(block, 0.0, out=block)
+        relu(block, out=block)
 
 
 @dataclass

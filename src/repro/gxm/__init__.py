@@ -22,6 +22,7 @@ from repro.gxm.etg import ExecutionTaskGraph, Task
 from repro.gxm.trainer import SGD, Trainer
 from repro.gxm.multiproc import ProcessParallelTrainer
 from repro.gxm.checkpoint import (
+    CheckpointNotFoundError,
     TrainingCheckpoint,
     load_checkpoint,
     load_training_checkpoint,
@@ -46,6 +47,7 @@ __all__ = [
     "SGD",
     "Trainer",
     "ProcessParallelTrainer",
+    "CheckpointNotFoundError",
     "TrainingCheckpoint",
     "save_checkpoint",
     "load_checkpoint",

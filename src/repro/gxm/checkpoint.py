@@ -45,6 +45,7 @@ from repro.layers.fc import Linear
 from repro.types import ReproError
 
 __all__ = [
+    "CheckpointNotFoundError",
     "save_checkpoint",
     "load_checkpoint",
     "read_checkpoint_meta",
@@ -55,6 +56,11 @@ __all__ = [
 
 _VERSION = 1
 _TRAIN_VERSION = 1
+
+
+class CheckpointNotFoundError(ReproError, FileNotFoundError):
+    """No checkpoint at the path; also a ``FileNotFoundError``, so
+    callers that catch that keep working."""
 
 
 def _state_dict(etg: ExecutionTaskGraph) -> dict[str, np.ndarray]:
@@ -137,8 +143,11 @@ class _checkpoint_file:
                     f"not a repro {self.what}: file has no __meta__ entry"
                 )
             meta = json.loads(bytes(self._z["__meta__"]).decode())
-        except FileNotFoundError:
-            raise
+        except FileNotFoundError as err:
+            raise CheckpointNotFoundError(
+                err.errno, f"no {self.what} at {self.path_or_file!r}",
+                err.filename,
+            ) from err
         except ReproError:
             self._close()
             raise
@@ -208,8 +217,12 @@ def load_checkpoint(etg: ExecutionTaskGraph, path_or_file, strict: bool = True) 
     Returns the list of restored keys.  With ``strict`` every key present in
     the ETG must exist in the file (extra file keys are always an error).
     Raises :class:`ReproError` on a truncated, ``__meta__``-less,
-    version-mismatched or digest-mismatched file.
+    version-mismatched or digest-mismatched file,
+    :class:`CheckpointNotFoundError` on a missing one, and
+    :class:`ReproError` while ``etg`` is frozen by an entered
+    :class:`~repro.gxm.inference.InferenceSession`.
     """
+    etg.check_writable("load a checkpoint")
     state = _state_dict(etg)
     with _checkpoint_file(path_or_file) as (z, meta):
         if meta.get("version") != _VERSION:
@@ -252,7 +265,8 @@ def read_checkpoint_meta(path_or_file) -> dict:
     """The checkpoint's metadata document (version, topology, keys,
     content ``digest``) without loading any weight array -- what a
     serving reload reports so operators can tell which weights are live.
-    Raises :class:`ReproError` on anything unreadable."""
+    Raises :class:`ReproError` on anything unreadable
+    (:class:`CheckpointNotFoundError` on a missing file)."""
     with _checkpoint_file(path_or_file) as (_z, meta):
         return dict(meta)
 
@@ -336,6 +350,7 @@ def load_training_checkpoint(
     Everything is digest-verified before any live array is touched, so a
     corrupt file cannot leave the trainer half-restored.
     """
+    etg.check_writable("load a training checkpoint")
     state = _state_dict(etg)
     with _checkpoint_file(path_or_file, what="training checkpoint") as (
         z, meta,

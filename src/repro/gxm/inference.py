@@ -1,10 +1,13 @@
 """Inference mode (section II-L: "only the forward pass for inference").
 
 ``InferenceSession`` wraps a trained ETG: switches BatchNorm nodes to their
-running statistics, runs only FWD tasks, and reports top-1/top-5 accuracy.
+running statistics, freezes the parameters (so blocked weights and eval
+BatchNorm constants are built once per session and never served stale),
+runs only FWD tasks, and reports top-1/top-5 accuracy.
 ``fold_batchnorms`` additionally returns the per-conv fused scale/shift
-parameters -- the exact tensors a fused conv+BN kernel (section II-G,
-``BatchNormApply``) consumes at inference time.
+parameters -- the tensors a fused conv+BN kernel (section II-G,
+``BatchNormApply``) consumes at inference time; they compute the eval
+BatchNorm with different rounding, so not its bits.
 """
 
 from __future__ import annotations
@@ -41,12 +44,17 @@ class InferenceSession:
     """Forward-only execution over a trained graph.
 
     Entering the session switches every BatchNorm node to its running
-    statistics; exiting restores whatever mode each node was in *at
-    entry*.  Entries nest (the same graph may be wrapped by several
-    sessions, or one session re-entered) and restoration is driven by the
-    ``with`` protocol, so an exception inside the block cannot leave the
-    graph stuck in evaluation mode -- and an inner exit cannot flip the
-    layers back to training while an outer session is still active.
+    statistics and freezes the graph
+    (:meth:`~repro.gxm.etg.ExecutionTaskGraph.freeze`): its parameters
+    and statistics are read-only, so a checkpoint load or a training step
+    on the graph raises :class:`~repro.types.ReproError` until the
+    outermost session exits.  Exiting restores whatever mode each node
+    was in *at entry*.  Entries nest (the same graph may be wrapped by
+    several sessions, or one session re-entered) and restoration is
+    driven by the ``with`` protocol, so an exception inside the block
+    cannot leave the graph stuck in evaluation mode -- and an inner exit
+    cannot flip the layers back to training while an outer session is
+    still active.
     """
 
     def __init__(self, etg: ExecutionTaskGraph):
@@ -63,6 +71,7 @@ class InferenceSession:
         self._saved_modes.append([bn.training for bn in self._bns])
         for bn in self._bns:
             bn.training = False
+        self.etg.freeze()
         return self
 
     def __exit__(self, *exc) -> None:
@@ -70,6 +79,7 @@ class InferenceSession:
             return
         for bn, mode in zip(self._bns, self._saved_modes.pop()):
             bn.training = mode
+        self.etg.thaw()
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Class probabilities for one batch."""

@@ -2,11 +2,19 @@
 
 ConvNode is the bridge to this library's core: its three tasks run the
 forward, backward-by-duality and weight-update convolutions.  Two engines
-are offered: ``"fast"`` (the vectorized reference semantics -- what GxM uses
-for actual training throughput in Python) and ``"blocked"`` (the full
-blocked/streams engine of :mod:`repro.conv`, bit-compatible but paying
-Python-loop overhead per microkernel call; used for demonstrations and
-cross-validation).
+are offered: ``"fast"`` (the vectorized reference semantics, a BLAS
+convolution on NCHW arrays) and ``"blocked"`` (the kernel-stream engines
+of :mod:`repro.conv`; on the default ``compiled`` tier their replay is
+vectorized numpy and BLAS, bitwise equal to the µop interpreter, and it
+is the engine perfbench serves and trains on).
+
+Every node's ``forward(*xs)`` is the training forward: NCHW arrays in and
+out, keeping what ``backward`` needs.  The ETG's forward-only runs call
+``forward(*xs, train=False, inplace=...)`` instead: nothing is kept for
+a backward pass, a blocked conv takes and returns a
+:class:`~repro.tensor.BlockedTensor`, eval-mode BatchNorm, ReLU, Split and
+Eltwise pass either layout through, and ``inplace`` says the node may
+overwrite its first input (the ETG owns it and nothing else reads it).
 """
 
 from __future__ import annotations
@@ -31,7 +39,10 @@ from repro.layers import (
     ReLULayer,
     SoftmaxCrossEntropy,
     Split,
+    batchnorm_eval,
+    relu,
 )
+from repro.tensor.blocked import BlockedTensor, block_activations, block_weights
 from repro.types import ReproError, ShapeError
 
 __all__ = ["Node", "ConvNode", "build_node", "output_shape"]
@@ -55,12 +66,25 @@ class Node:
     def __init__(self, spec: LayerSpec):
         self.spec = spec
         self.name = spec.name
+        self._frozen = False
 
-    def forward(self, *xs):
+    #: forward-only runs may hand this node a BlockedTensor
+    takes_blocked = False
+
+    def forward(self, *xs, train: bool = True, inplace: bool = False):
         raise NotImplementedError
 
     def backward(self, *dys):
         raise NotImplementedError
+
+    def freeze(self) -> None:
+        """The parameters are read-only until :meth:`thaw`: forms derived
+        from them may be kept between forward-only calls."""
+        self._frozen = True
+
+    def thaw(self) -> None:
+        """Drop whatever :meth:`freeze` let the node keep."""
+        self._frozen = False
 
     def update(self) -> None:
         """Weight-gradient task (UPD); default layers have none."""
@@ -110,6 +134,9 @@ class ConvNode(Node):
         self._x = None
         self._dy = None
         self._y = None
+        #: blocked weights kept while frozen, and the array they came from
+        self._wb: BlockedTensor | None = None
+        self._wb_src: np.ndarray | None = None
         self._execution_tier = execution_tier
         # BWD/UPD engines are built lazily on first use: their dryruns are
         # pure waste for forward-only graphs (inference serving), and a
@@ -164,18 +191,64 @@ class ConvNode(Node):
             )
         return self.p.with_minibatch(n)
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._x = x
-        p = self._params_for(x.shape[0])
+    @property
+    def takes_blocked(self) -> bool:
+        return self.engine == "blocked"
+
+    def forward(self, x, train: bool = True, inplace: bool = False):
+        """Training: NCHW in and out (the blocked engine through
+        ``run_nchw``), the input kept for UPD.  Forward-only on the
+        blocked engine: takes NCHW or a BlockedTensor and returns the
+        BlockedTensor its replay wrote."""
+        n = x.layout.n if isinstance(x, BlockedTensor) else x.shape[0]
+        p = self._params_for(n)
         if self.engine == "blocked":
-            y = self._fwd.run_nchw(x, self.weight)
+            if train:
+                y = self._fwd.run_nchw(x, self.weight)
+            else:
+                y = self._fwd(self._blocked_input(x), self._blocked_weight())
         else:
             y = conv2d_forward(x, self.weight, p)
             if self.fused_relu:
-                np.maximum(y, 0.0, out=y)
-        if self.fused_relu:
-            self._y = y
+                relu(y, out=y)
+        if train:
+            self._x = x
+            if self.fused_relu:
+                self._y = y
         return y
+
+    def _blocked_input(self, x) -> BlockedTensor:
+        """``x`` in the forward engine's padded input layout: an NCHW
+        batch is blocked once; a blocked activation is used as it is, or
+        re-padded with one blocked-to-blocked copy."""
+        eng = self._fwd
+        lay, p = eng.in_layout, self.p
+        if isinstance(x, BlockedTensor):
+            if x.layout == lay:
+                return x
+            if x.layout.vlen == lay.vlen and not (x.pad_h or x.pad_w):
+                buf = np.zeros(lay.shape, dtype=eng.dtype.np_input)
+                buf[:, :, p.pad_h:lay.h - p.pad_h,
+                    p.pad_w:lay.w - p.pad_w] = x.view()
+                return BlockedTensor(buf, lay, p.pad_h, p.pad_w)
+            x = x.to_nchw()
+        return block_activations(x, lay.vlen, p.pad_h, p.pad_w,
+                                 dtype=eng.dtype.np_input)
+
+    def _blocked_weight(self) -> BlockedTensor:
+        """The weights in the engine's layout, blocked once while the
+        node is frozen and on every call otherwise."""
+        if self._wb is not None and self._wb_src is self.weight:
+            return self._wb
+        wb = block_weights(self.weight, self._fwd.plan.vlen,
+                           dtype=self._fwd.dtype.np_input)
+        if self._frozen:
+            self._wb, self._wb_src = wb, self.weight
+        return wb
+
+    def thaw(self) -> None:
+        super().thaw()
+        self._wb = self._wb_src = None
 
     def keep_grad(self, dy: np.ndarray) -> None:
         """Keep what UPD needs of the output gradient: ``dy`` behind the
@@ -184,7 +257,7 @@ class ConvNode(Node):
         if self.fused_relu:
             # reconstruct the ReLU mask from the fused output: positions
             # clamped to zero pass no gradient
-            dy = np.where(self._y > 0, dy, 0.0).astype(np.float32)
+            dy = relu(dy, self._y > 0).astype(np.float32, copy=False)
         self._dy = dy
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
@@ -209,15 +282,89 @@ class ConvNode(Node):
         return [self.dweight]
 
 
+def _elementwise(x, fn, inplace: bool):
+    """Run ``fn(src, out)`` over an NCHW array or a BlockedTensor's
+    blocked view, into ``x`` itself when ``inplace`` and into a new
+    buffer otherwise; returns the result in ``x``'s layout."""
+    src = x.view() if isinstance(x, BlockedTensor) else x
+    out = src if inplace else np.empty(src.shape, src.dtype)
+    fn(src, out)
+    if inplace:
+        return x
+    if isinstance(x, BlockedTensor):
+        return BlockedTensor(out, x.layout, x.pad_h, x.pad_w)
+    return out
+
+
+def _in_layout_of(v, first: BlockedTensor) -> np.ndarray:
+    """``v`` (NCHW or blocked) as a flat buffer in ``first``'s layout."""
+    if isinstance(v, BlockedTensor):
+        if v.layout == first.layout:
+            return v.data
+        v = v.to_nchw()
+    return block_activations(v, first.layout.vlen).data
+
+
 class _LayerNode(Node):
     """Wraps a stateless/stateful Layer with 1 input and 1 output."""
 
     def __init__(self, spec: LayerSpec, layer):
         super().__init__(spec)
         self.layer = layer
+        #: eval BatchNorm constants kept while frozen: (shape key,
+        #: source arrays, constants)
+        self._consts = None
 
-    def forward(self, x):
-        return self.layer.forward(x)
+    @property
+    def takes_blocked(self) -> bool:
+        layer = self.layer
+        return isinstance(layer, ReLULayer) or (
+            isinstance(layer, BatchNorm2D) and not layer.training)
+
+    def forward(self, x, train: bool = True, inplace: bool = False):
+        layer = self.layer
+        if train:
+            return layer.forward(x)
+        if isinstance(layer, ReLULayer):
+            return _elementwise(x, lambda v, out: relu(v, out=out), inplace)
+        if isinstance(layer, BatchNorm2D):
+            if layer.training or (
+                    not isinstance(x, BlockedTensor) and x.dtype != np.float32):
+                return layer.forward(x, cache=False)
+            consts = self._bn_constants(x)
+            return _elementwise(
+                x, lambda v, out: batchnorm_eval(v, *consts, out=out),
+                inplace)
+        return layer.forward(x)
+
+    def _bn_constants(self, x) -> tuple[np.ndarray, ...]:
+        """The eval constants shaped for ``x``'s layout: ``(1, C, 1, 1)``
+        vectors for NCHW, ``(1, C/VLEN, 1, W, VLEN)`` rows for a blocked
+        activation, so numpy's inner loop runs over W * VLEN contiguous
+        elements instead of VLEN.  Built once while frozen."""
+        bn = self.layer
+        src = (bn.running_mean, bn.running_var, bn.gamma, bn.beta)
+        key = x.layout.shape[1:] if isinstance(x, BlockedTensor) else None
+        kept = self._consts
+        if kept is not None and kept[0] == key and all(
+                a is b for a, b in zip(kept[1], src)):
+            return kept[2]
+        consts = bn.eval_constants()
+        if key is None:
+            consts = tuple(c.reshape(1, -1, 1, 1) for c in consts)
+        else:
+            cb, _, w, vlen = key
+            consts = tuple(
+                np.ascontiguousarray(np.broadcast_to(
+                    c.reshape(1, cb, 1, 1, vlen), (1, cb, 1, w, vlen)))
+                for c in consts)
+        if self._frozen:
+            self._consts = (key, src, consts)
+        return consts
+
+    def thaw(self) -> None:
+        super().thaw()
+        self._consts = None
 
     def backward(self, dy):
         return self.layer.backward(dy)
@@ -230,11 +377,13 @@ class _LayerNode(Node):
 
 
 class SplitNode(Node):
+    takes_blocked = True
+
     def __init__(self, spec: LayerSpec):
         super().__init__(spec)
         self.layer = Split(spec.attrs["fanout"])
 
-    def forward(self, x):
+    def forward(self, x, train: bool = True, inplace: bool = False):
         self.layer.forward(x)
         return tuple(x for _ in range(self.layer.fanout))
 
@@ -246,12 +395,30 @@ class SplitNode(Node):
 
 
 class EltwiseNode(Node):
+    takes_blocked = True
+
     def __init__(self, spec: LayerSpec):
         super().__init__(spec)
         self.layer = EltwiseSum(len(spec.bottoms))
 
-    def forward(self, *xs):
-        return self.layer.forward(*xs)
+    def forward(self, *xs, train: bool = True, inplace: bool = False):
+        """Forward-only runs add into the first operand when ``inplace``;
+        operands in the other layout are converted to the first's."""
+        if train:
+            return self.layer.forward(*xs)
+        first = xs[0]
+        if isinstance(first, BlockedTensor):
+            rest = [_in_layout_of(v, first) for v in xs[1:]]
+        else:
+            rest = [v.to_nchw() if isinstance(v, BlockedTensor) else v
+                    for v in xs[1:]]
+
+        def add(src, out):
+            np.add(src, rest[0].reshape(src.shape), out=out)
+            for v in rest[1:]:
+                out += v.reshape(src.shape)
+
+        return _elementwise(first, add, inplace)
 
     def backward(self, dy):
         return self.layer.backward(dy)
@@ -264,7 +431,7 @@ class ConcatNode(Node):
 
         self.layer = Concat(len(spec.bottoms))
 
-    def forward(self, *xs):
+    def forward(self, *xs, train: bool = True, inplace: bool = False):
         return self.layer.forward(*xs)
 
     def backward(self, dy):
@@ -278,7 +445,7 @@ class LossNode(Node):
         self.labels: np.ndarray | None = None
         self.loss: float = 0.0
 
-    def forward(self, logits):
+    def forward(self, logits, train: bool = True, inplace: bool = False):
         self.loss = self.layer.forward(logits, self.labels)
         return self.loss
 

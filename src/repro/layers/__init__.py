@@ -10,9 +10,9 @@ layers expose ``params()``/``grads()`` pairs for the SGD trainer.
 """
 
 from repro.layers.base import Layer
-from repro.layers.relu import ReLULayer
+from repro.layers.relu import ReLULayer, relu
 from repro.layers.pool import MaxPool2D, AvgPool2D, GlobalAvgPool
-from repro.layers.bn import BatchNorm2D
+from repro.layers.bn import BatchNorm2D, batchnorm_eval
 from repro.layers.fc import Linear
 from repro.layers.softmax import SoftmaxCrossEntropy
 from repro.layers.eltwise import EltwiseSum, Split
@@ -20,10 +20,12 @@ from repro.layers.eltwise import EltwiseSum, Split
 __all__ = [
     "Layer",
     "ReLULayer",
+    "relu",
     "MaxPool2D",
     "AvgPool2D",
     "GlobalAvgPool",
     "BatchNorm2D",
+    "batchnorm_eval",
     "Linear",
     "SoftmaxCrossEntropy",
     "EltwiseSum",

@@ -1,9 +1,14 @@
-"""Batch normalization (training mode).
+"""Batch normalization (training and eval mode).
 
 GxM nodes of this type exchange gradients in multi-node training
 (section II-L lists batch normalization among the communication endpoints).
-The forward's scale/shift application is exactly the fusable
-:class:`~repro.conv.fusion.BatchNormApply` post-op.
+:func:`batchnorm_eval` is the eval forward as an in-place pass that
+repeats :meth:`BatchNorm2D.forward`'s float32 operations element by
+element, so it gives the same bits.  The folded scale/shift form
+(:meth:`BatchNorm2D.folded_scale_shift`, the fusable
+:class:`~repro.conv.fusion.BatchNormApply` post-op) computes the same
+function with two operations per element on pre-rounded constants, so
+its bits differ.
 """
 
 from __future__ import annotations
@@ -12,7 +17,19 @@ import numpy as np
 
 from repro.layers.base import Layer
 
-__all__ = ["BatchNorm2D"]
+__all__ = ["BatchNorm2D", "batchnorm_eval"]
+
+
+def batchnorm_eval(x: np.ndarray, mean, inv, gamma, beta,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """``gamma * ((x - mean) * inv) + beta``, one operation at a time in
+    :meth:`BatchNorm2D.forward`'s order and operand order; the constants
+    broadcast against ``x``.  ``out`` may be ``x`` itself."""
+    y = np.subtract(x, mean, out=out)
+    y *= inv
+    np.multiply(gamma, y, out=y)
+    y += beta
+    return y
 
 
 class BatchNorm2D(Layer):
@@ -30,7 +47,13 @@ class BatchNorm2D(Layer):
         self.training = True
         self._cache = None
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def eval_constants(self) -> tuple[np.ndarray, ...]:
+        """Per-channel ``(mean, inv, gamma, beta)`` of the eval forward."""
+        inv = 1.0 / np.sqrt(self.running_var + self.eps)
+        return self.running_mean, inv, self.gamma, self.beta
+
+    def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
+        """``cache=False`` keeps nothing for :meth:`backward`."""
         if self.training:
             mean = x.mean(axis=(0, 2, 3))
             var = x.var(axis=(0, 2, 3))
@@ -47,7 +70,8 @@ class BatchNorm2D(Layer):
         # with one full-size temporary fewer per step
         xhat = x - mean[None, :, None, None]
         xhat *= inv[None, :, None, None]
-        self._cache = (xhat, inv)
+        if cache:
+            self._cache = (xhat, inv)
         y = self.gamma[None, :, None, None] * xhat
         y += self.beta[None, :, None, None]
         return y.astype(np.float32, copy=False)
@@ -73,6 +97,7 @@ class BatchNorm2D(Layer):
         return [self.dgamma, self.dbeta]
 
     def folded_scale_shift(self) -> tuple[np.ndarray, np.ndarray]:
-        """(gamma', beta') for the fused inference-style application."""
+        """(gamma', beta') for the fused inference-style application: the
+        same function as the eval forward, not the same bits."""
         inv = 1.0 / np.sqrt(self.running_var + self.eps)
         return self.gamma * inv, self.beta - self.gamma * inv * self.running_mean

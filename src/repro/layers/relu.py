@@ -6,7 +6,30 @@ import numpy as np
 
 from repro.layers.base import Layer
 
-__all__ = ["ReLULayer"]
+__all__ = ["ReLULayer", "relu"]
+
+
+def relu(v: np.ndarray, mask: np.ndarray | None = None,
+         out: np.ndarray | None = None) -> np.ndarray:
+    """``np.where(mask, v, 0.0)`` bit for bit, ``mask`` defaulting to
+    ``v > 0``, with no per-element branch.
+
+    Without a mask it is ``fmax(v, 0) + 0``: ``fmax`` drops a NaN for
+    the zero and the ``+ 0`` turns a ``-0.0`` into ``+0.0``.  With a mask
+    it keeps ``v``'s bits where the mask holds and writes ``+0.0`` (all
+    bits clear) elsewhere, so NaN payloads and subnormals pass through
+    as ``np.where`` passes them.  ``out`` may be ``v`` itself.
+    """
+    if mask is None:
+        out = np.fmax(v, 0.0, out=out)
+        out += 0.0
+        return out
+    bits = np.dtype(f"u{v.itemsize}")
+    ones = np.subtract(0, mask, dtype=bits)  # True -> all bits set
+    if out is None:
+        out = np.empty(np.broadcast_shapes(v.shape, mask.shape), v.dtype)
+    np.bitwise_and(v.view(bits), ones, out=out.view(bits))
+    return out
 
 
 class ReLULayer(Layer):
@@ -17,7 +40,7 @@ class ReLULayer(Layer):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._mask = x > 0
-        return np.where(self._mask, x, 0.0).astype(x.dtype, copy=False)
+        return relu(x)
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        return np.where(self._mask, dy, 0.0).astype(dy.dtype, copy=False)
+        return relu(dy, self._mask)

@@ -1316,9 +1316,9 @@ class TestStridedViews:
 
     def test_perfbench_model_takes_no_fancy_index(self):
         """perfbench's model (``resnet_mini`` at width 32 on the blocked
-        engine) serves a bucket-1 and a bucket-16 batch and trains one
-        step with every operand on a strided view, and gives the fancy
-        index's bits."""
+        engine) serves a bucket-1 and a bucket-16 batch in an entered
+        session (the eval serving path) and trains one step with every
+        operand on a strided view, and gives the fancy index's bits."""
         x = np.random.default_rng(5).standard_normal(
             (16, 16, 8, 8)).astype(np.float32)
         labels = np.arange(8) % 8
@@ -1328,8 +1328,10 @@ class TestStridedViews:
         for path in ("strided", "fancy"):
             before = get_metrics().value("jit.gather_fallbacks")
             with forced_gather_path(path):
-                probs = [InferenceSession(cfg.build_etg(b)).predict(x[:b])
-                         for b in (1, 16)]
+                probs = []
+                for b in (1, 16):
+                    with InferenceSession(cfg.build_etg(b)) as session:
+                        probs.append(session.predict(x[:b]))
                 trainer = Trainer(ExecutionTaskGraph(
                     resnet_mini_topology(num_classes=8, width=32),
                     input_shape=(8, 16, 8, 8), engine="blocked"))

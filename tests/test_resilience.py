@@ -25,7 +25,10 @@ import numpy as np
 import pytest
 
 from repro.gxm.checkpoint import (
+    CheckpointNotFoundError,
+    load_checkpoint,
     load_training_checkpoint,
+    read_checkpoint_meta,
     save_training_checkpoint,
 )
 from repro.gxm.data import SyntheticImageDataset
@@ -552,6 +555,25 @@ class TestTrainingCheckpoint:
         save_checkpoint(tr.etg, ck)  # weights-only, not a training ckpt
         with pytest.raises(ReproError):
             load_training_checkpoint(ck, tr.etg, tr.opt)
+
+    @pytest.mark.parametrize(
+        "loader", ["load_checkpoint", "read_checkpoint_meta",
+                   "load_training_checkpoint"])
+    def test_missing_checkpoint_is_a_typed_error(self, tmp_path, loader):
+        tr = tiny_trainer()
+        path = str(tmp_path / "absent.npz")
+        load = {
+            "load_checkpoint": lambda: load_checkpoint(tr.etg, path),
+            "read_checkpoint_meta": lambda: read_checkpoint_meta(path),
+            "load_training_checkpoint": lambda: load_training_checkpoint(
+                path, tr.etg, tr.opt),
+        }[loader]
+        with pytest.raises(CheckpointNotFoundError) as info:
+            load()
+        # a ReproError that existing FileNotFoundError handlers still catch
+        assert isinstance(info.value, ReproError)
+        assert isinstance(info.value, FileNotFoundError)
+        assert info.value.filename == path
 
     def test_save_training_checkpoint_to_file_object(self):
         tr = tiny_trainer()
