@@ -195,10 +195,6 @@ class ExecutionTaskGraph:
             a.flags.writeable = writeable
         self._thawed = []
 
-    @property
-    def frozen(self) -> bool:
-        return self._frozen > 0
-
     def check_writable(self, what: str) -> None:
         """Refuse ``what`` (a write to the parameters) while frozen."""
         if self._frozen:

@@ -402,23 +402,17 @@ class EltwiseNode(Node):
         self.layer = EltwiseSum(len(spec.bottoms))
 
     def forward(self, *xs, train: bool = True, inplace: bool = False):
-        """Forward-only runs add into the first operand when ``inplace``;
-        operands in the other layout are converted to the first's."""
-        if train:
-            return self.layer.forward(*xs)
+        """Adds into the first operand when ``inplace`` (a forward-only
+        run that owns it), into a new buffer otherwise; operands in the
+        other layout are converted to the first's."""
         first = xs[0]
         if isinstance(first, BlockedTensor):
             rest = [_in_layout_of(v, first) for v in xs[1:]]
         else:
             rest = [v.to_nchw() if isinstance(v, BlockedTensor) else v
                     for v in xs[1:]]
-
-        def add(src, out):
-            np.add(src, rest[0].reshape(src.shape), out=out)
-            for v in rest[1:]:
-                out += v.reshape(src.shape)
-
-        return _elementwise(first, add, inplace)
+        return _elementwise(first, lambda src, out: self.layer.forward(
+            src, *(v.reshape(src.shape) for v in rest), out=out), inplace)
 
     def backward(self, dy):
         return self.layer.backward(dy)

@@ -54,8 +54,14 @@ class EltwiseSum(Layer):
     def __init__(self, n_inputs: int = 2):
         self.n_inputs = n_inputs
 
-    def forward(self, *xs: np.ndarray) -> np.ndarray:
-        out = xs[0].copy()
+    def forward(self, *xs: np.ndarray,
+                out: np.ndarray | None = None) -> np.ndarray:
+        """Adds left to right into ``out`` (a new array by default), which
+        may be ``xs[0]`` itself."""
+        if out is None:
+            out = xs[0].copy()
+        elif out is not xs[0]:
+            out[...] = xs[0]
         for x in xs[1:]:
             out += x
         return out

@@ -14,15 +14,18 @@ def relu(v: np.ndarray, mask: np.ndarray | None = None,
     """``np.where(mask, v, 0.0)`` bit for bit, ``mask`` defaulting to
     ``v > 0``, with no per-element branch.
 
-    Without a mask it is ``fmax(v, 0) + 0``: ``fmax`` drops a NaN for
-    the zero and the ``+ 0`` turns a ``-0.0`` into ``+0.0``.  With a mask
-    it keeps ``v``'s bits where the mask holds and writes ``+0.0`` (all
-    bits clear) elsewhere, so NaN payloads and subnormals pass through
-    as ``np.where`` passes them.  ``out`` may be ``v`` itself.
+    Without a mask it is ``fmax(v + 0, 0)``: the ``+ 0`` turns a
+    ``-0.0`` into ``+0.0`` and a signalling NaN into a quiet one (numpy
+    warns of an invalid value then), and ``fmax`` drops a quiet NaN for
+    the zero on every loop (its scalar loop keeps a NaN when the NaN is
+    signalling).  With a mask it keeps ``v``'s bits where the mask holds
+    and writes ``+0.0`` (all bits clear) elsewhere, so NaN payloads and
+    subnormals pass through as ``np.where`` passes them.  ``out`` may be
+    ``v`` itself.
     """
     if mask is None:
-        out = np.fmax(v, 0.0, out=out)
-        out += 0.0
+        out = np.add(v, 0.0, out=out)
+        np.fmax(out, 0.0, out=out)
         return out
     bits = np.dtype(f"u{v.itemsize}")
     ones = np.subtract(0, mask, dtype=bits)  # True -> all bits set

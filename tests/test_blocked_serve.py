@@ -15,7 +15,7 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.conv.fusion import ReLU as FusedReLU
@@ -234,11 +234,11 @@ def fresh_answer(etg, x) -> np.ndarray:
 def test_session_freezes_and_thaw_restores_writable():
     etg = build("identity_shortcut", 1)
     with InferenceSession(etg):
-        assert etg.frozen
+        assert etg._frozen
         assert not any(p.flags.writeable for p in etg.params())
         with pytest.raises(ValueError):
             etg.params()[0][...] = 0.0
-    assert not etg.frozen
+    assert not etg._frozen
     assert all(p.flags.writeable for p in etg.params())
 
 
@@ -305,7 +305,7 @@ def test_nested_sessions_serve_current_weights():
             with InferenceSession(etg) as third:
                 assert same_bits(third.predict(x), want)
         # still frozen: an inner exit keeps the outer session's forms
-        assert etg.frozen
+        assert etg._frozen
         assert same_bits(outer.predict(x), want)
         with pytest.raises(ReproError):
             load_checkpoint(etg, checkpoint_of(build(
@@ -317,10 +317,11 @@ def test_nested_sessions_serve_current_weights():
 
 
 # -- one exact ReLU --------------------------------------------------------
-#: ±0, ±subnormals, ±inf, the two NaN payloads, ±1
+#: ±0, ±subnormals, ±inf, the two NaN payloads, signalling NaNs, ±1
 SPECIAL_BITS = [0x00000000, 0x80000000, 0x00000001, 0x80000001,
                 0x007fffff, 0x807fffff, 0x7f800000, 0xff800000,
-                0x7fc12345, 0xffc54321, 0x3f800000, 0xbf800000]
+                0x7fc12345, 0xffc54321, 0x7f800001, 0xff800001,
+                0x7fbfffff, 0x3f800000, 0xbf800000]
 
 #: float32 bit patterns: the specials, or any pattern at all
 float32_bits = st.one_of(st.sampled_from(SPECIAL_BITS),
@@ -334,6 +335,10 @@ def f32(bits) -> np.ndarray:
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(float32_bits, float32_bits), min_size=1,
                 max_size=64))
+# numpy runs short arrays and tails through a scalar loop and long runs
+# through SIMD: a signalling NaN alone, and every special value together
+@example(pairs=[(0x7f800001, 0xff800001)])
+@example(pairs=[(b, SPECIAL_BITS[-1 - i]) for i, b in enumerate(SPECIAL_BITS)])
 def test_every_relu_form_equals_np_where(pairs):
     x = f32([a for a, _ in pairs])
     dy = f32([b for _, b in pairs])
@@ -341,16 +346,19 @@ def test_every_relu_form_equals_np_where(pairs):
     want_fwd = np.where(mask, x, 0.0).astype(np.float32)
     want_bwd = np.where(mask, dy, 0.0).astype(np.float32)
 
-    layer = ReLULayer()
-    assert same_bits(layer.forward(x), want_fwd)
-    assert same_bits(layer.backward(dy), want_bwd)
-    assert same_bits(relu(dy, mask), want_bwd)  # ConvNode.keep_grad's mask
-    inplace = x.copy()
-    relu(inplace, out=inplace)  # forward-only runs
-    assert same_bits(inplace, want_fwd)
-    block = x.copy().reshape(1, -1)
-    FusedReLU().apply_block(block, 0)  # the conv-fused ReLU
-    assert same_bits(block, want_fwd)
+    # a signalling NaN raises numpy's invalid-value warning as it is
+    # quieted; only the bits are checked here
+    with np.errstate(invalid="ignore"):
+        layer = ReLULayer()
+        assert same_bits(layer.forward(x), want_fwd)
+        assert same_bits(layer.backward(dy), want_bwd)
+        assert same_bits(relu(dy, mask), want_bwd)  # keep_grad's mask
+        inplace = x.copy()
+        relu(inplace, out=inplace)  # forward-only runs
+        assert same_bits(inplace, want_fwd)
+        block = x.copy().reshape(1, -1)
+        FusedReLU().apply_block(block, 0)  # the conv-fused ReLU
+        assert same_bits(block, want_fwd)
 
 
 @settings(max_examples=50, deadline=None)
