@@ -13,13 +13,17 @@ letting latency grow without bound:
   of 20 hundred-millisecond requests is already a latency disaster --
   depth alone cannot tell the two apart.
 
-Workers drain the queue through :meth:`take`, which implements the
-dynamic-batching wait: return immediately once ``max_n`` requests are
-pending, otherwise hold the batch open for at most ``window_s`` after
-the first arrival.  ``take`` also drops requests whose deadline already
-expired while queued -- they are failed with
-:class:`~repro.serve.request.DeadlineExceeded` (``serve.deadline_expired``)
-rather than padded into a bucket.
+The server's worker drains the queue through :meth:`take`, which
+implements the dynamic-batching wait.  A batch closes at the earliest
+of three points: ``max_n`` requests are pending, ``window_s`` has passed
+since the taker began waiting with a request in hand (the cap), or no
+request has been admitted for ``window_s * IDLE_FRACTION`` (the idle
+gap).  So a lone request leaves after the idle gap, a burst keeps its
+batch open for as long as its requests keep coming, and a queue that
+went idle while the previous batch ran closes at once.  ``take`` also
+drops requests whose deadline already expired while queued -- they are
+failed with :class:`~repro.serve.request.DeadlineExceeded`
+(``serve.deadline_expired``) rather than padded into a bucket.
 
 :meth:`pause` stops admission without closing (the graceful-drain
 front door): queued work still drains, blocked takers keep taking, but
@@ -41,6 +45,16 @@ from repro.serve.request import (
 )
 
 __all__ = ["AdmissionQueue"]
+
+#: A batch closes once no request has been admitted for this fraction of
+#: ``window_s``: 0.5 ms at the default 2 ms window.  Requests inside one
+#: of perfbench's ``serve_blocked_burst`` bursts arrive 12-16 us apart at
+#: the median and 154-239 us at p99, so a burst stays one batch, while
+#: the Poisson requests of ``serve_fast_light`` that shared a whole 2 ms
+#: window arrived 0.52 ms apart at the median, so a lone request stops
+#: waiting out the window for a neighbour that rarely comes
+#: (EXPERIMENTS.md, "Closing the batch window when arrivals stop").
+IDLE_FRACTION = 0.25
 
 
 class AdmissionQueue:
@@ -75,6 +89,9 @@ class AdmissionQueue:
         #: decayed per-request service seconds, fed by the worker after
         #: every batch (batch wall time / live rows)
         self._service_ewma = Ewma(alpha=0.2)
+        #: perf_counter of the latest admission; :meth:`take` closes a
+        #: batch once it is an idle gap old
+        self._last_put = 0.0
 
     @property
     def depth(self) -> int:
@@ -168,6 +185,7 @@ class AdmissionQueue:
                         "request shed"
                     )
             self._q.append(req)
+            self._last_put = time.perf_counter()
             self._metrics.set_gauge("serve.queue_depth", len(self._q))
             self._cond.notify()
 
@@ -195,33 +213,36 @@ class AdmissionQueue:
         """Dequeue up to ``max_n`` live requests as one batch.
 
         Blocks until at least one request is available (or the queue is
-        closed AND drained, returning ``[]``).  Once the first request is
-        in hand the batch stays open for at most ``window_s`` waiting for
-        more; it closes early when ``max_n`` is reached.  Requests whose
-        deadline expired while queued are failed and skipped here.
+        closed AND drained, returning ``[]``).  Once a request is in hand
+        the batch stays open until ``max_n`` requests are pending, until
+        ``window_s`` has passed, or until no request has been admitted
+        for ``window_s * IDLE_FRACTION``, whichever comes first;
+        ``window_s = 0`` takes what is queued without waiting.  Requests
+        whose deadline expired while queued are failed and skipped here.
 
-        With several workers the batch-window wait can lose a race: two
-        takers pass the first wait, the first to wake pops everything and
-        the second finds the deque empty again.  An empty pop loops back
-        to the outer wait instead of returning, so ``[]`` is an
-        unambiguous shutdown signal.
+        An empty pop (every popped request had expired, or a second
+        taker drained the batch first) loops back to the outer wait
+        instead of returning, so ``[]`` is an unambiguous shutdown
+        signal.
         """
+        idle_s = window_s * IDLE_FRACTION
         with self._cond:
             while True:
                 while not self._q and not self._closed:
                     self._cond.wait()
                 if not self._q:
                     return []  # closed and drained
-                deadline = time.perf_counter() + window_s
+                cap = time.perf_counter() + window_s
                 while len(self._q) < max_n and not self._closed:
-                    remaining = deadline - time.perf_counter()
+                    close = min(cap, self._last_put + idle_s)
+                    remaining = close - time.perf_counter()
                     if remaining <= 0:
                         break
                     self._cond.wait(remaining)
                 batch = self._pop_live(max_n)
                 self._metrics.set_gauge("serve.queue_depth", len(self._q))
                 if not batch:
-                    # another worker drained the window's batch, or every
+                    # another taker drained the window's batch, or every
                     # popped request had already expired
                     self._cond.notify_all()  # a join may now be done
                     continue

@@ -58,8 +58,12 @@ class ServeConfig:
     queue_capacity:
         Admission bound; a request arriving at a full queue is shed.
     batch_window_ms:
-        How long the worker waits for the batch to fill once at least one
-        request is pending (the latency/occupancy trade-off knob).
+        The longest the worker holds a batch open for more requests once
+        one is pending.  A batch closes sooner when the largest bucket
+        fills, or when no request has arrived for a quarter of this
+        (:data:`repro.serve.admission.IDLE_FRACTION`), so a lone request
+        waits 0.5 ms at the default, not 2 ms.  ``0`` takes what is
+        queued without waiting.
     max_queue_wait_ms:
         Adaptive backpressure budget: admission sheds a request whose
         *estimated* queue wait (EWMA of per-request service time x

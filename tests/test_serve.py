@@ -7,6 +7,7 @@ the batch -- the probability vector must equal the one an unbatched
 """
 
 import json
+import sys
 import threading
 import time
 import urllib.request
@@ -33,6 +34,7 @@ from repro.serve import (
     run_open_loop,
     serve_http,
 )
+from repro.serve.admission import IDLE_FRACTION
 from repro.types import ReproError, ShapeError
 
 SHAPE = (16, 8, 8)
@@ -165,6 +167,160 @@ class TestAdmissionQueue:
         for t in threads:
             t.join(timeout=5.0)
         assert sorted(len(b) for b in results) == [0, 1]
+
+    # The close rule on real-time scales: a 0.4 s window has a 0.1 s idle
+    # gap, and puts 0.05 s apart leave half a gap of slack for a loaded
+    # host.
+    WINDOW_S = 0.4
+    GAP_S = 0.05
+
+    @staticmethod
+    def _put_every(q, n, period_s, t0=None):
+        """Put ``n`` requests ``period_s`` apart on an absolute schedule
+        (a late put does not delay the next one); returns the ids."""
+        t0 = time.perf_counter() if t0 is None else t0
+        reqs = [InferenceRequest(x) for x in images(n)]
+        for k, r in enumerate(reqs):
+            pause = t0 + k * period_s - time.perf_counter()
+            if pause > 0:
+                time.sleep(pause)
+            q.put(r)
+        return [r.id for r in reqs]
+
+    @staticmethod
+    def _taker(q, max_n, window_s, batches):
+        def run():
+            while True:
+                batch = q.take(max_n, window_s)
+                if not batch:
+                    return
+                batches.append(
+                    (time.perf_counter(), [r.id for r in batch]))
+
+        t = threading.Thread(target=run, daemon=True)
+        t.start()
+        return t
+
+    def test_lone_request_leaves_after_the_idle_gap(self):
+        q = AdmissionQueue(capacity=8)
+        t0 = time.perf_counter()
+        q.put(InferenceRequest(images(1)[0]))
+        batch = q.take(4, self.WINDOW_S)
+        waited = time.perf_counter() - t0
+        assert len(batch) == 1
+        assert self.WINDOW_S * IDLE_FRACTION <= waited < 0.3
+
+    def test_burst_spanning_more_than_the_idle_gap_stays_one_batch(self):
+        q = AdmissionQueue(capacity=8)
+        batches = []
+        taker = self._taker(q, 8, self.WINDOW_S, batches)
+        ids = self._put_every(q, 4, self.GAP_S)  # spans 0.15 s > 0.1 s
+        time.sleep(self.WINDOW_S)
+        q.close()
+        taker.join(timeout=5.0)
+        assert [b for _, b in batches] == [ids]
+
+    def test_steady_trickle_is_cut_at_the_window(self):
+        q = AdmissionQueue(capacity=32)
+        batches = []
+        first = InferenceRequest(images(1)[0])
+        q.put(first)
+        t0 = time.perf_counter()
+        taker = self._taker(q, 32, self.WINDOW_S, batches)
+        ids = [first.id] + self._put_every(q, 15, self.GAP_S,
+                                           t0 + self.GAP_S)
+        time.sleep(self.WINDOW_S)
+        q.close()
+        taker.join(timeout=5.0)
+        t_first, head = batches[0]
+        # the trickle never paused for an idle gap, so only the cap cut
+        # it: 0.4 s into a 0.75 s trickle, with every request in order
+        assert t_first - t0 >= self.WINDOW_S
+        assert 2 < len(head) < len(ids)
+        assert [i for _, b in batches for i in b] == ids
+
+    def test_pause_longer_than_the_idle_gap_closes_the_batch(self):
+        q = AdmissionQueue(capacity=8)
+        batches = []
+        taker = self._taker(q, 8, self.WINDOW_S, batches)
+        ids = self._put_every(q, 2, 0.0)
+        time.sleep(0.25)  # past the 0.1 s gap, inside the 0.4 s cap
+        late = self._put_every(q, 1, 0.0)
+        time.sleep(self.WINDOW_S)
+        q.close()
+        taker.join(timeout=5.0)
+        assert [b for _, b in batches] == [ids, late]
+
+    def test_full_bucket_closes_the_batch_at_once(self):
+        q = AdmissionQueue(capacity=8)
+        batches = []
+        # a 4 s window idles out after 1 s: anything sooner is max_n
+        taker = self._taker(q, 4, 4.0, batches)
+        ids = self._put_every(q, 4, 0.0)
+        t_full = time.perf_counter()
+        deadline = t_full + 5.0
+        while not batches and time.perf_counter() < deadline:
+            time.sleep(0.005)
+        q.close()
+        taker.join(timeout=5.0)
+        t_done, batch = batches[0]
+        assert batch == ids
+        assert t_done - t_full < 0.5
+
+    def test_requests_queued_while_nobody_took_leave_without_waiting(self):
+        q = AdmissionQueue(capacity=8)
+        ids = self._put_every(q, 3, 0.0)
+        time.sleep(0.6)  # past the 0.5 s idle gap of a 2 s window
+        t0 = time.perf_counter()
+        batch = q.take(8, 2.0)
+        assert time.perf_counter() - t0 < 0.25
+        assert [r.id for r in batch] == ids
+
+    def test_concurrent_puts_are_each_taken_once(self):
+        """Four producers race one taker on a short switch interval:
+        every request leaves in exactly one batch of at most max_n."""
+        q = AdmissionQueue(capacity=256)
+        batches = []
+        taker = self._taker(q, 8, 0.002, batches)
+        ids = [[] for _ in range(4)]
+
+        def producer(k):
+            for x in images(50, seed=k):
+                r = InferenceRequest(x)
+                q.put(r)
+                ids[k].append(r.id)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            producers = [threading.Thread(target=producer, args=(k,))
+                         for k in range(4)]
+            for t in producers:
+                t.start()
+            for t in producers:
+                t.join(timeout=10.0)
+            assert not any(t.is_alive() for t in producers)
+        finally:
+            sys.setswitchinterval(old)
+        deadline = time.perf_counter() + 10.0
+        while q.depth and time.perf_counter() < deadline:
+            time.sleep(0.01)
+        q.close()
+        taker.join(timeout=10.0)
+        assert not taker.is_alive()
+        taken = [i for _, b in batches for i in b]
+        assert sorted(taken) == sorted(i for k in ids for i in k)
+        for mine in ids:  # FIFO per producer
+            assert [i for i in taken if i in set(mine)] == mine
+        assert all(1 <= len(b) <= 8 for _, b in batches)
+
+    def test_zero_window_takes_what_is_queued(self):
+        q = AdmissionQueue(capacity=8)
+        ids = self._put_every(q, 2, 0.0)
+        t0 = time.perf_counter()
+        batch = q.take(8, 0.0)
+        assert time.perf_counter() - t0 < 0.25
+        assert [r.id for r in batch] == ids
 
 
 # ---------------------------------------------------------------------------
